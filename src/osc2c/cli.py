@@ -28,7 +28,6 @@ from .runtime import (
     InitConflict,
     SpawnCollision,
     UnsupportedAction,
-    builtin_registry,
     compile_scenario,
 )
 from .semantics import check
@@ -121,26 +120,27 @@ def cmd_check(args) -> int:
         source = _read_source(args.file)
     except OSError as exc:
         return _fail_io(str(exc))
-    analysis = check(source, args.file,
-                     extra_actions=builtin_registry().action_table())
+    analysis = check(source, args.file)
     _print_diagnostics(analysis.diagnostics)
     return EXIT_OK if analysis.ok else EXIT_DIAGNOSTICS
 
 
-def cmd_run(args) -> int:
+def _check_and_compile(path: str, map_spec: str | None = None,
+                       dt: float = 0.05, initialize: bool = True):
+    """Read, check and compile a scenario file, printing its diagnostics.
+
+    Returns an exit code, or (analysis, road, compiled scenario or None,
+    the runtime fault that compiling raised or None).
+    """
     try:
-        source = _read_source(args.file)
+        source = _read_source(path)
     except OSError as exc:
         return _fail_io(str(exc))
-
-    registry = builtin_registry()
-    analysis = check(source, args.file,
-                     extra_actions=registry.action_table())
+    analysis = check(source, path)
     _print_diagnostics(analysis.diagnostics)
     if not analysis.ok:
         return EXIT_DIAGNOSTICS
 
-    map_spec = args.map
     if map_spec is None:
         bound = analysis.scenarios[0].map_name if analysis.scenarios else None
         map_spec = f"builtin:{bound}" if bound else "builtin:town06"
@@ -148,20 +148,26 @@ def cmd_run(args) -> int:
         road = load_map(map_spec)
     except (OSError, ValueError) as exc:
         return _fail_io(str(exc))
-    if args.dt <= 0:
-        return _fail_io(f"--dt must be positive, got {args.dt}")
+    if dt <= 0:
+        return _fail_io(f"--dt must be positive, got {dt}")
 
-    fault: Exception | None = None
-    cs: CompiledScenario | None = None
     try:
-        cs = compile_scenario(analysis, registry=registry, road=road,
-                              dt=args.dt, filename=args.file)
+        cs = compile_scenario(analysis, road=road, dt=dt, filename=path,
+                              initialize=initialize)
     except UnsupportedAction as exc:
         _print_diagnostics([exc.diagnostic])
         return EXIT_DIAGNOSTICS
     except (InitConflict, SpawnCollision, BuildError, EvalError,
             SimFault) as exc:
-        fault = exc
+        return analysis, road, None, exc
+    return analysis, road, cs, None
+
+
+def cmd_run(args) -> int:
+    compiled = _check_and_compile(args.file, args.map, args.dt)
+    if isinstance(compiled, int):
+        return compiled
+    analysis, road, cs, fault = compiled
 
     scenario_name = analysis.scenarios[0].decl.name
     if args.trace is not None:
@@ -223,33 +229,27 @@ def _run_loop(cs: CompiledScenario, stream, max_time: float) -> int:
 
 
 def cmd_dump(args) -> int:
+    if args.what == "bt":
+        compiled = _check_and_compile(args.file, initialize=False)
+        if isinstance(compiled, int):
+            return compiled
+        _, _, cs, fault = compiled
+        if fault is not None:
+            print(f"osc2c: {type(fault).__name__}: {fault}", file=sys.stderr)
+            return EXIT_FAULT
+        print(dump_tree(cs.root))
+        return EXIT_OK
+
     try:
         source = _read_source(args.file)
     except OSError as exc:
         return _fail_io(str(exc))
-
-    if args.what == "ast":
-        try:
-            program = parse(source, args.file)
-        except CompileError as exc:
-            _print_diagnostics([exc.diagnostic])
-            return EXIT_DIAGNOSTICS
-        print(ast.dump_json(program))
-        return EXIT_OK
-
-    registry = builtin_registry()
-    analysis = check(source, args.file,
-                     extra_actions=registry.action_table())
-    _print_diagnostics(analysis.diagnostics)
-    if not analysis.ok:
-        return EXIT_DIAGNOSTICS
     try:
-        cs = compile_scenario(analysis, registry=registry,
-                              filename=args.file, initialize=False)
-    except UnsupportedAction as exc:
+        program = parse(source, args.file)
+    except CompileError as exc:
         _print_diagnostics([exc.diagnostic])
         return EXIT_DIAGNOSTICS
-    print(dump_tree(cs.root))
+    print(ast.dump_json(program))
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ against the unit table so a bad unit fails with a precise span.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, CompileError, Diagnostic, Span
@@ -157,21 +158,24 @@ class _Scanner:
             while j < len(line) and line[j].isdigit():
                 j += 1
         value = float(line[i:j])
+        k, unit, factor = j, None, 1.0
         if j < len(line) and (line[j].isalpha() or line[j] == "_"):
-            k = j
             while k < len(line) and (line[k].isalnum() or line[k] == "_"):
                 k += 1
             unit = line[j:k]
             if unit not in UNITS:
                 raise _error(f"unknown unit suffix {unit!r}",
                              self.filename, lineno, j + 1)
-            self.tokens.append(Token(TokenKind.QUANTITY, line[i:k],
-                                     Span(lineno, i + 1, lineno, k + 1),
-                                     value=value, unit=unit))
-            return k
-        self.tokens.append(Token(TokenKind.NUMBER, line[i:j],
-                                 Span(lineno, i + 1, lineno, j + 1), value=value))
-        return j
+            factor = UNITS[unit][0]
+        # the checker folds literals, so one that overflows is a lex error
+        if not math.isfinite(value * factor):
+            raise _error("number literal is out of range",
+                         self.filename, lineno, i + 1)
+        kind = TokenKind.NUMBER if unit is None else TokenKind.QUANTITY
+        self.tokens.append(Token(kind, line[i:k],
+                                 Span(lineno, i + 1, lineno, k + 1),
+                                 value=value, unit=unit))
+        return k
 
     def _string(self, lineno: int, line: str, i: int) -> int:
         # no escape sequences: a string is everything up to the next quote
@@ -204,6 +208,7 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
     """Lex source text into a token list ending with EOF.
 
     Raises LexError (code L001) on bad indentation, unknown characters,
-    unknown unit suffixes, and unterminated strings.
+    unknown unit suffixes, literals whose SI value overflows a float, and
+    unterminated strings.
     """
     return _Scanner(source, filename).run()

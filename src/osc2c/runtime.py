@@ -2,8 +2,8 @@
 
 This module turns a resolved scenario into something that runs: a
 MethodRegistry maps (actor type, action) pairs to behavior factories, an
-ExecutionContext evaluates expressions against the live world with per-tick
-caching, a BehaviorTreeBuilder lowers the composition tree, and a
+ExecutionContext runs the expression closures the checker lowered against
+the live world, a BehaviorTreeBuilder lowers the composition tree, and a
 ScenarioInitializer places actors from their `at: start` constraints.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import ast, units
+from . import ast
 from .btree import (
     Blackboard,
     BtNode,
@@ -30,19 +30,16 @@ from .btree import (
     Timer,
 )
 from .diagnostics import CompileError, Diagnostic, ERROR, Span
-from .prelude import ENUM_WORDS, PHYSICAL_TYPES, inheritance_chain
-from .semantics import Analysis, ScenarioInfo, check
-from .units import ANGLE, DIMENSIONLESS, DURATION, LENGTH, SPEED, Quantity, UnitsError
+from .prelude import inheritance_chain
+from .semantics import Analysis, EvalError, Evaluator, ScenarioInfo, check
+from .units import (ANGLE, DIMENSIONLESS, DURATION, LENGTH, SPEED, Quantity,
+                    UnitsError, dimension_name)
 from .world import Actor, RoadMap, TOWN06, World, load_map, overlaps
 
 GO_SIGNAL = "go_signal"
 
 # A change_speed leaf reports Success inside this band around its target.
 SPEED_TOLERANCE = 0.01
-
-
-class EvalError(RuntimeError):
-    """Runtime expression evaluation failed."""
 
 
 class BuildError(RuntimeError):
@@ -104,21 +101,22 @@ class MethodRegistry:
 # execution context
 
 
-_MISSING = object()
-
-
 class ExecutionContext:
-    """Live actor handles, lazy variable values, per-tick expression cache."""
+    """Live actor handles, lazily evaluated variables, expression evaluation.
 
-    def __init__(self, world: World, scenario: ScenarioInfo):
+    Expressions run as the closures the checker lowered them to; each takes
+    this context as its ``env``.
+    """
+
+    def __init__(self, world: World, scenario: ScenarioInfo,
+                 evaluators: dict[int, Evaluator | None]):
         self.world = world
         self.actors: dict[str, Actor] = {}
         self.attributes = scenario.constraints
         self._var_decls = scenario.variables
         self._var_values: dict[str, object] = {}
         self._in_progress: set[str] = set()
-        self.tick = 0
-        self._cache: dict[tuple[int, int], object] = {}
+        self._evaluators = evaluators
 
     def bind_actor(self, name: str, actor: Actor) -> None:
         self.actors[name] = actor
@@ -129,10 +127,6 @@ class ExecutionContext:
         except KeyError:
             raise EvalError(f"no live actor named '{name}'") from None
 
-    def begin_tick(self, tick: int) -> None:
-        self.tick = tick
-        self._cache.clear()
-
     # variables
 
     def evaluate_variables(self) -> None:
@@ -141,9 +135,8 @@ class ExecutionContext:
             self.var(name)
 
     def var(self, name: str):
-        value = self._var_values.get(name, _MISSING)
-        if value is not _MISSING:
-            return value
+        if name in self._var_values:
+            return self._var_values[name]
         decl = self._var_decls.get(name)
         if decl is None:
             raise EvalError(f"unknown variable '{name}'")
@@ -151,161 +144,24 @@ class ExecutionContext:
             raise EvalError(f"initializer of '{name}' depends on itself")
         self._in_progress.add(name)
         try:
-            value = self._eval_initializer(decl)
+            value = self.eval(decl)
         finally:
             self._in_progress.discard(name)
         self._var_values[name] = value
         return value
 
-    def _eval_initializer(self, decl: ast.VarDecl):
-        declared = PHYSICAL_TYPES.get(decl.type_name)
-        init = decl.init
-        if (declared is not None and isinstance(init, ast.Binary)
-                and init.op == "*"):
-            lhs = self.eval(init.lhs)
-            rhs = self.eval(init.rhs)
-            if (isinstance(lhs, Quantity) and isinstance(rhs, Quantity)
-                    and units.coercible_product(lhs.dim, rhs.dim, declared)):
-                value, _ = units.coerce_product(lhs, rhs, declared)
-                return value
-        value = self.eval(init)
-        if (declared is not None and isinstance(value, Quantity)
-                and value.dim != declared):
-            raise EvalError(
-                f"initializer of '{decl.name}' evaluated to "
-                f"{units.dimension_name(value.dim)}, declared {decl.type_name}")
-        return value
-
     # expressions
 
     def eval(self, expr: ast.Node):
-        """Evaluate an expression, reusing any result from the current tick."""
-        key = (id(expr), self.tick)
-        value = self._cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._eval(expr)
-            self._cache[key] = value
-        return value
-
-    def _eval(self, expr: ast.Node):
-        if isinstance(expr, ast.QuantityLiteral):
-            return units.from_literal(expr.value, expr.unit)
-        if isinstance(expr, ast.NumberLiteral):
-            return Quantity(expr.value)
-        if isinstance(expr, ast.StringLiteral):
-            return expr.value
-        if isinstance(expr, ast.Identifier):
-            return self._eval_name(expr.name)
-        if isinstance(expr, ast.MemberAccess):
-            return self._eval_member(expr)
-        if isinstance(expr, ast.MethodCall):
-            return self._eval_call(expr)
-        if isinstance(expr, ast.Unary):
-            return self._eval_unary(expr)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr)
-        raise EvalError(f"cannot evaluate a {type(expr).__name__} at runtime")
-
-    def _eval_name(self, name: str):
-        if name in self._var_decls:
-            return self.var(name)
-        actor = self.actors.get(name)
-        if actor is not None:
-            return actor
-        if name in ENUM_WORDS:
-            return name
-        raise EvalError(f"unknown name '{name}'")
-
-    def _eval_member(self, expr: ast.MemberAccess):
-        receiver = self.eval(expr.receiver)
-        if isinstance(receiver, Actor):
-            if expr.member == "speed":
-                return Quantity(receiver.speed, SPEED)
-            if expr.member == "position":
-                raise EvalError(
-                    "'position' is only usable as an ahead_of receiver")
-            attrs = self.attributes.get(receiver.name, {})
-            if expr.member in attrs:
-                return attrs[expr.member]
-        raise EvalError(f"cannot read member '{expr.member}'")
-
-    def _eval_call(self, expr: ast.MethodCall):
-        if expr.method == "ahead_of":
-            base = expr.receiver
-            if not (isinstance(base, ast.MemberAccess)
-                    and base.member == "position"):
-                raise EvalError("ahead_of needs an actor position receiver")
-            subject = self.eval(base.receiver)
-            other = self.eval(expr.args[0].value) if expr.args else None
-            if not (isinstance(subject, Actor) and isinstance(other, Actor)):
-                raise EvalError("ahead_of compares two actors")
-            return Quantity(self.world.ahead_of(subject, other), LENGTH)
-        if expr.method == "object_distance":
-            subject = self.eval(expr.receiver)
-            if not isinstance(subject, Actor):
-                raise EvalError("object_distance needs an actor receiver")
-            reference = None
-            direction = "euclidean"
-            for arg in expr.args:
-                if arg.name == "reference":
-                    reference = self.eval(arg.value)
-                elif arg.name == "direction":
-                    direction = self.eval(arg.value)
-                else:
-                    raise EvalError(
-                        f"object_distance got unexpected argument {arg.name!r}")
-            if not isinstance(reference, Actor):
-                raise EvalError("object_distance needs a 'reference' actor")
-            return Quantity(
-                self.world.object_distance(subject, reference, direction),
-                LENGTH)
-        raise EvalError(f"cannot evaluate call to '{expr.method}'")
-
-    def _eval_unary(self, expr: ast.Unary):
-        value = self.eval(expr.operand)
-        if expr.op == "-":
-            if isinstance(value, Quantity):
-                return Quantity(-value.value, value.dim)
-            raise EvalError("unary '-' needs a quantity")
-        if expr.op == "not":
-            if isinstance(value, bool):
-                return not value
-            raise EvalError("'not' needs a boolean")
-        raise EvalError(f"cannot evaluate unary '{expr.op}'")
-
-    def _eval_binary(self, expr: ast.Binary):
-        if expr.op in ("and", "or"):
-            lhs = self.eval(expr.lhs)
-            if not isinstance(lhs, bool):
-                raise EvalError(f"'{expr.op}' needs boolean operands")
-            if expr.op == "and" and not lhs:
-                return False
-            if expr.op == "or" and lhs:
-                return True
-            rhs = self.eval(expr.rhs)
-            if not isinstance(rhs, bool):
-                raise EvalError(f"'{expr.op}' needs boolean operands")
-            return rhs
-        lhs = self.eval(expr.lhs)
-        rhs = self.eval(expr.rhs)
-        if expr.op in ("+", "-", "*", "/"):
-            if isinstance(lhs, Quantity) and isinstance(rhs, Quantity):
-                try:
-                    return units.binary(lhs, expr.op, rhs)
-                except UnitsError as exc:
-                    raise EvalError(str(exc)) from exc
-            raise EvalError(f"'{expr.op}' needs quantity operands")
-        if expr.op in ("<", "<=", ">", ">=", "==", "!="):
-            if isinstance(lhs, Quantity) and isinstance(rhs, Quantity):
-                try:
-                    return units.compare(lhs, expr.op, rhs)
-                except UnitsError as exc:
-                    raise EvalError(str(exc)) from exc
-            if isinstance(lhs, str) and isinstance(rhs, str) \
-                    and expr.op in ("==", "!="):
-                return (lhs == rhs) if expr.op == "==" else (lhs != rhs)
-            raise EvalError(f"cannot compare these operands with '{expr.op}'")
-        raise EvalError(f"cannot evaluate binary '{expr.op}'")
+        """Evaluate an expression (or var declaration) that was checked."""
+        evaluate = self._evaluators.get(id(expr))
+        if evaluate is None:
+            raise EvalError(
+                f"cannot evaluate an unchecked {type(expr).__name__}")
+        try:
+            return evaluate(self)
+        except UnitsError as exc:
+            raise EvalError(str(exc)) from exc
 
 
 def _magnitude(value, dim, what: str) -> float:
@@ -314,8 +170,8 @@ def _magnitude(value, dim, what: str) -> float:
         raise EvalError(f"{what} must be a quantity")
     if value.dim != dim and value.dim != DIMENSIONLESS:
         raise EvalError(
-            f"{what} has dimension {units.dimension_name(value.dim)}, "
-            f"expected {units.dimension_name(dim)}")
+            f"{what} has dimension {dimension_name(value.dim)}, "
+            f"expected {dimension_name(dim)}")
     return value.value
 
 
@@ -884,34 +740,23 @@ class BehaviorTreeBuilder:
         raise BuildError(
             f"cannot lower a {type(node).__name__} inside a composition")
 
-    def _predicate(self, expr: ast.Node):
-        context = self.context
-
-        def predicate(_ctx) -> bool:
-            value = context.eval(expr)
-            if not isinstance(value, bool):
-                raise EvalError("wait condition did not produce a boolean")
-            return value
-
-        return predicate
-
     def _wait(self, node: ast.WaitStatement) -> BtNode:
         cond = node.condition
         if isinstance(cond, ast.EventRef):
             return EventWait(cond.name, label=f"wait @{cond.name}",
                              span=node.span)
         if isinstance(cond, ast.RiseCondition):
-            return EdgeCondition("rise", self._predicate(cond.expr),
+            return EdgeCondition("rise", lambda _: self.context.eval(cond.expr),
                                  label="wait rise", span=node.span)
         if isinstance(cond, ast.FallCondition):
-            return EdgeCondition("fall", self._predicate(cond.expr),
+            return EdgeCondition("fall", lambda _: self.context.eval(cond.expr),
                                  label="wait fall", span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
             seconds = _magnitude(self.context.eval(cond.duration),
                                  DURATION, "elapsed duration")
             return Timer(seconds, label="wait elapsed", span=node.span)
         if isinstance(cond, ast.BoolCondition):
-            return Condition(self._predicate(cond.expr), label="wait",
+            return Condition(lambda _: self.context.eval(cond.expr), label="wait",
                              span=node.span)
         raise BuildError(f"cannot lower a {type(cond).__name__} wait")
 
@@ -984,7 +829,6 @@ class CompiledScenario:
         """One full tick: behaviors first, then world physics."""
         now = self.next_tick
         self.next_tick += 1
-        self.context.begin_tick(now)
         self.blackboard.begin_tick(now)
         self.tick_ctx.now = now
         if now == 0:
@@ -1028,7 +872,7 @@ def compile_scenario(analysis: Analysis, *,
             road = TOWN06
 
     world = World(road, dt)
-    context = ExecutionContext(world, scenario)
+    context = ExecutionContext(world, scenario, analysis.evaluators)
     for name, type_name in scenario.fields.items():
         kind = _WORLD_KINDS.get(type_name)
         if kind == "vehicle":

@@ -1,4 +1,4 @@
-"""Two-pass semantic analysis.
+"""Two-pass semantic analysis and expression lowering.
 
 The definition pass builds the scope tree and registers every declared
 symbol (fields, vars, and event names harvested from emit/wait sites) so
@@ -6,16 +6,32 @@ forward references are legal by construction.  The resolution pass then
 binds references, walks actor inheritance chains, checks dimensions, and
 binds the scenario to a builtin map.  Diagnostics accumulate in source
 order; errors never abort the pass, so one run reports everything.
+
+While it types an expression, the resolution pass also lowers it to an
+evaluator ``fn(env)``.  ``Analysis.evaluators`` maps the ``id`` of every
+argument, wait condition and ``VarDecl`` to its evaluator; ``env`` is the
+runtime's execution context (``world``, ``actors``, ``attributes`` and
+``var(name)``).  Literals are folded; the live world is read at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from . import ast, prelude, units
 from .diagnostics import ERROR, WARNING, CompileError, Diagnostic, Span
 from .parser import parse
-from .units import DIMENSIONLESS, DURATION, Dimension, dimension_name
+from .units import (DIMENSIONLESS, DURATION, LENGTH, SPEED, Dimension,
+                    Quantity, dimension_name)
+
+# a lowered expression: fn(env) -> value; None where the expression has errors
+Evaluator = Callable[[Any], Any]
+
+
+class EvalError(RuntimeError):
+    """Runtime expression evaluation failed."""
 
 
 # static expression types
@@ -57,7 +73,6 @@ STRING = _Singleton("string")
 BOOL = _Singleton("bool")
 UNKNOWN = _Singleton("unknown")
 
-COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 ARITHMETIC = ("+", "-", "*", "/")
 
 
@@ -72,13 +87,9 @@ class Symbol:
 
 
 class Scope:
-    def __init__(self, kind: str, parent: "Scope | None" = None):
-        self.kind = kind
+    def __init__(self, parent: "Scope | None" = None):
         self.parent = parent
         self.symbols: dict[tuple[str, str], Symbol] = {}
-        self.children: list[Scope] = []
-        if parent is not None:
-            parent.children.append(self)
 
     def define(self, symbol: Symbol) -> Symbol | None:
         """Add a symbol; returns the existing one on a same-kind collision."""
@@ -117,6 +128,7 @@ class Analysis:
     program: ast.Program | None = None
     global_scope: Scope | None = None
     scenarios: list[ScenarioInfo] = field(default_factory=list)
+    evaluators: dict[int, Evaluator | None] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -132,7 +144,7 @@ class Analysis:
 
 
 def _global_scope() -> Scope:
-    scope = Scope("global")
+    scope = Scope()
     for name in prelude.ACTOR_TYPES:
         scope.define(Symbol(name, "actor-type", resolved=True))
     for name in prelude.PHYSICAL_TYPES:
@@ -150,6 +162,8 @@ class Analyzer:
         self.filename = filename
         self.extra_actions = extra_actions or {}
         self.diagnostics: list[Diagnostic] = []
+        self.evaluators: dict[int, Evaluator | None] = {}
+        self._names: dict[tuple[str, str], Evaluator] = {}
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -164,7 +178,7 @@ class Analyzer:
         global_scope = _global_scope()
         infos = []
         for scen in program.scenarios:
-            scope = Scope("scenario", global_scope)
+            scope = Scope(global_scope)
             info = ScenarioInfo(scen, scope)
             for member in scen.members:
                 if isinstance(member, ast.FieldDecl):
@@ -175,7 +189,6 @@ class Analyzer:
                                                member.type_name, member.span))
             if scen.body is not None:
                 self._define_events(scen.body.root, scope)
-                self._mirror_blocks(scen.body.root, scope)
             info.events = sorted(name for (name, kind) in scope.symbols
                                  if kind == "event")
             infos.append(info)
@@ -199,12 +212,6 @@ class Analyzer:
             for child in node.children:
                 self._define_events(child, scope)
 
-    def _mirror_blocks(self, node: ast.Composition, parent: Scope) -> None:
-        block = Scope("block", parent)
-        for child in node.children:
-            if isinstance(child, ast.Composition):
-                self._mirror_blocks(child, block)
-
     # resolution pass
 
     def resolution_pass(self, infos: list[ScenarioInfo]) -> None:
@@ -227,12 +234,11 @@ class Analyzer:
         if symbol is not None:
             symbol.resolved = True
         info.fields[decl.name] = decl.type_name
-        it_type = ActorRef(decl.type_name, decl.name)
         for keep in decl.constraints:
-            self._resolve_keep(keep, decl, info, it_type)
+            self._resolve_keep(keep, decl, info)
 
     def _resolve_keep(self, keep: ast.KeepConstraint, decl: ast.FieldDecl,
-                      info: ScenarioInfo, it_type: ActorRef) -> None:
+                      info: ScenarioInfo) -> None:
         expr = keep.expr
         shape_ok = (isinstance(expr, ast.Binary) and expr.op == "=="
                     and isinstance(expr.lhs, ast.MemberAccess)
@@ -288,23 +294,23 @@ class Analyzer:
             # a product may only work if the right factor is read as a scalar
             lhs = self.resolve_expr(init.lhs, scope)
             rhs = self.resolve_expr(init.rhs, scope)
-            if lhs is UNKNOWN or rhs is UNKNOWN:
-                return
-            if not (isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType)):
-                self.error("E002", "arithmetic requires quantity operands",
-                           init.span)
-                return
-            if units.coercible_product(lhs.dim, rhs.dim, declared):
+            (lhs_type, lhs_fn), (rhs_type, rhs_fn) = lhs, rhs
+            if (isinstance(lhs_type, QuantityType)
+                    and isinstance(rhs_type, QuantityType)
+                    and units.coercible_product(lhs_type.dim, rhs_type.dim,
+                                                declared)):
                 self.report(
                     WARNING, "W001",
                     f"dimensional coercion applied in initializer of "
-                    f"'{decl.name}': {dimension_name(rhs.dim)} operand "
+                    f"'{decl.name}': {dimension_name(rhs_type.dim)} operand "
                     f"reinterpreted as a dimensionless scalar",
                     init.span)
+                self.evaluators[id(decl)] = lambda env: units.coerce_product(
+                    lhs_fn(env), rhs_fn(env), declared)
                 return
-            result: ExprType = QuantityType(lhs.dim * rhs.dim)
+            result, self.evaluators[id(decl)] = self._binary(init, lhs, rhs)
         else:
-            result = self.resolve_expr(init, scope)
+            result, self.evaluators[id(decl)] = self.resolve_expr(init, scope)
         if result is UNKNOWN:
             return
         if not isinstance(result, QuantityType):
@@ -341,13 +347,13 @@ class Analyzer:
                            f"action '{node.action}' is not defined for actor "
                            f"type '{type_name}' or its ancestors", node.span)
         for arg in node.args:
-            self.resolve_expr(arg.value, scope)
+            self._resolve_root(arg.value, scope)
         for modifier in node.modifiers:
             if scope.lookup(modifier.name, ("modifier",)) is None:
                 self.error("E004", f"unknown modifier '{modifier.name}'",
                            modifier.span)
             for arg in modifier.args:
-                self.resolve_expr(arg.value, scope)
+                self._resolve_root(arg.value, scope)
 
     def _resolve_condition(self, cond: ast.Node, scope: Scope) -> None:
         if isinstance(cond, ast.EventRef):
@@ -355,172 +361,252 @@ class Analyzer:
             if symbol is not None:
                 symbol.resolved = True
         elif isinstance(cond, (ast.RiseCondition, ast.FallCondition)):
-            result = self.resolve_expr(cond.expr, scope)
+            result = self._resolve_root(cond.expr, scope)
             if result not in (BOOL, UNKNOWN):
                 kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
                 self.error("E002", f"{kind}() requires a boolean condition",
                            cond.span)
         elif isinstance(cond, ast.ElapsedCondition):
-            result = self.resolve_expr(cond.duration, scope)
+            result = self._resolve_root(cond.duration, scope)
             if result is not UNKNOWN and \
                     (not isinstance(result, QuantityType) or result.dim != DURATION):
                 self.error("E003", "elapsed() requires a time duration",
                            cond.span)
         elif isinstance(cond, ast.BoolCondition):
-            result = self.resolve_expr(cond.expr, scope)
+            result = self._resolve_root(cond.expr, scope)
             if result not in (BOOL, UNKNOWN):
                 self.error("E002", "wait requires a boolean condition", cond.span)
 
-    # expression typing
+    # expression typing and lowering
 
-    def resolve_expr(self, expr: ast.Node, scope: Scope,
-                     it_type: ActorRef | None = None) -> ExprType:
-        if isinstance(expr, ast.NumberLiteral):
-            return QuantityType(DIMENSIONLESS)
-        if isinstance(expr, ast.QuantityLiteral):
-            return QuantityType(units.unit_dimension(expr.unit))
-        if isinstance(expr, ast.StringLiteral):
-            return STRING
+    def _resolve_root(self, expr: ast.Node, scope: Scope) -> ExprType:
+        """Type and lower an expression that the runtime evaluates itself."""
+        result, self.evaluators[id(expr)] = self.resolve_expr(expr, scope)
+        return result
+
+    def resolve_expr(self, expr: ast.Node,
+                     scope: Scope) -> tuple[ExprType, Evaluator | None]:
+        """Type an expression and lower it to its evaluator (None on error)."""
+        # most frequent node types first
         if isinstance(expr, ast.Identifier):
-            return self._resolve_name(expr, scope, it_type)
-        if isinstance(expr, ast.Unary):
-            return self._resolve_unary(expr, scope, it_type)
+            return self._resolve_name(expr, scope)
         if isinstance(expr, ast.Binary):
-            return self._resolve_binary(expr, scope, it_type)
-        if isinstance(expr, ast.MemberAccess):
-            return self._resolve_member(expr, scope, it_type)
+            return self._binary(expr, self.resolve_expr(expr.lhs, scope),
+                                self.resolve_expr(expr.rhs, scope))
+        if isinstance(expr, ast.QuantityLiteral):
+            value = units.from_literal(expr.value, expr.unit)
+            return QuantityType(value.dim), partial(_constant, value)
+        if isinstance(expr, ast.NumberLiteral):
+            return (QuantityType(DIMENSIONLESS),
+                    partial(_constant, Quantity(expr.value)))
         if isinstance(expr, ast.MethodCall):
-            return self._resolve_call(expr, scope, it_type)
+            return self._resolve_call(expr, scope)
+        if isinstance(expr, ast.MemberAccess):
+            return self._resolve_member(expr, scope)
+        if isinstance(expr, ast.StringLiteral):
+            return STRING, partial(_constant, expr.value)
+        if isinstance(expr, ast.Unary):
+            return self._resolve_unary(expr, scope)
         self.error("E002", "unsupported expression", expr.span)
-        return UNKNOWN
+        return UNKNOWN, None
 
-    def _resolve_name(self, expr: ast.Identifier, scope: Scope,
-                      it_type: ActorRef | None) -> ExprType:
-        if it_type is not None and expr.name == "it":
-            return it_type
-        symbol = scope.lookup(expr.name, ("variable", "actor-instance"))
+    def _resolve_name(self, expr: ast.Identifier, scope: Scope):
+        name = expr.name
+        symbol = scope.lookup(name, ("variable", "actor-instance"))
         if symbol is not None:
             symbol.resolved = True
             if symbol.kind == "variable":
                 dim = prelude.PHYSICAL_TYPES.get(symbol.declared_type)
-                return QuantityType(dim) if dim is not None else UNKNOWN
-            return ActorRef(symbol.declared_type, expr.name)
-        if expr.name in prelude.ENUM_WORDS:
-            return EnumWord(expr.name)
-        self.error("E001", f"undefined name '{expr.name}'", expr.span)
-        return UNKNOWN
+                if dim is None:
+                    return UNKNOWN, None
+                return QuantityType(dim), self._name_evaluator("variable", name)
+            return (ActorRef(symbol.declared_type, name),
+                    self._name_evaluator("actor-instance", name))
+        if name in prelude.ENUM_WORDS:
+            return EnumWord(name), self._name_evaluator("enum-word", name)
+        self.error("E001", f"undefined name '{name}'", expr.span)
+        return UNKNOWN, None
 
-    def _resolve_unary(self, expr: ast.Unary, scope: Scope,
-                       it_type: ActorRef | None) -> ExprType:
-        operand = self.resolve_expr(expr.operand, scope, it_type)
+    def _name_evaluator(self, kind: str, name: str) -> Evaluator:
+        """The evaluator of a name, shared by every reference to it."""
+        key = (kind, name)
+        evaluator = self._names.get(key)
+        if evaluator is None:
+            evaluator = self._names[key] = partial(_NAME_EVALUATORS[kind], name)
+        return evaluator
+
+    def _resolve_unary(self, expr: ast.Unary, scope: Scope):
+        operand, fn = self.resolve_expr(expr.operand, scope)
         if expr.op == "-":
             if operand is UNKNOWN or isinstance(operand, QuantityType):
-                return operand
+                return operand, lambda env: -fn(env)
             self.error("E002", "negation requires a quantity", expr.span)
-            return UNKNOWN
+            return UNKNOWN, None
         if operand in (BOOL, UNKNOWN):
-            return BOOL
+            return BOOL, lambda env: not fn(env)
         self.error("E002", "'not' requires a boolean", expr.span)
-        return UNKNOWN
+        return UNKNOWN, None
 
-    def _resolve_binary(self, expr: ast.Binary, scope: Scope,
-                        it_type: ActorRef | None) -> ExprType:
-        lhs = self.resolve_expr(expr.lhs, scope, it_type)
-        rhs = self.resolve_expr(expr.rhs, scope, it_type)
+    def _binary(self, expr: ast.Binary, lhs_typed, rhs_typed):
+        """Type and lower ``expr`` from its typed and lowered operands."""
+        (lhs, lhs_fn), (rhs, rhs_fn) = lhs_typed, rhs_typed
+        op = expr.op
         if lhs is UNKNOWN or rhs is UNKNOWN:
-            return UNKNOWN if expr.op in ARITHMETIC else BOOL
-        if expr.op in ("and", "or"):
+            return (UNKNOWN if op in ARITHMETIC else BOOL), None
+        if op in ("and", "or"):
             if lhs is BOOL and rhs is BOOL:
-                return BOOL
-            self.error("E002", f"'{expr.op}' requires boolean operands", expr.span)
-            return UNKNOWN
-        if expr.op in ARITHMETIC:
+                if op == "and":
+                    return BOOL, lambda env: lhs_fn(env) and rhs_fn(env)
+                return BOOL, lambda env: lhs_fn(env) or rhs_fn(env)
+            self.error("E002", f"'{op}' requires boolean operands", expr.span)
+            return UNKNOWN, None
+        if op in ARITHMETIC:
             if isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
-                if expr.op in ("+", "-"):
+                if op in ("+", "-"):
                     if lhs.dim != rhs.dim:
                         self.error("E003",
-                                   f"cannot apply '{expr.op}' to "
+                                   f"cannot apply '{op}' to "
                                    f"{dimension_name(lhs.dim)} and "
                                    f"{dimension_name(rhs.dim)}", expr.span)
-                        return UNKNOWN
-                    return lhs
-                if expr.op == "*":
-                    return QuantityType(lhs.dim * rhs.dim)
-                return QuantityType(lhs.dim / rhs.dim)
+                        return UNKNOWN, None
+                    result = lhs
+                elif op == "*":
+                    result = QuantityType(lhs.dim * rhs.dim)
+                else:
+                    result = QuantityType(lhs.dim / rhs.dim)
+                return result, partial(_apply, units.binary, lhs_fn, op, rhs_fn)
             self.error("E002", "arithmetic requires quantity operands", expr.span)
-            return UNKNOWN
+            return UNKNOWN, None
         # comparisons
         if isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
             if lhs.dim != rhs.dim:
                 self.error("E003",
                            f"cannot compare {dimension_name(lhs.dim)} with "
                            f"{dimension_name(rhs.dim)}", expr.span)
-            return BOOL
-        if lhs is STRING and rhs is STRING and expr.op in ("==", "!="):
-            return BOOL
+            return BOOL, partial(_apply, units.compare, lhs_fn, op, rhs_fn)
+        if lhs is STRING and rhs is STRING and op in ("==", "!="):
+            same = op == "=="
+            return BOOL, lambda env: (lhs_fn(env) == rhs_fn(env)) is same
         self.error("E002", "incomparable operand types", expr.span)
-        return BOOL
+        return BOOL, None
 
-    def _resolve_member(self, expr: ast.MemberAccess, scope: Scope,
-                        it_type: ActorRef | None) -> ExprType:
-        receiver = self.resolve_expr(expr.receiver, scope, it_type)
+    def _resolve_member(self, expr: ast.MemberAccess, scope: Scope):
+        receiver, actor = self.resolve_expr(expr.receiver, scope)
         if receiver is UNKNOWN:
-            return UNKNOWN
+            return UNKNOWN, None
+        member = expr.member
         if isinstance(receiver, ActorRef):
-            if expr.member == "speed":
-                return QuantityType(units.SPEED)
-            if expr.member == "position":
-                return PositionType(receiver.instance)
-            if prelude.has_attribute(receiver.type_name, expr.member):
-                return STRING
+            if member == "speed":
+                return (QuantityType(SPEED),
+                        lambda env: Quantity(actor(env).speed, SPEED))
+            if member == "position":
+                return PositionType(receiver.instance), partial(_position, actor)
+            if prelude.has_attribute(receiver.type_name, member):
+                return STRING, partial(_attribute, actor, member)
             self.error("E001",
                        f"actor type '{receiver.type_name}' has no member "
-                       f"'{expr.member}'", expr.span)
-            return UNKNOWN
-        self.error("E002", f"cannot access member '{expr.member}' here",
-                   expr.span)
-        return UNKNOWN
+                       f"'{member}'", expr.span)
+            return UNKNOWN, None
+        self.error("E002", f"cannot access member '{member}' here", expr.span)
+        return UNKNOWN, None
 
-    def _resolve_call(self, expr: ast.MethodCall, scope: Scope,
-                      it_type: ActorRef | None) -> ExprType:
-        receiver = self.resolve_expr(expr.receiver, scope, it_type)
-        arg_types = [self.resolve_expr(a.value, scope, it_type)
-                     for a in expr.args]
+    def _resolve_call(self, expr: ast.MethodCall, scope: Scope):
+        receiver, receiver_fn = self.resolve_expr(expr.receiver, scope)
+        args = [self.resolve_expr(a.value, scope) for a in expr.args]
         if receiver is UNKNOWN:
-            return UNKNOWN
+            return UNKNOWN, None
         if isinstance(receiver, PositionType):
             if expr.method != "ahead_of":
                 self.error("E001",
                            f"position query has no method '{expr.method}'",
                            expr.span)
-                return UNKNOWN
-            if len(arg_types) != 1 or not isinstance(arg_types[0], ActorRef):
+                return UNKNOWN, None
+            if len(args) != 1 or not isinstance(args[0][0], ActorRef):
                 self.error("E002", "ahead_of() takes one actor argument",
                            expr.span)
-                return UNKNOWN
-            return QuantityType(units.LENGTH)
+                return UNKNOWN, None
+            subject = self._name_evaluator("actor-instance", receiver.instance)
+            other = args[0][1]
+            return QuantityType(LENGTH), lambda env: Quantity(
+                env.world.ahead_of(subject(env), other(env)), LENGTH)
         if isinstance(receiver, ActorRef):
             if expr.method != "object_distance":
                 self.error("E001",
                            f"actor type '{receiver.type_name}' has no method "
                            f"'{expr.method}'", expr.span)
-                return UNKNOWN
-            by_name = {a.name: t for a, t in zip(expr.args, arg_types)}
-            if not isinstance(by_name.get("reference"), ActorRef):
+                return UNKNOWN, None
+            by_name = {a.name: typed for a, typed in zip(expr.args, args)}
+            reference = by_name.get("reference", (UNKNOWN, None))
+            if not isinstance(reference[0], ActorRef):
                 self.error("E002",
                            "object_distance() requires a 'reference' actor",
                            expr.span)
-                return UNKNOWN
+                return UNKNOWN, None
+            word = "euclidean"
             direction = by_name.get("direction")
-            if direction is not None and not (
-                    isinstance(direction, EnumWord)
-                    and direction.word in ("euclidean", "topological")):
-                self.error("E002",
-                           "direction must be euclidean or topological",
-                           expr.span)
-            return QuantityType(units.LENGTH)
+            if direction is not None:
+                if (isinstance(direction[0], EnumWord)
+                        and direction[0].word in ("euclidean", "topological")):
+                    word = direction[0].word
+                else:
+                    self.error("E002",
+                               "direction must be euclidean or topological",
+                               expr.span)
+            unexpected = [a.name for a in expr.args
+                          if a.name not in ("reference", "direction")]
+            return QuantityType(LENGTH), partial(
+                _object_distance, receiver_fn, reference[1], word, unexpected)
         self.error("E002", f"cannot call method '{expr.method}' here", expr.span)
-        return UNKNOWN
+        return UNKNOWN, None
+
+
+# The common evaluators are partials of the functions below, which take the
+# execution context ``env`` last: a partial is about half the size of a
+# closure, and an analysis keeps one evaluator per expression node.  Any
+# evaluator may raise units.UnitsError; the context reports it as EvalError.
+
+def _constant(value, env):
+    return value
+
+
+def _variable(name: str, env):
+    return env.var(name)
+
+
+def _live_actor(name: str, env):
+    actor = env.actors.get(name)
+    if actor is None:
+        raise EvalError(f"unknown name '{name}'")
+    return actor
+
+
+_NAME_EVALUATORS = {"variable": _variable, "actor-instance": _live_actor,
+                    "enum-word": _constant}
+
+
+def _apply(fn, lhs: Evaluator, op: str, rhs: Evaluator, env):
+    return fn(lhs(env), op, rhs(env))
+
+
+def _position(actor: Evaluator, env):
+    actor(env)
+    raise EvalError("'position' is only usable as an ahead_of receiver")
+
+
+def _attribute(actor: Evaluator, member: str, env):
+    attributes = env.attributes.get(actor(env).name)
+    if attributes is None or member not in attributes:
+        raise EvalError(f"cannot read member '{member}'")
+    return attributes[member]
+
+
+def _object_distance(subject: Evaluator, reference: Evaluator,
+                     direction: str, unexpected: list, env):
+    a, b = subject(env), reference(env)
+    if unexpected:
+        raise EvalError(
+            f"object_distance got unexpected argument {unexpected[0]!r}")
+    return Quantity(env.world.object_distance(a, b, direction), LENGTH)
 
 
 def analyze(program: ast.Program, filename: str = "<string>",
@@ -529,7 +615,8 @@ def analyze(program: ast.Program, filename: str = "<string>",
     analyzer = Analyzer(filename, extra_actions)
     global_scope, infos = analyzer.definition_pass(program)
     analyzer.resolution_pass(infos)
-    return Analysis(analyzer.diagnostics, program, global_scope, infos)
+    return Analysis(analyzer.diagnostics, program, global_scope, infos,
+                    analyzer.evaluators)
 
 
 def check(source: str, filename: str = "<string>",

@@ -133,17 +133,6 @@ def unit_dimension(unit: str) -> Dimension:
         raise UnknownUnit(f"unknown unit suffix {unit!r}") from None
 
 
-def to_unit(quantity: Quantity, unit: str) -> float:
-    """Express an SI quantity in the given unit (inverse of from_literal)."""
-    factor, dim = UNITS.get(unit, (None, None))
-    if factor is None:
-        raise UnknownUnit(f"unknown unit suffix {unit!r}")
-    if dim != quantity.dim:
-        raise DimensionMismatch(
-            f"cannot express {dimension_name(quantity.dim)} in {unit!r}")
-    return quantity.value / factor
-
-
 def binary(lhs: Quantity, op: str, rhs: Quantity) -> Quantity:
     """Dimension-checked arithmetic on two quantities."""
     if op in ("+", "-"):
@@ -179,6 +168,8 @@ def compare(lhs: Quantity, op: str, rhs: Quantity) -> bool:
         return a >= b
     if op == "==":
         return a == b
+    if op == "!=":
+        return a != b
     raise UnitsError(f"unsupported comparison {op!r}")
 
 
@@ -197,18 +188,12 @@ def coercible_product(lhs_dim: Dimension, rhs_dim: Dimension,
 
 
 def coerce_product(lhs: Quantity, rhs: Quantity,
-                   declared: Dimension) -> tuple[Quantity, str]:
+                   declared: Dimension) -> Quantity:
     """Scale ``lhs`` by ``rhs`` read as a dimensionless scalar.
 
     Only valid when ``coercible_product`` holds; always accompanied by a
-    W001 diagnostic at the call site.  Returns the coerced quantity and the
-    warning message.
+    W001 diagnostic at the call site.
     """
     if not coercible_product(lhs.dim, rhs.dim, declared):
         raise UnitsError("coerce_product preconditions not met")
-    result = Quantity(lhs.value * rhs.value, declared)
-    message = (
-        f"dimensional coercion applied: {dimension_name(rhs.dim)} operand "
-        f"reinterpreted as scalar {rhs.value:g} to keep declared type "
-        f"{dimension_name(declared)}")
-    return result, message
+    return Quantity(lhs.value * rhs.value, declared)

@@ -33,8 +33,6 @@ LOW_SUN_ELEVATION = math.radians(15.0)
 
 LIGHT_MODES = ("off", "auto", "drl", "low_beam", "high_beam")
 
-SPEED_EPSILON = 1e-6  # below this a follower has no meaningful time gap
-
 
 class SimFault(RuntimeError):
     """Base class for faults that abort a run."""
@@ -130,10 +128,6 @@ class Actor:
     off_network: bool = False
     lane_change: LaneChangeState | None = None
 
-    @property
-    def on_network(self) -> bool:
-        return not self.off_network
-
 
 @dataclass(slots=True)
 class EnvironmentState:
@@ -181,7 +175,6 @@ class World:
         self.actors: dict[str, Actor] = {}
         self.environment = EnvironmentState()
         self.collisions: list[tuple[str, str]] = []
-        self.query_count = 0
 
     # population
 
@@ -313,7 +306,6 @@ class World:
     # spatial queries
 
     def ahead_of(self, a: Actor, b: Actor) -> float:
-        self.query_count += 1
         if a.off_network or b.off_network:
             raise TopologicalUnreachable(
                 "ahead_of requires both actors on the lane network")
@@ -321,7 +313,6 @@ class World:
 
     def object_distance(self, a: Actor, reference: Actor,
                         direction: str = "euclidean") -> float:
-        self.query_count += 1
         if direction == "euclidean":
             return math.hypot(a.x - reference.x, a.y - reference.y)
         if direction == "topological":
@@ -331,17 +322,3 @@ class World:
                     f"is off the routable network")
             return abs(a.s - reference.s)
         raise ValueError(f"unknown direction {direction!r}")
-
-    def gap_queries(self, follower: Actor,
-                    leader: Actor) -> tuple[float, float, float]:
-        self.query_count += 1
-        space_gap = (leader.s - follower.s
-                     - leader.half_length - follower.half_length)
-        if follower.speed < SPEED_EPSILON:
-            time_gap = math.inf
-        else:
-            time_gap = space_gap / follower.speed
-        dx = leader.x - follower.x
-        dy = leader.y - follower.y
-        headway = dx * math.cos(follower.heading) + dy * math.sin(follower.heading)
-        return space_gap, time_gap, headway

@@ -43,6 +43,15 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/no/such/file.osc"]) == 2
 
+    def test_out_of_range_literal(self, tmp_path, capsys):
+        # used to pass check and end `run` in a traceback
+        path = write(tmp_path, "huge.osc",
+                     "scenario s:\n  var d: length = " + "9" * 400 + "m\n"
+                     "  do serial:\n    wait elapsed(1s)\n")
+        assert main(["check", path]) == 1
+        assert "error[L001]: number literal is out of range" in \
+            capsys.readouterr().err
+
     def test_color_forced(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OSC2C_COLOR", "always")
         assert main(["check", FLAGSHIP]) == 0

@@ -164,6 +164,15 @@ class TestFailures:
             tokenize('keep(it.name == "hero')
         assert "unterminated" in str(exc.value)
 
+    def test_literal_out_of_range(self):
+        # the checker folds literals, so one that overflows fails here
+        for source in ("9" * 400, "9" * 308 + "km"):
+            with pytest.raises(LexError) as exc:
+                tokenize(f"wait x < {source}")
+            assert "L001" in str(exc.value)
+            assert "out of range" in str(exc.value)
+            assert exc.value.diagnostic.span.col == 10
+
     def test_error_rendering(self):
         with pytest.raises(LexError) as exc:
             tokenize("a ?", filename="bad.osc")

@@ -6,7 +6,7 @@ import pytest
 
 from osc2c import ast
 from osc2c.parser import parse
-from osc2c.semantics import Scope, analyze, check
+from osc2c.semantics import analyze, check
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 FLAGSHIP = (SCENARIOS / "cut_in_and_evade.osc").read_text()
@@ -79,17 +79,6 @@ class TestDefinitionPass:
         analysis = check(src)
         assert analysis.diagnostics == []
         assert analysis.scenarios[0].events == ["PING"]
-
-    def test_scope_tree_mirrors_compositions(self):
-        src = wrap("serial:\n  parallel:\n    emit A\n    emit B\nemit C")
-        analysis = check(src)
-        scope = analysis.scenarios[0].scope
-
-        def blocks(s: Scope) -> int:
-            return sum(1 + blocks(c) for c in s.children if c.kind == "block")
-
-        # do-serial, inner serial, inner parallel
-        assert blocks(scope) == 3
 
 
 class TestResolutionPass:

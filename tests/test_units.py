@@ -54,8 +54,6 @@ class TestConversionFactors:
             units.from_literal(1.0, "furlong")
         with pytest.raises(UnknownUnit):
             units.unit_dimension("kts")
-        with pytest.raises(UnknownUnit):
-            units.to_unit(Quantity(1.0, SPEED), "warp")
 
 
 class TestFrozenDerivedValues:
@@ -126,7 +124,7 @@ class TestDimensionAlgebra:
         with pytest.raises(UnitsError):
             units.binary(Quantity(1.0), "%", Quantity(2.0))
         with pytest.raises(UnitsError):
-            units.compare(Quantity(1.0), "!=", Quantity(2.0))
+            units.compare(Quantity(1.0), "<>", Quantity(2.0))
 
 
 class TestCoercion:
@@ -134,10 +132,9 @@ class TestCoercion:
         v_hero = units.from_literal(35.0, "kph")
         scale = units.from_literal(10.0, "kph")
         assert units.coercible_product(v_hero.dim, scale.dim, SPEED)
-        result, message = units.coerce_product(v_hero, scale, SPEED)
+        result = units.coerce_product(v_hero, scale, SPEED)
         assert result.dim == SPEED
         assert result.value == pytest.approx(27.006172839506172, rel=1e-9)
-        assert "scalar" in message
 
     def test_plain_number_product_not_coercion(self):
         # length * 3 is dimensionally fine already, no coercion path
@@ -161,6 +158,11 @@ class TestCompare:
         assert not units.compare(a, ">", b)
         assert units.compare(a, "==", Quantity(1.0, SPEED))
 
+    def test_not_equal(self):
+        a = Quantity(1.0, SPEED)
+        assert units.compare(a, "!=", Quantity(2.0, SPEED))
+        assert not units.compare(a, "!=", Quantity(1.0, SPEED))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             units.compare(Quantity(1.0, SPEED), "<", Quantity(1.0, LENGTH))
@@ -176,7 +178,8 @@ class TestProperties:
     @given(value=finite, unit=unit_names)
     def test_literal_round_trip(self, value, unit):
         q = units.from_literal(value, unit)
-        assert units.to_unit(q, unit) == pytest.approx(value, rel=1e-12, abs=1e-15)
+        factor = units.UNITS[unit][0]
+        assert q.value / factor == pytest.approx(value, rel=1e-12, abs=1e-15)
 
     @given(a=finite, b=finite, unit=unit_names)
     def test_addition_commutes(self, a, b, unit):

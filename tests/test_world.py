@@ -302,14 +302,6 @@ class TestSpatialQueries:
         with pytest.raises(ValueError):
             world.object_distance(hero, npc, "manhattan")
 
-    def test_query_counter(self):
-        world, hero, npc = self._pair()
-        before = world.query_count
-        world.ahead_of(npc, hero)
-        world.object_distance(npc, hero)
-        world.gap_queries(hero, npc)
-        assert world.query_count == before + 3
-
     @given(sa=st.floats(0, 600), sb=st.floats(0, 600),
            la=st.integers(0, 4), lb=st.integers(0, 4))
     def test_ahead_of_antisymmetry(self, sa, sb, la, lb):
@@ -337,40 +329,6 @@ class TestSpatialQueries:
         cb = world.object_distance(c, b)
         assert ab == ba
         assert ab <= ac + cb + 1e-9
-
-
-class TestGapQueries:
-    def test_space_and_time_gap(self):
-        world = make_world()
-        follower = world.add_vehicle("f")
-        leader = world.add_vehicle("l")
-        world.place_on_lane(follower, 1, 100.0)
-        world.place_on_lane(leader, 1, 120.0)
-        follower.speed = 10.0
-        space, time, headway = world.gap_queries(follower, leader)
-        assert space == 15.0
-        assert time == 1.5
-        assert headway == 20.0  # collinear: projection equals distance
-
-    def test_stopped_follower_infinite_time_gap(self):
-        world = make_world()
-        follower = world.add_vehicle("f")
-        leader = world.add_vehicle("l")
-        world.place_on_lane(follower, 1, 100.0)
-        world.place_on_lane(leader, 1, 120.0)
-        _, time, _ = world.gap_queries(follower, leader)
-        assert time == math.inf
-
-    def test_bumper_to_bumper(self):
-        world = make_world()
-        follower = world.add_vehicle("f")
-        leader = world.add_vehicle("l")
-        world.place_on_lane(follower, 1, 100.0)
-        world.place_on_lane(leader, 1, 105.0)
-        follower.speed = 8.0
-        space, time, _ = world.gap_queries(follower, leader)
-        assert space == 0.0
-        assert time == 0.0
 
 
 class TestLights:
