@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -148,9 +149,6 @@ def _check_and_compile(path: str, map_spec: str | None = None,
         road = load_map(map_spec)
     except (OSError, ValueError) as exc:
         return _fail_io(str(exc))
-    if dt <= 0:
-        return _fail_io(f"--dt must be positive, got {dt}")
-
     try:
         cs = compile_scenario(analysis, road=road, dt=dt, filename=path,
                               initialize=initialize)
@@ -164,6 +162,11 @@ def _check_and_compile(path: str, map_spec: str | None = None,
 
 
 def cmd_run(args) -> int:
+    if not 0 < args.dt < math.inf:
+        return _fail_io(f"--dt must be finite and positive, got {args.dt}")
+    if not 0 <= args.max_time < math.inf:
+        return _fail_io(
+            f"--max-time must be finite and not negative, got {args.max_time}")
     compiled = _check_and_compile(args.file, args.map, args.dt)
     if isinstance(compiled, int):
         return compiled
@@ -206,7 +209,7 @@ def _run_loop(cs: CompiledScenario, stream, max_time: float) -> int:
         now = cs.next_tick
         try:
             status = cs.step_tick()
-        except (SimFault, ArbitrationFault, EvalError) as exc:
+        except (SimFault, ArbitrationFault, EvalError, InitConflict) as exc:
             _write_record(stream, {
                 "record": "fault", "tick": now,
                 "error": type(exc).__name__, "message": str(exc),

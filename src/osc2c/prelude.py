@@ -1,17 +1,53 @@
-"""Embedded standard library: actor types, physical types, modifiers.
+"""Embedded standard library: actor types, their actions, modifiers, queries.
 
-This is the domain model every scenario compiles against.  Actor types form
-a single-inheritance hierarchy rooted at ``traffic_participant``; attribute
-and action lookup walks the chain.  ``person`` deliberately carries a
-declared action with no execution backend so the unsupported-action path
-stays exercised end to end.
+This is the domain model every scenario compiles against, and the one place
+that says what each action, modifier and query accepts.  Actor types form a
+single-inheritance hierarchy rooted at ``traffic_participant``; attribute
+and action lookup walks the chain.  Each action maps to a ``Signature``:
+its parameters by name with their kinds, the required ones, and the names
+unnamed arguments bind to, in order.  A kind is a ``Dimension`` (a bare
+number stands in for any), ``STRING``, ``ACTOR`` (an actor that exists in
+the world) or a set of enumeration words.  The checker binds every argument
+to its signature, so the runtime reads arguments by name and trusts their
+kinds.  ``person`` deliberately carries a declared action with no execution
+backend so the unsupported-action path stays exercised end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .units import ACCELERATION, ANGLE, DURATION, LENGTH, SPEED, Dimension
+from .units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
+                    SPEED, Dimension)
+
+# parameter kinds besides a Dimension and a set of enumeration words
+STRING = "a string"
+ACTOR = "an actor in the world"
+
+PROFILE = frozenset({"asap", "smooth"})
+SIDE = frozenset({"left", "right"})
+DIRECTION = frozenset({"euclidean", "topological"})
+START = frozenset({"start"})
+
+Kind = Dimension | str | frozenset
+
+
+@dataclass(frozen=True, slots=True)
+class Signature:
+    """Parameter kinds by name, the required names, the unnamed order."""
+    params: dict[str, Kind] = field(default_factory=dict)
+    required: tuple[str, ...] = ()
+    positional: tuple[str, ...] = ()
+
+    def bind(self, args) -> list[tuple[str | None, object]]:
+        """Pair each argument with its parameter name.
+
+        Unnamed arguments take the positional names in order, and None
+        once those run out.
+        """
+        unnamed = iter(self.positional)
+        return [(arg.name if arg.name is not None else next(unnamed, None),
+                 arg) for arg in args]
 
 
 @dataclass(frozen=True, slots=True)
@@ -19,26 +55,40 @@ class ActorType:
     name: str
     base: str | None
     attributes: frozenset[str]
-    actions: frozenset[str]
+    actions: dict[str, Signature]
+    world: str | None  # vehicle, prop, or None: not in the world
 
 
 ACTOR_TYPES: dict[str, ActorType] = {
     t.name: t for t in (
-        ActorType("traffic_participant", None, frozenset(), frozenset()),
+        ActorType("traffic_participant", None, frozenset(), {}, "vehicle"),
         ActorType("vehicle", "traffic_participant",
-                  frozenset({"model", "name", "color"}),
-                  frozenset({"drive", "change_speed", "change_lane",
-                             "assign_position", "assign_orientation",
-                             "set_lights", "follow_path"})),
+                  frozenset({"model", "name", "color"}), {
+                      "drive": Signature(),
+                      "change_speed": Signature(
+                          {"target": SPEED, "rate_profile": PROFILE},
+                          ("target",)),
+                      "change_lane": Signature(
+                          {"num_of_lanes": DIMENSIONLESS, "side": SIDE},
+                          ("num_of_lanes", "side")),
+                      "assign_position": Signature(),
+                      "assign_orientation": Signature({"h": ANGLE}, ("h",)),
+                      "set_lights": Signature({"mode": STRING}, ("mode",)),
+                      "follow_path": Signature(
+                          {"distance": LENGTH, "speed": SPEED},
+                          ("distance",)),
+                  }, "vehicle"),
         ActorType("person", "traffic_participant",
-                  frozenset({"model", "name"}),
-                  frozenset({"walk"})),
-        ActorType("stationary_object", None,
-                  frozenset({"name", "model"}),
-                  frozenset({"assign_position"})),
-        ActorType("environment", None, frozenset(),
-                  frozenset({"assign_celestial_position"})),
-        ActorType("map", None, frozenset({"map_file"}), frozenset()),
+                  frozenset({"model", "name"}), {"walk": Signature()},
+                  "prop"),
+        ActorType("stationary_object", None, frozenset({"name", "model"}),
+                  {"assign_position": Signature()}, "prop"),
+        ActorType("environment", None, frozenset(), {
+            "assign_celestial_position": Signature(
+                {"azimuth": ANGLE, "elevation": ANGLE},
+                ("azimuth", "elevation")),
+        }, None),
+        ActorType("map", None, frozenset({"map_file"}), {}, None),
     )
 }
 
@@ -50,15 +100,27 @@ PHYSICAL_TYPES: dict[str, Dimension] = {
     "acceleration": ACCELERATION,
 }
 
-MODIFIERS = frozenset({
-    "speed", "change_speed", "acceleration", "position", "lane",
-    "keep_lane", "change_lane", "orientation", "at",
-})
+# The backend reads speed, lane and position; the others are accepted and
+# their arguments only typed, so they have no signature.
+MODIFIERS: dict[str, Signature | None] = {
+    "speed": Signature({"speed": SPEED, "rate_profile": PROFILE,
+                        "at": START}, ("speed",), ("speed",)),
+    "lane": Signature({"lane": DIMENSIONLESS, "side": SIDE,
+                       "side_of": ACTOR, "at": START}, positional=("lane",)),
+    "position": Signature({"distance": LENGTH, "behind": ACTOR,
+                           "ahead_of": ACTOR, "x": LENGTH, "y": LENGTH,
+                           "z": LENGTH, "h": ANGLE, "at": START}),
+    "change_speed": None, "acceleration": None, "keep_lane": None,
+    "change_lane": None, "orientation": None, "at": None,
+}
+
+# the queries: <actor>.object_distance(...), <actor>.position.ahead_of(...)
+OBJECT_DISTANCE = Signature({"reference": ACTOR, "direction": DIRECTION},
+                            ("reference",))
+AHEAD_OF = Signature({"actor": ACTOR}, ("actor",), ("actor",))
 
 # bare identifiers that act as enumeration words in argument position
-ENUM_WORDS = frozenset({
-    "start", "left", "right", "smooth", "asap", "euclidean", "topological",
-})
+ENUM_WORDS = PROFILE | SIDE | DIRECTION | START
 
 BUILTIN_MAPS = frozenset({"town06"})
 
@@ -76,14 +138,13 @@ def inheritance_chain(type_name: str) -> list[str]:
     return chain
 
 
-def has_action(type_name: str, action: str,
-               extra: dict[str, frozenset[str]] | None = None) -> bool:
+def find_action(type_name: str, action: str) -> Signature | None:
+    """The signature of an action on a type or its ancestors, or None."""
     for name in inheritance_chain(type_name):
-        if action in ACTOR_TYPES[name].actions:
-            return True
-        if extra and action in extra.get(name, frozenset()):
-            return True
-    return False
+        signature = ACTOR_TYPES[name].actions.get(action)
+        if signature is not None:
+            return signature
+    return None
 
 
 def has_attribute(type_name: str, attribute: str) -> bool:

@@ -1,7 +1,8 @@
 """Lowering and execution: action dispatch, expression evaluation, placement.
 
 This module turns a resolved scenario into something that runs: a
-MethodRegistry maps (actor type, action) pairs to behavior factories, an
+MethodRegistry maps (actor type, action) pairs to behavior factories (the
+builtin one maps each prelude action to its leaf class), an
 ExecutionContext runs the expression closures the checker lowered against
 the live world, a BehaviorTreeBuilder lowers the composition tree, and a
 ScenarioInitializer places actors from their `at: start` constraints.
@@ -30,10 +31,9 @@ from .btree import (
     Timer,
 )
 from .diagnostics import CompileError, Diagnostic, ERROR, Span
-from .prelude import inheritance_chain
+from .prelude import ACTOR_TYPES, MODIFIERS, inheritance_chain
 from .semantics import Analysis, EvalError, Evaluator, ScenarioInfo, check
-from .units import (ANGLE, DIMENSIONLESS, DURATION, LENGTH, SPEED, Quantity,
-                    UnitsError, dimension_name)
+from .units import UnitsError
 from .world import Actor, RoadMap, TOWN06, World, load_map, overlaps
 
 GO_SIGNAL = "go_signal"
@@ -43,7 +43,7 @@ SPEED_TOLERANCE = 0.01
 
 
 class BuildError(RuntimeError):
-    """An invocation is missing or misusing an argument the backend needs."""
+    """The tree builder met a statement it cannot lower."""
 
 
 class InitConflict(RuntimeError):
@@ -164,22 +164,37 @@ class ExecutionContext:
             raise EvalError(str(exc)) from exc
 
 
-def _magnitude(value, dim, what: str) -> float:
-    """Numeric payload of a quantity, letting bare numbers stand in."""
-    if not isinstance(value, Quantity):
-        raise EvalError(f"{what} must be a quantity")
-    if value.dim != dim and value.dim != DIMENSIONLESS:
-        raise EvalError(
-            f"{what} has dimension {dimension_name(value.dim)}, "
-            f"expected {dimension_name(dim)}")
-    return value.value
-
-
 # ---------------------------------------------------------------------------
 # action leaves
 
 
-class _MotionLeaf(ActionLeaf):
+def _optional(context: ExecutionContext, expr, default=None):
+    """The value of an optional argument, or the default if it is absent."""
+    return default if expr is None else context.eval(expr)
+
+
+class _Leaf(ActionLeaf):
+    """An action leaf; each leaf class is the factory of its action.
+
+    The checker has bound every argument to the action's signature in the
+    prelude, so a leaf reads its arguments by name and trusts their kinds:
+    a quantity has the declared dimension or none.
+    """
+
+    def __init__(self, receiver: str, args: dict, modifiers,
+                 context: ExecutionContext):
+        super().__init__()
+        self.actor_name = receiver
+        self.args = args
+        self.modifiers = modifiers
+        self.context = context
+
+    def value(self, name: str) -> float:
+        """The magnitude of a quantity argument."""
+        return self.context.eval(self.args[name]).value
+
+
+class _MotionLeaf(_Leaf):
     """Base for leaves that command an actor's motion.
 
     Each tick the leaf claims its actor on the blackboard; two concurrently
@@ -188,11 +203,7 @@ class _MotionLeaf(ActionLeaf):
     may take over within the same tick.
     """
 
-    def __init__(self, context: ExecutionContext, actor_name: str, **kw):
-        super().__init__(**kw)
-        self.context = context
-        self.actor_name = actor_name
-        self._board: Blackboard | None = None
+    _board: Blackboard | None = None
 
     @property
     def actor(self) -> Actor:
@@ -215,17 +226,16 @@ class _MotionLeaf(ActionLeaf):
 class DriveLeaf(_MotionLeaf):
     """Holds the lane and tracks a possibly dynamic target speed, forever."""
 
-    def __init__(self, context, actor_name, speed_expr=None,
-                 profile="asap", **kw):
-        super().__init__(context, actor_name, **kw)
-        self.speed_expr = speed_expr
-        self.profile = profile
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__(receiver, args, modifiers, context)
+        speed = _modifier_args(modifiers).get("speed", {})
+        self.speed_expr = speed.get("speed")
+        self.profile = _optional(context, speed.get("rate_profile"), "asap")
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         if self.speed_expr is not None:
-            target = _magnitude(
-                self.context.eval(self.speed_expr), SPEED, "drive speed")
+            target = self.context.eval(self.speed_expr).value
             actor = self.actor
             actor.target_speed = target
             actor.profile = self.profile
@@ -235,19 +245,13 @@ class DriveLeaf(_MotionLeaf):
 class ChangeSpeedLeaf(_MotionLeaf):
     """Commands a new target speed; Success once the actor has reached it."""
 
-    def __init__(self, context, actor_name, target_expr,
-                 profile="asap", **kw):
-        super().__init__(context, actor_name, **kw)
-        self.target_expr = target_expr
-        self.profile = profile
-
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
-        target = _magnitude(
-            self.context.eval(self.target_expr), SPEED, "change_speed target")
+        target = self.value("target")
         actor = self.actor
         actor.target_speed = target
-        actor.profile = self.profile
+        actor.profile = _optional(self.context, self.args.get("rate_profile"),
+                                  "asap")
         if abs(actor.speed - target) < SPEED_TOLERANCE:
             self._release()
             return SUCCESS
@@ -257,22 +261,16 @@ class ChangeSpeedLeaf(_MotionLeaf):
 class ChangeLaneLeaf(_MotionLeaf):
     """Starts a lane change on the first tick, Success once it has cleared."""
 
-    def __init__(self, context, actor_name, lanes_expr, side, **kw):
-        super().__init__(context, actor_name, **kw)
-        self.lanes_expr = lanes_expr
-        self.side = side
-        self.started = False
+    started = False
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         actor = self.actor
         if not self.started:
             self.started = True
-            lanes = int(round(_magnitude(
-                self.context.eval(self.lanes_expr), DIMENSIONLESS,
-                "change_lane num_of_lanes")))
             moving = self.context.world.begin_lane_change(
-                actor, lanes, self.side)
+                actor, int(round(self.value("num_of_lanes"))),
+                self.context.eval(self.args["side"]))
             if moving:
                 return RUNNING
             self._release()
@@ -289,47 +287,26 @@ class ChangeLaneLeaf(_MotionLeaf):
         return (self.started,)
 
 
-class SetLightsLeaf(ActionLeaf):
+class SetLightsLeaf(_Leaf):
     """Applies a light mode immediately."""
 
-    def __init__(self, context, actor_name, mode_expr, **kw):
-        super().__init__(**kw)
-        self.context = context
-        self.actor_name = actor_name
-        self.mode_expr = mode_expr
-
     def _tick(self, ctx) -> Status:
-        mode = self.context.eval(self.mode_expr)
-        if not isinstance(mode, str):
-            raise EvalError("set_lights mode must be a string")
+        mode = self.context.eval(self.args["mode"])
         self.context.world.set_lights(self.context.actor(self.actor_name), mode)
         return SUCCESS
 
 
-class AssignOrientationLeaf(ActionLeaf):
+class AssignOrientationLeaf(_Leaf):
     """Writes the actor's heading immediately."""
 
-    def __init__(self, context, actor_name, heading_expr, **kw):
-        super().__init__(**kw)
-        self.context = context
-        self.actor_name = actor_name
-        self.heading_expr = heading_expr
-
     def _tick(self, ctx) -> Status:
-        heading = _magnitude(
-            self.context.eval(self.heading_expr), ANGLE, "orientation")
+        heading = self.value("h")
         self.context.actor(self.actor_name).heading = heading
         return SUCCESS
 
 
-class AssignPositionLeaf(ActionLeaf):
+class AssignPositionLeaf(_Leaf):
     """Teleports the actor according to its placement modifiers."""
-
-    def __init__(self, context, actor_name, modifiers, **kw):
-        super().__init__(**kw)
-        self.context = context
-        self.actor_name = actor_name
-        self.modifiers = modifiers
 
     def _tick(self, ctx) -> Status:
         place_actor(self.context, self.context.actor(self.actor_name),
@@ -337,21 +314,12 @@ class AssignPositionLeaf(ActionLeaf):
         return SUCCESS
 
 
-class CelestialLeaf(ActionLeaf):
+class CelestialLeaf(_Leaf):
     """Positions the sun; the auto light rule reads it every world step."""
 
-    def __init__(self, context, azimuth_expr, elevation_expr, **kw):
-        super().__init__(**kw)
-        self.context = context
-        self.azimuth_expr = azimuth_expr
-        self.elevation_expr = elevation_expr
-
     def _tick(self, ctx) -> Status:
-        azimuth = _magnitude(
-            self.context.eval(self.azimuth_expr), ANGLE, "azimuth")
-        elevation = _magnitude(
-            self.context.eval(self.elevation_expr), ANGLE, "elevation")
-        self.context.world.set_sun(azimuth, elevation)
+        self.context.world.set_sun(self.value("azimuth"),
+                                   self.value("elevation"))
         return SUCCESS
 
 
@@ -362,23 +330,15 @@ class FollowPathLeaf(_MotionLeaf):
     straight run of the given length from wherever the actor starts.
     """
 
-    def __init__(self, context, actor_name, distance_expr,
-                 speed_expr=None, **kw):
-        super().__init__(context, actor_name, **kw)
-        self.distance_expr = distance_expr
-        self.speed_expr = speed_expr
-        self.goal: float | None = None
+    goal: float | None = None
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         actor = self.actor
         if self.goal is None:
-            self.goal = actor.s + _magnitude(
-                self.context.eval(self.distance_expr), LENGTH,
-                "follow_path distance")
-        if self.speed_expr is not None:
-            actor.target_speed = _magnitude(
-                self.context.eval(self.speed_expr), SPEED, "follow_path speed")
+            self.goal = actor.s + self.value("distance")
+        if "speed" in self.args:
+            actor.target_speed = self.value("speed")
         if actor.s >= self.goal - 1e-9:
             self._release()
             return SUCCESS
@@ -391,120 +351,26 @@ class FollowPathLeaf(_MotionLeaf):
         return (self.goal,)
 
 
-# ---------------------------------------------------------------------------
-# builtin factories
-
-
-def _positional(container, index: int):
-    """The index-th unnamed argument of a modifier, or None."""
-    unnamed = [arg.value for arg in container.args if arg.name is None]
-    return unnamed[index] if index < len(unnamed) else None
-
-
-def _named(container, name: str):
-    for arg in container.args:
-        if arg.name == name:
-            return arg.value
-    return None
-
-
-def _word(node, what: str) -> str:
-    if isinstance(node, ast.Identifier):
-        return node.name
-    raise BuildError(f"{what} must be a plain word")
-
-
-def _profile_word(node) -> str:
-    word = _word(node, "rate_profile")
-    if word not in ("asap", "smooth"):
-        raise BuildError(f"unknown rate profile '{word}'")
-    return word
-
-
-def _drive_factory(receiver, args, modifiers, context):
-    speed_expr = None
-    profile = "asap"
-    for mod in modifiers:
-        if mod.name == "speed":
-            speed_expr = _positional(mod, 0) or _named(mod, "speed")
-            profile_node = _named(mod, "rate_profile")
-            if profile_node is not None:
-                profile = _profile_word(profile_node)
-    return DriveLeaf(context, receiver, speed_expr, profile)
-
-
-def _change_speed_factory(receiver, args, modifiers, context):
-    target = args.get("target")
-    if target is None:
-        raise BuildError("change_speed needs a 'target' argument")
-    profile = "asap"
-    profile_node = args.get("rate_profile")
-    if profile_node is not None:
-        profile = _profile_word(profile_node)
-    return ChangeSpeedLeaf(context, receiver, target, profile)
-
-
-def _change_lane_factory(receiver, args, modifiers, context):
-    lanes = args.get("num_of_lanes")
-    if lanes is None:
-        raise BuildError("change_lane needs a 'num_of_lanes' argument")
-    side_node = args.get("side")
-    if side_node is None:
-        raise BuildError("change_lane needs a 'side' argument")
-    side = _word(side_node, "side")
-    if side not in ("left", "right"):
-        raise BuildError(f"unknown lane change side '{side}'")
-    return ChangeLaneLeaf(context, receiver, lanes, side)
-
-
-def _set_lights_factory(receiver, args, modifiers, context):
-    mode = args.get("mode")
-    if mode is None:
-        raise BuildError("set_lights needs a 'mode' argument")
-    return SetLightsLeaf(context, receiver, mode)
-
-
-def _assign_position_factory(receiver, args, modifiers, context):
-    return AssignPositionLeaf(context, receiver, modifiers)
-
-
-def _assign_orientation_factory(receiver, args, modifiers, context):
-    heading = args.get("h") or args.get("heading")
-    if heading is None:
-        raise BuildError("assign_orientation needs an 'h' argument")
-    return AssignOrientationLeaf(context, receiver, heading)
-
-
-def _celestial_factory(receiver, args, modifiers, context):
-    azimuth = args.get("azimuth")
-    elevation = args.get("elevation")
-    if azimuth is None or elevation is None:
-        raise BuildError(
-            "assign_celestial_position needs 'azimuth' and 'elevation'")
-    return CelestialLeaf(context, azimuth, elevation)
-
-
-def _follow_path_factory(receiver, args, modifiers, context):
-    distance = args.get("distance")
-    if distance is None:
-        raise BuildError("follow_path needs a 'distance' argument")
-    return FollowPathLeaf(context, receiver, distance, args.get("speed"))
+# the leaf that executes each prelude action; `walk` has none
+_LEAVES = {
+    "drive": DriveLeaf,
+    "change_speed": ChangeSpeedLeaf,
+    "change_lane": ChangeLaneLeaf,
+    "assign_position": AssignPositionLeaf,
+    "assign_orientation": AssignOrientationLeaf,
+    "set_lights": SetLightsLeaf,
+    "follow_path": FollowPathLeaf,
+    "assign_celestial_position": CelestialLeaf,
+}
 
 
 def builtin_registry() -> MethodRegistry:
+    """A registry holding the leaf of every prelude action that has one."""
     registry = MethodRegistry()
-    registry.register("vehicle", "drive", _drive_factory)
-    registry.register("vehicle", "change_speed", _change_speed_factory)
-    registry.register("vehicle", "change_lane", _change_lane_factory)
-    registry.register("vehicle", "assign_position", _assign_position_factory)
-    registry.register("vehicle", "assign_orientation",
-                      _assign_orientation_factory)
-    registry.register("vehicle", "set_lights", _set_lights_factory)
-    registry.register("vehicle", "follow_path", _follow_path_factory)
-    registry.register("stationary_object", "assign_position",
-                      _assign_position_factory)
-    registry.register("environment", "assign_celestial_position",
-                      _celestial_factory)
+    for type_name, actor_type in ACTOR_TYPES.items():
+        for action in actor_type.actions:
+            if action in _LEAVES:
+                registry.register(type_name, action, _LEAVES[action])
     return registry
 
 
@@ -512,18 +378,17 @@ def builtin_registry() -> MethodRegistry:
 # placement
 
 
-def _modifier_args(mod: ast.ModifierApplication) -> dict:
-    """Modifier arguments keyed by name (unnamed ones by index), minus `at`."""
-    out = {}
-    index = 0
-    for arg in mod.args:
-        if arg.name == "at":
-            continue
-        if arg.name is None:
-            out[index] = arg.value
-            index += 1
-        else:
-            out[arg.name] = arg.value
+def _modifier_args(modifiers) -> dict[str, dict]:
+    """The arguments of each modifier the backend reads, by parameter name.
+
+    A repeated modifier adds its arguments to those of the earlier one.
+    """
+    out: dict[str, dict] = {}
+    for mod in modifiers:
+        signature = MODIFIERS.get(mod.name)
+        if signature is not None:
+            out.setdefault(mod.name, {}).update(
+                (name, arg.value) for name, arg in signature.bind(mod.args))
     return out
 
 
@@ -536,32 +401,21 @@ def place_actor(context: ExecutionContext, actor: Actor, modifiers,
     Cartesian pose that takes the actor off the road network.
     """
     world = context.world
-    lane_args = position_args = None
-    speed_node = None
-    for mod in modifiers:
-        if mod.name == "lane":
-            lane_args = _modifier_args(mod)
-        elif mod.name == "position":
-            position_args = _modifier_args(mod)
-        elif mod.name == "speed":
-            speed_node = _modifier_args(mod).get(0)
+    bound = _modifier_args(modifiers)
+    lane_args = bound.get("lane", {})
+    position_args = bound.get("position", {})
 
-    default_map = lane_args is not None and 0 in lane_args
-    relative = ((lane_args is not None
-                 and ("side_of" in lane_args or "side" in lane_args))
-                or (position_args is not None
-                    and ("behind" in position_args
-                         or "ahead_of" in position_args)))
-    absolute = position_args is not None and (
-        "x" in position_args or "y" in position_args)
+    default_map = "lane" in lane_args
+    relative = ("side_of" in lane_args or "side" in lane_args
+                or "behind" in position_args or "ahead_of" in position_args)
+    absolute = "x" in position_args or "y" in position_args
     if default_map + relative + absolute > 1:
         raise InitConflict(
             f"actor '{actor.name}' mixes start placement paradigms")
 
     did_place = False
     if default_map:
-        lane_index = int(round(_magnitude(
-            context.eval(lane_args[0]), DIMENSIONLESS, "lane")))
+        lane_index = int(round(context.eval(lane_args["lane"]).value))
         s = world.road.spawn_on_lane(lane_index)
         if s is None:
             raise InitConflict(
@@ -570,70 +424,51 @@ def place_actor(context: ExecutionContext, actor: Actor, modifiers,
         world.place_on_lane(actor, lane_index, s)
         did_place = True
     elif relative:
-        anchor_name = None
-        side = None
-        if lane_args is not None:
-            side_node = lane_args.get("side")
-            if side_node is not None:
-                side = _word(side_node, "side")
-            anchor_node = lane_args.get("side_of")
-            if anchor_node is not None:
-                anchor_name = _word(anchor_node, "side_of")
+        side = _optional(context, lane_args.get("side"))
+        anchor = _optional(context, lane_args.get("side_of"))
         distance = 0.0
         sign = -1.0
-        if position_args is not None:
-            for key, ahead in (("behind", False), ("ahead_of", True)):
-                node = position_args.get(key)
-                if node is None:
-                    continue
-                name = _word(node, key)
-                if anchor_name is not None and name != anchor_name:
-                    raise InitConflict(
-                        f"actor '{actor.name}' names two different anchors")
-                anchor_name = name
-                sign = 1.0 if ahead else -1.0
-            node = position_args.get("distance")
-            if node is not None:
-                distance = _magnitude(
-                    context.eval(node), LENGTH, "placement distance")
-        if anchor_name is None:
+        for key, ahead in (("behind", False), ("ahead_of", True)):
+            node = position_args.get(key)
+            if node is None:
+                continue
+            other = context.eval(node)
+            if anchor is not None and other is not anchor:
+                raise InitConflict(
+                    f"actor '{actor.name}' names two different anchors")
+            anchor = other
+            sign = 1.0 if ahead else -1.0
+        node = position_args.get("distance")
+        if node is not None:
+            distance = context.eval(node).value
+        if anchor is None:
             raise InitConflict(
                 f"actor '{actor.name}' has a relative placement "
                 f"without an anchor")
-        if placed is not None and anchor_name not in placed:
+        if placed is not None and anchor.name not in placed:
             raise InitConflict(
-                f"actor '{actor.name}' is anchored to '{anchor_name}', "
+                f"actor '{actor.name}' is anchored to '{anchor.name}', "
                 f"which is not placed yet")
-        anchor = context.actor(anchor_name)
         if anchor.lane is None:
             raise InitConflict(
-                f"anchor '{anchor_name}' is not on the road network")
+                f"anchor '{anchor.name}' is not on the road network")
         lane_index = anchor.lane
         if side == "right":
             lane_index += 1
         elif side == "left":
             lane_index -= 1
-        elif side is not None:
-            raise InitConflict(f"unknown placement side '{side}'")
         world.place_on_lane(actor, lane_index, anchor.s + sign * distance)
         did_place = True
     elif absolute:
         def coord(key):
             node = position_args.get(key)
-            if node is None:
-                return 0.0
-            return _magnitude(context.eval(node), LENGTH, key)
-        x = coord("x")
-        y = coord("y")
-        heading = 0.0
-        node = position_args.get("h")
-        if node is not None:
-            heading = _magnitude(context.eval(node), ANGLE, "h")
-        world.place_absolute(actor, x, y, heading)
+            return 0.0 if node is None else context.eval(node).value
+        world.place_absolute(actor, coord("x"), coord("y"), coord("h"))
         did_place = True
 
+    speed_node = bound.get("speed", {}).get("speed")
     if speed_node is not None:
-        speed = _magnitude(context.eval(speed_node), SPEED, "start speed")
+        speed = context.eval(speed_node).value
         actor.speed = speed
         actor.target_speed = speed
     return did_place
@@ -752,8 +587,7 @@ class BehaviorTreeBuilder:
             return EdgeCondition("fall", lambda _: self.context.eval(cond.expr),
                                  label="wait fall", span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
-            seconds = _magnitude(self.context.eval(cond.duration),
-                                 DURATION, "elapsed duration")
+            seconds = self.context.eval(cond.duration).value
             return Timer(seconds, label="wait elapsed", span=node.span)
         if isinstance(cond, ast.BoolCondition):
             return Condition(lambda _: self.context.eval(cond.expr), label="wait",
@@ -790,14 +624,6 @@ class BehaviorTreeBuilder:
 
 # ---------------------------------------------------------------------------
 # compiled scenario
-
-
-_WORLD_KINDS = {
-    "vehicle": "vehicle",
-    "traffic_participant": "vehicle",
-    "person": "prop",
-    "stationary_object": "prop",
-}
 
 
 @dataclass
@@ -874,7 +700,7 @@ def compile_scenario(analysis: Analysis, *,
     world = World(road, dt)
     context = ExecutionContext(world, scenario, analysis.evaluators)
     for name, type_name in scenario.fields.items():
-        kind = _WORLD_KINDS.get(type_name)
+        kind = ACTOR_TYPES[type_name].world
         if kind == "vehicle":
             context.bind_actor(name, world.add_vehicle(name))
         elif kind == "prop":

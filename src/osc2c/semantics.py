@@ -1,11 +1,12 @@
 """Two-pass semantic analysis and expression lowering.
 
-The definition pass builds the scope tree and registers every declared
+The definition pass builds each scenario's scope and registers every declared
 symbol (fields, vars, and event names harvested from emit/wait sites) so
 forward references are legal by construction.  The resolution pass then
-binds references, walks actor inheritance chains, checks dimensions, and
-binds the scenario to a builtin map.  Diagnostics accumulate in source
-order; errors never abort the pass, so one run reports everything.
+binds references, walks actor inheritance chains, checks dimensions, binds
+the arguments of actions, modifiers and queries to their signatures in the
+prelude, and binds the scenario to a builtin map.  Diagnostics accumulate in
+source order; errors never abort the pass, so one run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(env)``.  ``Analysis.evaluators`` maps the ``id`` of every
@@ -74,21 +75,22 @@ BOOL = _Singleton("bool")
 UNKNOWN = _Singleton("unknown")
 
 ARITHMETIC = ("+", "-", "*", "/")
+AT_START = EnumWord("start")
 
 
 @dataclass
 class Symbol:
     name: str
-    kind: str  # actor-type | actor-instance | variable | modifier | event
-    #          # | physical-type | builtin-map
+    kind: str  # actor-instance | variable | event
     declared_type: str | None = None
     span: Span | None = None
     resolved: bool = False
 
 
 class Scope:
-    def __init__(self, parent: "Scope | None" = None):
-        self.parent = parent
+    """The symbols a scenario declares; the prelude's names are not in it."""
+
+    def __init__(self):
         self.symbols: dict[tuple[str, str], Symbol] = {}
 
     def define(self, symbol: Symbol) -> Symbol | None:
@@ -101,13 +103,10 @@ class Scope:
         return None
 
     def lookup(self, name: str, kinds: tuple[str, ...]) -> Symbol | None:
-        scope: Scope | None = self
-        while scope is not None:
-            for kind in kinds:
-                symbol = scope.symbols.get((name, kind))
-                if symbol is not None:
-                    return symbol
-            scope = scope.parent
+        for kind in kinds:
+            symbol = self.symbols.get((name, kind))
+            if symbol is not None:
+                return symbol
         return None
 
 
@@ -126,7 +125,6 @@ class ScenarioInfo:
 class Analysis:
     diagnostics: list[Diagnostic]
     program: ast.Program | None = None
-    global_scope: Scope | None = None
     scenarios: list[ScenarioInfo] = field(default_factory=list)
     evaluators: dict[int, Evaluator | None] = field(default_factory=dict)
 
@@ -141,19 +139,6 @@ class Analysis:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-def _global_scope() -> Scope:
-    scope = Scope()
-    for name in prelude.ACTOR_TYPES:
-        scope.define(Symbol(name, "actor-type", resolved=True))
-    for name in prelude.PHYSICAL_TYPES:
-        scope.define(Symbol(name, "physical-type", resolved=True))
-    for name in prelude.MODIFIERS:
-        scope.define(Symbol(name, "modifier", resolved=True))
-    for name in prelude.BUILTIN_MAPS:
-        scope.define(Symbol(name, "builtin-map", resolved=True))
-    return scope
 
 
 class Analyzer:
@@ -174,11 +159,10 @@ class Analyzer:
 
     # definition pass
 
-    def definition_pass(self, program: ast.Program) -> tuple[Scope, list[ScenarioInfo]]:
-        global_scope = _global_scope()
+    def definition_pass(self, program: ast.Program) -> list[ScenarioInfo]:
         infos = []
         for scen in program.scenarios:
-            scope = Scope(global_scope)
+            scope = Scope()
             info = ScenarioInfo(scen, scope)
             for member in scen.members:
                 if isinstance(member, ast.FieldDecl):
@@ -192,7 +176,7 @@ class Analyzer:
             info.events = sorted(name for (name, kind) in scope.symbols
                                  if kind == "event")
             infos.append(info)
-        return global_scope, infos
+        return infos
 
     def _define(self, scope: Scope, symbol: Symbol) -> None:
         existing = scope.define(symbol)
@@ -225,12 +209,10 @@ class Analyzer:
                 self._resolve_behavior(info.decl.body.root, info.scope)
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
-        scope = info.scope
-        type_sym = scope.lookup(decl.type_name, ("actor-type",))
-        if type_sym is None:
+        if decl.type_name not in prelude.ACTOR_TYPES:
             self.error("E001", f"undefined type '{decl.type_name}'", decl.span)
             return
-        symbol = scope.lookup(decl.name, ("actor-instance",))
+        symbol = info.scope.lookup(decl.name, ("actor-instance",))
         if symbol is not None:
             symbol.resolved = True
         info.fields[decl.name] = decl.type_name
@@ -262,17 +244,15 @@ class Analyzer:
         value = expr.rhs.value
         info.constraints.setdefault(decl.name, {})[attr] = value
         if decl.type_name == "map" and attr == "map_file":
-            map_sym = info.scope.lookup(value.lower(), ("builtin-map",))
-            if map_sym is None:
+            if value.lower() not in prelude.BUILTIN_MAPS:
                 self.error("E006", f"unknown map '{value}'", expr.rhs.span)
             else:
                 info.map_name = value.lower()
 
     def _resolve_var(self, decl: ast.VarDecl, info: ScenarioInfo) -> None:
-        scope = info.scope
-        type_sym = scope.lookup(decl.type_name, ("physical-type",))
-        if type_sym is None:
-            if scope.lookup(decl.type_name, ("actor-type",)) is not None:
+        declared = prelude.PHYSICAL_TYPES.get(decl.type_name)
+        if declared is None:
+            if decl.type_name in prelude.ACTOR_TYPES:
                 self.error("E002",
                            f"'{decl.type_name}' is not a physical type",
                            decl.span)
@@ -280,12 +260,11 @@ class Analyzer:
                 self.error("E001", f"undefined type '{decl.type_name}'",
                            decl.span)
             return
-        symbol = scope.lookup(decl.name, ("variable",))
+        symbol = info.scope.lookup(decl.name, ("variable",))
         if symbol is not None:
             symbol.resolved = True
         info.variables[decl.name] = decl
-        declared = prelude.PHYSICAL_TYPES[decl.type_name]
-        self._check_initializer(decl, declared, scope)
+        self._check_initializer(decl, declared, info.scope)
 
     def _check_initializer(self, decl: ast.VarDecl, declared: Dimension,
                            scope: Scope) -> None:
@@ -336,24 +315,106 @@ class Analyzer:
                 symbol.resolved = True
 
     def _resolve_invocation(self, node: ast.ActionInvocation, scope: Scope) -> None:
+        # signature None: undefined, or only in extra_actions (typed only)
+        signature = receiver = None
         actor_sym = scope.lookup(node.actor, ("actor-instance",))
         if actor_sym is None:
             self.error("E001", f"undefined actor '{node.actor}'", node.span)
         else:
             actor_sym.resolved = True
             type_name = actor_sym.declared_type
-            if not prelude.has_action(type_name, node.action, self.extra_actions):
+            receiver = ActorRef(type_name, node.actor)
+            signature = prelude.find_action(type_name, node.action)
+            if signature is None and not any(
+                    node.action in self.extra_actions.get(name, ())
+                    for name in prelude.inheritance_chain(type_name)):
                 self.error("E004",
                            f"action '{node.action}' is not defined for actor "
                            f"type '{type_name}' or its ancestors", node.span)
-        for arg in node.args:
-            self._resolve_root(arg.value, scope)
+        typed = [self._resolve_root(arg.value, scope) for arg in node.args]
+        if signature is not None:
+            self._bind(node.action, signature, node.args, typed, node.span)
         for modifier in node.modifiers:
-            if scope.lookup(modifier.name, ("modifier",)) is None:
+            if modifier.name not in prelude.MODIFIERS:
                 self.error("E004", f"unknown modifier '{modifier.name}'",
                            modifier.span)
-            for arg in modifier.args:
-                self._resolve_root(arg.value, scope)
+            typed = [self._resolve_root(arg.value, scope)
+                     for arg in modifier.args]
+            signature = prelude.MODIFIERS.get(modifier.name)
+            if signature is not None:
+                self._bind(modifier.name, signature, modifier.args, typed,
+                           modifier.span)
+            if receiver is not None:
+                for arg, (arg_type, _) in zip(modifier.args, typed):
+                    if arg.name == "at" and arg_type == AT_START:
+                        # the initializer places the receiver before tick 0
+                        self._in_world(receiver, arg.span)
+
+    def _bind(self, callee: str, signature: prelude.Signature,
+              args: list[ast.Argument], typed: list, span: Span):
+        """Match typed arguments to a signature, reporting each mismatch.
+
+        Names, kinds and words that do not fit are E002, a quantity of the
+        wrong dimension is E003.  Returns the typed arguments by parameter
+        name, or None if one was reported or is of unknown type.
+        """
+        reported = len(self.diagnostics)
+        bound = {}
+        for (name, arg), arg_typed in zip(signature.bind(args), typed):
+            kind = signature.params.get(name)
+            if kind is None:
+                self.error("E002",
+                           f"unexpected unnamed argument to '{callee}'"
+                           if name is None else
+                           f"'{callee}' has no parameter '{name}'", arg.span)
+            elif name in bound:
+                self.error("E002",
+                           f"'{callee}' argument '{name}' is given twice",
+                           arg.span)
+            else:
+                bound[name] = arg_typed
+                self._check_kind(kind, arg_typed[0],
+                                 f"'{callee}' argument '{name}'", arg.span)
+        for name in signature.required:
+            if name not in bound:
+                self.error("E002", f"'{callee}' is missing its '{name}' argument",
+                           span)
+        if len(self.diagnostics) > reported or any(
+                arg_type is UNKNOWN for arg_type, _ in bound.values()):
+            return None
+        return bound
+
+    def _check_kind(self, kind: prelude.Kind, arg_type: ExprType, what: str,
+                    span: Span) -> None:
+        if arg_type is UNKNOWN:
+            return
+        if isinstance(kind, Dimension):
+            if not isinstance(arg_type, QuantityType):
+                self.error("E002",
+                           f"{what} must be a {dimension_name(kind)} quantity",
+                           span)
+            elif arg_type.dim not in (kind, DIMENSIONLESS):
+                self.error("E003",
+                           f"{what} has dimension "
+                           f"{dimension_name(arg_type.dim)}, expected "
+                           f"{dimension_name(kind)}", span)
+        elif isinstance(kind, frozenset):
+            if not (isinstance(arg_type, EnumWord) and arg_type.word in kind):
+                self.error("E002", f"{what} must be one of "
+                                   f"{', '.join(sorted(kind))}", span)
+        elif kind == prelude.ACTOR and isinstance(arg_type, ActorRef):
+            self._in_world(arg_type, span)
+        elif not (kind == prelude.STRING and arg_type is STRING):
+            self.error("E002", f"{what} must be {kind}", span)
+
+    def _in_world(self, actor: ActorRef, span: Span) -> bool:
+        """Whether the actor exists in the world; reports E002 if not."""
+        actor_type = prelude.ACTOR_TYPES.get(actor.type_name)
+        if actor_type is None or actor_type.world is not None:
+            return True  # an undefined type is reported where it is declared
+        self.error("E002", f"actor '{actor.instance}' of type "
+                           f"'{actor.type_name}' is not in the world", span)
+        return False
 
     def _resolve_condition(self, cond: ast.Node, scope: Scope) -> None:
         if isinstance(cond, ast.EventRef):
@@ -361,28 +422,30 @@ class Analyzer:
             if symbol is not None:
                 symbol.resolved = True
         elif isinstance(cond, (ast.RiseCondition, ast.FallCondition)):
-            result = self._resolve_root(cond.expr, scope)
+            result = self._resolve_root(cond.expr, scope)[0]
             if result not in (BOOL, UNKNOWN):
                 kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
                 self.error("E002", f"{kind}() requires a boolean condition",
                            cond.span)
         elif isinstance(cond, ast.ElapsedCondition):
-            result = self._resolve_root(cond.duration, scope)
+            result = self._resolve_root(cond.duration, scope)[0]
             if result is not UNKNOWN and \
                     (not isinstance(result, QuantityType) or result.dim != DURATION):
                 self.error("E003", "elapsed() requires a time duration",
                            cond.span)
         elif isinstance(cond, ast.BoolCondition):
-            result = self._resolve_root(cond.expr, scope)
+            result = self._resolve_root(cond.expr, scope)[0]
             if result not in (BOOL, UNKNOWN):
                 self.error("E002", "wait requires a boolean condition", cond.span)
 
     # expression typing and lowering
 
-    def _resolve_root(self, expr: ast.Node, scope: Scope) -> ExprType:
+    def _resolve_root(self, expr: ast.Node,
+                      scope: Scope) -> tuple[ExprType, Evaluator | None]:
         """Type and lower an expression that the runtime evaluates itself."""
-        result, self.evaluators[id(expr)] = self.resolve_expr(expr, scope)
-        return result
+        typed = self.resolve_expr(expr, scope)
+        self.evaluators[id(expr)] = typed[1]
+        return typed
 
     def resolve_expr(self, expr: ast.Node,
                      scope: Scope) -> tuple[ExprType, Evaluator | None]:
@@ -496,13 +559,16 @@ class Analyzer:
             return UNKNOWN, None
         member = expr.member
         if isinstance(receiver, ActorRef):
+            if member in ("speed", "position") \
+                    and not self._in_world(receiver, expr.span):
+                return UNKNOWN, None
             if member == "speed":
                 return (QuantityType(SPEED),
                         lambda env: Quantity(actor(env).speed, SPEED))
             if member == "position":
                 return PositionType(receiver.instance), partial(_position, actor)
             if prelude.has_attribute(receiver.type_name, member):
-                return STRING, partial(_attribute, actor, member)
+                return STRING, partial(_attribute, receiver.instance, member)
             self.error("E001",
                        f"actor type '{receiver.type_name}' has no member "
                        f"'{member}'", expr.span)
@@ -521,12 +587,12 @@ class Analyzer:
                            f"position query has no method '{expr.method}'",
                            expr.span)
                 return UNKNOWN, None
-            if len(args) != 1 or not isinstance(args[0][0], ActorRef):
-                self.error("E002", "ahead_of() takes one actor argument",
-                           expr.span)
+            bound = self._bind(expr.method, prelude.AHEAD_OF, expr.args, args,
+                               expr.span)
+            if bound is None:
                 return UNKNOWN, None
             subject = self._name_evaluator("actor-instance", receiver.instance)
-            other = args[0][1]
+            other = bound["actor"][1]
             return QuantityType(LENGTH), lambda env: Quantity(
                 env.world.ahead_of(subject(env), other(env)), LENGTH)
         if isinstance(receiver, ActorRef):
@@ -535,27 +601,15 @@ class Analyzer:
                            f"actor type '{receiver.type_name}' has no method "
                            f"'{expr.method}'", expr.span)
                 return UNKNOWN, None
-            by_name = {a.name: typed for a, typed in zip(expr.args, args)}
-            reference = by_name.get("reference", (UNKNOWN, None))
-            if not isinstance(reference[0], ActorRef):
-                self.error("E002",
-                           "object_distance() requires a 'reference' actor",
-                           expr.span)
+            in_world = self._in_world(receiver, expr.receiver.span)
+            bound = self._bind(expr.method, prelude.OBJECT_DISTANCE,
+                               expr.args, args, expr.span)
+            if bound is None or not in_world:
                 return UNKNOWN, None
-            word = "euclidean"
-            direction = by_name.get("direction")
-            if direction is not None:
-                if (isinstance(direction[0], EnumWord)
-                        and direction[0].word in ("euclidean", "topological")):
-                    word = direction[0].word
-                else:
-                    self.error("E002",
-                               "direction must be euclidean or topological",
-                               expr.span)
-            unexpected = [a.name for a in expr.args
-                          if a.name not in ("reference", "direction")]
+            direction = bound.get("direction")
+            word = "euclidean" if direction is None else direction[0].word
             return QuantityType(LENGTH), partial(
-                _object_distance, receiver_fn, reference[1], word, unexpected)
+                _object_distance, receiver_fn, bound["reference"][1], word)
         self.error("E002", f"cannot call method '{expr.method}' here", expr.span)
         return UNKNOWN, None
 
@@ -593,29 +647,26 @@ def _position(actor: Evaluator, env):
     raise EvalError("'position' is only usable as an ahead_of receiver")
 
 
-def _attribute(actor: Evaluator, member: str, env):
-    attributes = env.attributes.get(actor(env).name)
+def _attribute(name: str, member: str, env):
+    attributes = env.attributes.get(name)
     if attributes is None or member not in attributes:
         raise EvalError(f"cannot read member '{member}'")
     return attributes[member]
 
 
 def _object_distance(subject: Evaluator, reference: Evaluator,
-                     direction: str, unexpected: list, env):
-    a, b = subject(env), reference(env)
-    if unexpected:
-        raise EvalError(
-            f"object_distance got unexpected argument {unexpected[0]!r}")
-    return Quantity(env.world.object_distance(a, b, direction), LENGTH)
+                     direction: str, env):
+    return Quantity(env.world.object_distance(subject(env), reference(env),
+                                              direction), LENGTH)
 
 
 def analyze(program: ast.Program, filename: str = "<string>",
             extra_actions: dict[str, frozenset[str]] | None = None) -> Analysis:
     """Run both passes over a parsed program."""
     analyzer = Analyzer(filename, extra_actions)
-    global_scope, infos = analyzer.definition_pass(program)
+    infos = analyzer.definition_pass(program)
     analyzer.resolution_pass(infos)
-    return Analysis(analyzer.diagnostics, program, global_scope, infos,
+    return Analysis(analyzer.diagnostics, program, infos,
                     analyzer.evaluators)
 
 

@@ -79,7 +79,7 @@ BUILTIN_MAPS = {"town06": TOWN06}
 
 
 def load_map(spec: str) -> RoadMap:
-    """Resolve ``builtin:<name>`` or a JSON map file path."""
+    """Resolve ``builtin:<name>``, or load and validate a JSON map file."""
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
         road = BUILTIN_MAPS.get(name)
@@ -89,13 +89,21 @@ def load_map(spec: str) -> RoadMap:
     with open(spec, encoding="utf-8") as handle:
         data = json.load(handle)
     try:
-        return RoadMap(
+        road = RoadMap(
             name=str(data["name"]),
             lane_count=int(data["lane_count"]),
             lane_width=float(data["lane_width"]),
             length=float(data["length"]),
             spawns=tuple((int(lane), float(s)) for lane, s in data["spawns"]),
         )
+        if road.lane_count < 1:
+            raise ValueError("lane_count must be at least 1")
+        if not (0 < road.lane_width < math.inf and 0 < road.length < math.inf):
+            raise ValueError("lane_width and length must be finite and positive")
+        for lane, s in road.spawns:
+            if not (0 <= lane < road.lane_count and 0 <= s <= road.length):
+                raise ValueError(f"spawn [{lane}, {s}] is not on the road")
+        return road
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad map file {spec!r}: {exc}") from exc
 

@@ -130,6 +130,17 @@ class TestRun:
         assert faults[0]["error"] == "OffMapFault"
         assert records[-1]["outcome"] == "fault"
 
+    def test_placement_fault_during_run(self, tmp_path):
+        # assign_position without `at: start` places the actor when ticked
+        path = write(tmp_path, "lane7.osc",
+                     "scenario lane7:\n  a: vehicle\n  do serial:\n"
+                     "    a.assign_position() with:\n      lane(7)\n")
+        trace = str(tmp_path / "trace.ndjson")
+        assert main(["run", path, "--trace", trace]) == 4
+        fault = read_trace(trace)[1]
+        assert (fault["tick"], fault["error"]) == (0, "InitConflict")
+        assert fault["message"] == "no default spawn point on lane 7 for actor 'a'"
+
     def test_spawn_collision_fault(self, tmp_path):
         path = write(
             tmp_path, "pileup.osc",
@@ -168,6 +179,24 @@ class TestRun:
     def test_bad_dt(self, tmp_path):
         assert main(["run", MINIMAL, "--dt", "0",
                      "--trace", str(tmp_path / "t")]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "nan"), ("--dt", "inf"), ("--max-time", "nan"),
+        ("--max-time", "-1")])
+    def test_flag_not_finite_or_negative(self, flag, value, tmp_path, capsys):
+        trace = tmp_path / "t.ndjson"
+        assert main(["run", MINIMAL, flag, value, "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"osc2c: {flag} must be")
+        assert not trace.exists()
+
+    def test_invalid_map_file(self, tmp_path, capsys):
+        road = write(tmp_path, "strip.json", json.dumps({
+            "name": "strip", "lane_count": 2, "lane_width": 4.0,
+            "length": 100.0, "spawns": [[5, 5]]}))
+        trace = tmp_path / "t.ndjson"
+        assert main(["run", MINIMAL, "--map", road, "--trace", str(trace)]) == 2
+        assert "is not on the road" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_seed_less_accepted(self, tmp_path):
         trace = str(tmp_path / "trace.ndjson")

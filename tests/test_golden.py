@@ -2,7 +2,8 @@
 
 The trace hashes pin every byte `osc2c run` writes for the shipped
 scenarios; the fault records pin the exact error of check-clean programs
-that can only fail once they run.
+that can only fail once they run, and the check-time faults pin the
+diagnostic of programs whose fault the checker can know.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from osc2c.cli import main
+from osc2c.semantics import check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,9 +35,6 @@ def test_scenario_trace_hash(name, tmp_path):
 
 
 @pytest.mark.parametrize("members, body, record", [
-    ("", "    hero.change_speed(target: hero.position)\n",
-     '{"record":"fault","tick":0,"error":"EvalError",'
-     '"message":"\'position\' is only usable as an ahead_of receiver"}'),
     ("  var d: length = 1m / 0\n", "    wait elapsed(1s)\n",
      '{"record":"fault","tick":0,"error":"EvalError",'
      '"message":"division by a zero-valued quantity"}'),
@@ -54,7 +53,7 @@ def test_scenario_trace_hash(name, tmp_path):
          "    wait rise(hero.position.ahead_of(npc) > 1m)\n",
      '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
      '"message":"ahead_of requires both actors on the lane network"}'),
-], ids=["position-value", "var-div-zero", "missing-attribute",
+], ids=["var-div-zero", "missing-attribute",
         "query-div-zero", "cyclic-vars", "off-network-ahead-of"])
 def test_runtime_fault_record(members, body, record, tmp_path):
     source = tmp_path / "probe.osc"
@@ -65,3 +64,68 @@ def test_runtime_fault_record(members, body, record, tmp_path):
     faults = [line for line in trace.read_text().splitlines()
               if line.startswith('{"record":"fault"')]
     assert faults == [record]
+
+
+WORLDLESS = "  env: environment\n  my_map: map\n"
+
+
+@pytest.mark.parametrize("members, body, expected", [
+    ("", "    hero.change_speed(rate_profile: asap)\n",
+     [("E002", "'change_speed' is missing its 'target' argument")]),
+    ("", "    hero.change_speed(target: 5m)\n",
+     [("E003", "'change_speed' argument 'target' has dimension length, "
+              "expected speed")]),
+    ("", "    hero.follow_path(distance: 5kph)\n",
+     [("E003", "'follow_path' argument 'distance' has dimension speed, "
+              "expected length")]),
+    ("", "    hero.change_lane(num_of_lanes: 1, side: start)\n",
+     [("E002", "'change_lane' argument 'side' must be one of left, right")]),
+    ("", "    hero.change_speed(target: 5kph, rate_profile: left)\n",
+     [("E002", "'change_speed' argument 'rate_profile' must be one of "
+              "asap, smooth")]),
+    ("", "    hero.set_lights(mode: 5m)\n",
+     [("E002", "'set_lights' argument 'mode' must be a string")]),
+    (WORLDLESS, "    env.assign_celestial_position(azimuth: 1rad)\n",
+     [("E002", "'assign_celestial_position' is missing its "
+              "'elevation' argument")]),
+    ("", "    hero.change_speed(5kph)\n",
+     [("E002", "unexpected unnamed argument to 'change_speed'"),
+      ("E002", "'change_speed' is missing its 'target' argument")]),
+    ("", "    npc.assign_position() with:\n"
+         "      position(distance: 5m, behind: 3m, at: start)\n",
+     [("E002", "'position' argument 'behind' must be an actor in the world")]),
+    ("", "    npc.assign_position() with:\n"
+         "      lane(side: start, side_of: hero, at: start)\n",
+     [("E002", "'lane' argument 'side' must be one of left, right")]),
+    ("", "    wait hero.object_distance(reference: npc, foo: 1m) > 1m\n",
+     [("E002", "'object_distance' has no parameter 'foo'")]),
+    ("", "    hero.drive(foo: 1m)\n",
+     [("E002", "'drive' has no parameter 'foo'")]),
+    ("", "    hero.change_speed(target: hero.position)\n",
+     [("E002", "'change_speed' argument 'target' must be a speed quantity")]),
+    (WORLDLESS, "    wait env.speed > 1kph\n",
+     [("E002", "actor 'env' of type 'environment' is not in the world")]),
+    (WORLDLESS, "    wait env.position.ahead_of(hero) > 1m\n",
+     [("E002", "actor 'env' of type 'environment' is not in the world")]),
+    (WORLDLESS, "    wait rise(hero.position.ahead_of(env) > 1m)\n",
+     [("E002", "actor 'env' of type 'environment' is not in the world")]),
+    (WORLDLESS, "    wait hero.object_distance(reference: my_map) < 1m\n",
+     [("E002", "actor 'my_map' of type 'map' is not in the world")]),
+    (WORLDLESS, "    env.assign_celestial_position(azimuth: 1rad, "
+                "elevation: 1rad) with:\n      speed(1kph, at: start)\n",
+     [("E002", "actor 'env' of type 'environment' is not in the world")]),
+], ids=["missing-target", "target-length", "distance-speed", "side-start",
+        "profile-left", "mode-length", "missing-elevation", "unnamed-target",
+        "behind-length", "lane-side-start", "distance-stray-argument",
+        "drive-stray-argument", "position-value", "environment-speed",
+        "environment-position", "ahead-of-environment", "map-reference",
+        "environment-at-start"])
+def test_check_time_fault(members, body, expected, tmp_path):
+    """Argument faults that once ended a run at tick 0 are now diagnostics."""
+    text = MEMBERS + members + "  do serial:\n" + body
+    assert [(d.code, d.message) for d in check(text).diagnostics] == expected
+    source = tmp_path / "probe.osc"
+    source.write_text(text)
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", str(source), "--trace", str(trace)]) == 1
+    assert not trace.exists()

@@ -4,6 +4,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osc2c import ast, prelude
 from osc2c.btree import (
@@ -36,8 +37,13 @@ from osc2c.runtime import (
     SpawnCollision,
     UnsupportedAction,
     builtin_registry,
+    compile_scenario,
     compile_source,
 )
+from osc2c.semantics import check
+from osc2c.units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
+                         SPEED)
+from osc2c.world import SimFault
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "scenarios" / "cut_in_and_evade.osc"
 
@@ -164,7 +170,7 @@ class TestDispatch:
     def test_builtin_actions_are_in_the_prelude(self):
         # so the checker needs no extra_actions for the builtin registry
         for type_name, actions in builtin_registry().action_table().items():
-            assert actions <= prelude.ACTOR_TYPES[type_name].actions
+            assert actions <= prelude.ACTOR_TYPES[type_name].actions.keys()
 
     def test_semantic_error_raises_compile_error(self):
         with pytest.raises(CompileError) as exc:
@@ -382,3 +388,76 @@ class TestInitializer:
     def test_run_budget_exhaustion_returns_none(self):
         cs = compile_body("    wait elapsed(100s)\n", members="  a: vehicle\n")
         assert cs.run(max_ticks=3) is None
+
+
+# Programs of one action with a backend and perhaps one modifier.  Each
+# parameter of their signatures is given or left out, and a stray name may
+# join them; a value mostly fits the parameter's kind, else is any in the pool.
+RECEIVERS = {"vehicle": "hero", "stationary_object": "cone",
+             "environment": "env"}
+BACKED_ACTIONS = sorted((type_name, action) for type_name, actions
+                        in builtin_registry().action_table().items()
+                        for action in actions)
+READ_MODIFIERS = sorted(name for name, signature in prelude.MODIFIERS.items()
+                        if signature is not None)
+QUANTITIES = {SPEED: "10kph", LENGTH: "5m", DURATION: "1s", ANGLE: "1rad",
+              ACCELERATION: "2m / 1s / 1s", DIMENSIONLESS: "1"}
+STRINGS = ('"high_beam"', '"dusk"')
+ACTORS = ("npc", "env")
+ARGUMENT_VALUES = (*QUANTITIES.values(), *STRINGS, *ACTORS, "hero.position",
+                   *sorted(prelude.ENUM_WORDS))
+
+
+def fitting_values(kind):
+    if kind == prelude.STRING:
+        return STRINGS
+    if kind == prelude.ACTOR:
+        return ACTORS
+    if kind in QUANTITIES:
+        return (QUANTITIES[kind], "1")
+    return tuple(sorted(kind))
+
+
+def draw_arguments(draw, signature):
+    args = []
+    for name, kind in signature.params.items():
+        present = (draw(st.integers(0, 9)) > 0 if name in signature.required
+                   else draw(st.booleans()))
+        if present:
+            pool = fitting_values(kind) if draw(st.integers(0, 3)) \
+                else ARGUMENT_VALUES
+            value = draw(st.sampled_from(pool))
+            args.append(f"{name}: {value}")
+    if draw(st.integers(0, 9)) == 0:
+        args.append(f"stray: {draw(st.sampled_from(ARGUMENT_VALUES))}")
+    return ", ".join(args)
+
+
+@st.composite
+def argument_programs(draw):
+    type_name, action = draw(st.sampled_from(BACKED_ACTIONS))
+    signature = prelude.find_action(type_name, action)
+    line = (f"    {RECEIVERS[type_name]}.{action}"
+            f"({draw_arguments(draw, signature)})")
+    if draw(st.booleans()):
+        modifier = draw(st.sampled_from(READ_MODIFIERS))
+        line += (f" with:\n      {modifier}"
+                 f"({draw_arguments(draw, prelude.MODIFIERS[modifier])})")
+    return ("scenario prop:\n  hero: vehicle\n  npc: vehicle\n"
+            "  cone: stationary_object\n  env: environment\n"
+            "  do serial:\n" + line + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=argument_programs())
+def test_check_clean_arguments_never_fail_to_build_or_tick(source):
+    """A BuildError or EvalError here is an argument fault check missed."""
+    analysis = check(source)
+    if not analysis.ok:
+        return
+    try:
+        cs = compile_scenario(analysis)
+        for _ in range(3):
+            cs.step_tick()
+    except (InitConflict, SpawnCollision, ArbitrationFault, SimFault):
+        pass  # faults of placement and of the world, not of arguments

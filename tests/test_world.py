@@ -1,6 +1,8 @@
 """Kinematic world tests: controllers, lane changes, queries, lights, faults."""
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +62,26 @@ class TestRoadMap:
             load_map(str(path))
         with pytest.raises(OSError):
             load_map(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"lane_count": 0, "lane_width": -3.0, "length": -1.0},
+         "lane_count must be at least 1"),
+        ({"lane_width": 0.0}, "lane_width and length must be"),
+        ({"length": float("inf")}, "lane_width and length must be"),
+        ({"lane_width": float("nan")}, "lane_width and length must be"),
+        ({"spawns": [[5, 10]]}, "spawn [5, 10.0] is not on the road"),
+        ({"spawns": [[0, -1]]}, "spawn [0, -1.0] is not on the road"),
+        ({"spawns": [[1, 100.5]]}, "spawn [1, 100.5] is not on the road"),
+    ], ids=["no-lanes", "zero-width", "infinite-length", "nan-width",
+            "spawn-lane", "spawn-before-start", "spawn-past-end"])
+    def test_load_rejects_impossible_road(self, tmp_path, fields, problem):
+        data = {"name": "oval", "lane_count": 2, "lane_width": 3.0,
+                "length": 100.0, "spawns": [[0, 10], [1, 100]]}
+        data.update(fields)
+        path = tmp_path / "oval.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_map(str(path))
 
 
 class TestSpeedController:
