@@ -34,7 +34,7 @@ from .diagnostics import CompileError, Diagnostic, ERROR, Span
 from .prelude import ACTOR_TYPES, MODIFIERS, inheritance_chain
 from .semantics import Analysis, EvalError, Evaluator, ScenarioInfo, check
 from .units import UnitsError
-from .world import Actor, RoadMap, TOWN06, World, load_map, overlaps
+from .world import Actor, RoadMap, SweepList, TOWN06, World, load_map
 
 GO_SIGNAL = "go_signal"
 
@@ -491,28 +491,41 @@ class ScenarioInitializer:
         self._check_overlap()
 
     def _place_remaining(self) -> None:
-        """Put actors without start constraints on free default spawns."""
+        """Put actors without start constraints on free default spawns.
+
+        Each takes the first spawn in map order whose box overlaps no placed
+        actor.  Placed actors never move here, so a spawn that is blocked
+        for one box size stays blocked for the next actor of that size: each
+        size's search resumes where the previous actor of that size landed.
+        """
         world = self.context.world
+        spawns = world.road.spawns
+        obstacles = SweepList()
+        for name, actor in self.context.actors.items():
+            if name in self.placed:
+                obstacles.add(actor)
+        resume: dict[tuple[float, float], int] = {}
         for name, actor in self.context.actors.items():
             if name in self.placed:
                 continue
-            for lane_index, s in world.road.spawns:
-                world.place_on_lane(actor, lane_index, s)
-                others = [a for a in world.actors.values() if a is not actor]
-                if not any(overlaps(actor, other) for other in others):
+            size = (actor.half_length, actor.half_width)
+            for k in range(resume.get(size, 0), len(spawns)):
+                world.place_on_lane(actor, *spawns[k])
+                if not obstacles.hits(actor):
                     break
             else:
                 raise InitConflict(
                     f"no free default spawn point for actor '{name}'")
+            resume[size] = k
+            obstacles.add(actor)
             self.placed.add(name)
 
     def _check_overlap(self) -> None:
-        actors = list(self.context.world.actors.values())
-        for i, a in enumerate(actors):
-            for b in actors[i + 1:]:
-                if overlaps(a, b):
-                    raise SpawnCollision(
-                        f"actors '{a.name}' and '{b.name}' overlap at start")
+        pairs = self.context.world.overlapping_pairs()
+        if pairs:
+            a, b = pairs[0]
+            raise SpawnCollision(
+                f"actors '{a.name}' and '{b.name}' overlap at start")
 
 
 # ---------------------------------------------------------------------------

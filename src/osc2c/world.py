@@ -7,15 +7,24 @@ lane-change maneuver at a time (smoothstep over 3 s of simulated time).
 Static props never move; off-network actors (absolute placements) keep
 their pose verbatim and are excluded from topological queries.
 
+Collisions come from a sort-and-sweep broad phase on x (`SweepList`;
+Cohen et al., "I-COLLIDE", 1995).  Actors stay sorted by centre x from one
+step to the next, and each is tested only against the actors to its right
+whose centres are near enough in x; `overlaps` decides, so the pairs are
+exactly those an all-pairs test finds.  The initializer's spawn search and
+start-overlap check use the same broad phase.
+
 Everything is scalar float arithmetic at fixed dt; stepping the same
 initial state twice produces bit-identical trajectories.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .btree import required_ticks
 
@@ -174,6 +183,79 @@ def overlaps(a: Actor, b: Actor) -> bool:
             and abs(a.y - b.y) < a.half_width + b.half_width)
 
 
+_centre_x = attrgetter("x")
+
+
+class SweepList:
+    """Actors in ascending order of centre x: the broad phase.
+
+    Two boxes can overlap only while the distance between their centres in
+    x is below ``a.half_length + max_half_length``.  The cut-off takes the
+    same difference of centres that `overlaps` takes, and rounding is
+    monotonic, so once one actor is past the cut-off, every actor further
+    out is too.  (A cut-off on the box ends, ``x - half_length``
+    against ``x + half_length``, rounds differently and can disagree with
+    `overlaps` on boxes that just touch.)
+    """
+
+    def __init__(self) -> None:
+        self.actors: list[Actor] = []
+        self.max_half_length = 0.0
+
+    def add(self, actor: Actor) -> None:
+        bisect.insort(self.actors, actor, key=_centre_x)
+        self.max_half_length = max(self.max_half_length, actor.half_length)
+
+    def pairs(self) -> list[tuple[Actor, Actor]]:
+        """Re-sort by x, then return every overlapping pair, leftmost first.
+
+        Actors move little per step, so the list is nearly sorted and the
+        re-sort takes about linear time.  Most actors inside the x window
+        are in other lanes; the y half of `overlaps`, done inline, turns
+        them away without a call.
+        """
+        actors = self.actors
+        actors.sort(key=_centre_x)
+        reach = self.max_half_length
+        n = len(actors)
+        found = []
+        for i, a in enumerate(actors):
+            x, y, half_width = a.x, a.y, a.half_width
+            limit = a.half_length + reach
+            j = i + 1
+            while j < n:
+                b = actors[j]
+                if b.x - x >= limit:
+                    break
+                if abs(b.y - y) < half_width + b.half_width and overlaps(a, b):
+                    found.append((a, b))
+                j += 1
+        return found
+
+    def hits(self, actor: Actor) -> bool:
+        """Whether ``actor``, which is not listed, overlaps a listed actor.
+
+        The listed actors must not have moved since they were added.
+        """
+        actors = self.actors
+        x = actor.x
+        limit = actor.half_length + self.max_half_length
+        start = bisect.bisect_left(actors, x, key=_centre_x)
+        for k in range(start, len(actors)):
+            b = actors[k]
+            if b.x - x >= limit:
+                break
+            if overlaps(actor, b):
+                return True
+        for k in range(start - 1, -1, -1):
+            b = actors[k]
+            if x - b.x >= limit:
+                break
+            if overlaps(actor, b):
+                return True
+        return False
+
+
 class World:
     def __init__(self, road: RoadMap, dt: float):
         if dt <= 0:
@@ -183,6 +265,8 @@ class World:
         self.actors: dict[str, Actor] = {}
         self.environment = EnvironmentState()
         self.collisions: list[tuple[str, str]] = []
+        self._sweep = SweepList()
+        self._rank: dict[str, int] = {}  # declaration order
 
     # population
 
@@ -198,6 +282,8 @@ class World:
         if actor.name in self.actors:
             raise ValueError(f"duplicate actor name '{actor.name}'")
         self.actors[actor.name] = actor
+        self._rank[actor.name] = len(self._rank)
+        self._sweep.add(actor)
         return actor
 
     def place_on_lane(self, actor: Actor, lane: int, s: float) -> None:
@@ -302,14 +388,24 @@ class World:
             return "low_beam"
         return "off"
 
+    def overlapping_pairs(self) -> list[tuple[Actor, Actor]]:
+        """Every overlapping pair (a, b), a declared before b.
+
+        The pairs come in declaration order, as a loop over all pairs
+        (i, j) with i < j would visit them.
+        """
+        rank = self._rank
+        keyed = []
+        for a, b in self._sweep.pairs():
+            i, j = rank[a.name], rank[b.name]
+            keyed.append((i, j, a, b) if i < j else (j, i, b, a))
+        keyed.sort()  # each (i, j) occurs once, so actors are never compared
+        return [(a, b) for _, _, a, b in keyed]
+
     def _detect_collisions(self) -> None:
-        self.collisions = []
-        actors = list(self.actors.values())
-        for i, a in enumerate(actors):
-            for b in actors[i + 1:]:
-                if overlaps(a, b):
-                    pair = tuple(sorted((a.name, b.name)))
-                    self.collisions.append(pair)
+        self.collisions = [(a.name, b.name) if a.name < b.name
+                           else (b.name, a.name)
+                           for a, b in self.overlapping_pairs()]
 
     # spatial queries
 

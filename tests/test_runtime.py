@@ -1,6 +1,8 @@
 """Runtime tests: lowering, dispatch, evaluation, and actor placement."""
 
 import dataclasses
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,7 @@ from osc2c.runtime import (
 from osc2c.semantics import check
 from osc2c.units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
                          SPEED)
-from osc2c.world import SimFault
+from osc2c.world import RoadMap, SimFault
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "scenarios" / "cut_in_and_evade.osc"
 
@@ -379,6 +381,81 @@ class TestInitializer:
                 "      lane(1, at: start)\n")
         with pytest.raises(SpawnCollision):
             compile_body(body)
+
+    def test_spawn_collision_names_first_pair_in_declaration_order(self):
+        body = "".join(f"    {name}.assign_position() with:\n"
+                       f"      lane(1, at: start)\n" for name in "cba")
+        with pytest.raises(SpawnCollision,
+                           match="actors 'a' and 'b' overlap at start"):
+            compile_body(body, members="  a: vehicle\n  b: vehicle\n"
+                                       "  c: vehicle\n")
+
+    def test_unplaced_actors_do_not_block_spawns(self):
+        # Before placement every actor sits at the origin, on the first spawn.
+        road = RoadMap("origin", 2, 3.5, 200.0, ((0, 0.0), (1, 50.0)))
+        cs = compile_body("    wait elapsed(0.05s)\n", road=road,
+                          members="  v0: vehicle\n  v1: vehicle\n")
+        v0, v1 = cs.context.actor("v0"), cs.context.actor("v1")
+        assert (v0.lane, v0.s) == (0, 0.0)
+        assert (v1.lane, v1.s) == (1, 50.0)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_spawn_blocked_by_one_ulp(self, order):
+        # Centres 5 m less one ulp apart overlap, though their box ends
+        # round to the same 256.5.
+        close = ((0, math.nextafter(254.0, math.inf)), (0, 259.0))[::order]
+        road = RoadMap("ulp", 2, 3.5, 400.0, close + ((1, 50.0),))
+        cs = compile_body("    wait elapsed(0.05s)\n", road=road,
+                          members="  v0: vehicle\n  v1: vehicle\n")
+        v1 = cs.context.actor("v1")
+        assert (v1.lane, v1.s) == (1, 50.0)
+
+    def test_default_spawns_are_first_fit_in_map_order(self):
+        # The first spawn is 4 m ahead of the wreck: too close for a vehicle,
+        # free for a prop.
+        rng = random.Random(4)
+        wreck_x = 500.0
+        spawns = ((1, wreck_x + 4.0),) + tuple(
+            (rng.randrange(4), round(rng.uniform(20.0, 900.0), 2))
+            for _ in range(160))
+        road = RoadMap("first_fit", 4, 3.5, 1000.0, spawns)
+        anchor_s = road.spawn_on_lane(2)
+        vehicles = [f"v{i:02d}" for i in range(64)]
+        kinds = dict.fromkeys(vehicles[:20], "vehicle")
+        kinds.update(cone="stationary_object", anchor="vehicle")
+        kinds.update(dict.fromkeys(vehicles[20:], "vehicle"))
+        kinds["wreck"] = "vehicle"
+        members = "".join(f"  {name}: {kind}\n" for name, kind in kinds.items())
+        body = ("    wreck.assign_position() with:\n"
+                f"      position(x: {wreck_x}m, y: -3.5m, at: start)\n"
+                "    anchor.assign_position() with:\n"
+                "      lane(2, at: start)\n")
+        cs = compile_body(body, members=members, road=road)
+
+        def first_fit(half_length, half_width, boxes):
+            for lane, s in spawns:
+                y = road.lane_center(lane)
+                if all(abs(s - x) >= half_length + hl
+                       or abs(y - oy) >= half_width + hw
+                       for x, oy, hl, hw in boxes):
+                    return lane, s
+            return None
+
+        boxes = [(wreck_x, -3.5, 2.5, 1.0),
+                 (anchor_s, road.lane_center(2), 2.5, 1.0)]
+        expected = {"anchor": (2, anchor_s)}
+        for name, kind in kinds.items():
+            if name in ("anchor", "wreck"):
+                continue
+            half = (1.0, 1.0) if kind == "stationary_object" else (2.5, 1.0)
+            expected[name] = first_fit(*half, boxes)
+            lane, s = expected[name]
+            boxes.append((s, road.lane_center(lane), *half))
+        placed = {name: (cs.context.actor(name).lane, cs.context.actor(name).s)
+                  for name in expected}
+        assert placed == expected
+        assert expected["cone"] == spawns[0]
+        assert cs.context.actor("wreck").off_network
 
     def test_go_signal_present_at_tick_zero(self):
         cs = compile_body("    wait @go_signal\n", members="  a: vehicle\n")

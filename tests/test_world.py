@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from osc2c.world import (
     ASAP_ACCEL_LIMIT,
@@ -18,6 +18,7 @@ from osc2c.world import (
     UnknownLightMode,
     World,
     load_map,
+    overlaps,
     smoothstep,
     speed_controller,
 )
@@ -418,6 +419,17 @@ class TestCollisions:
         world.step()
         assert world.collisions == []
 
+    def test_touching_boxes_near_a_power_of_two(self):
+        # The centres are 5 m less one ulp apart, so the boxes overlap; their
+        # ends, 256.5 and 256.5, round to equal values.
+        world = make_world()
+        a = world.add_vehicle("a")
+        b = world.add_vehicle("b")
+        world.place_on_lane(a, 1, math.nextafter(254.0, math.inf))
+        world.place_on_lane(b, 1, 259.0)
+        world.step()
+        assert world.collisions == [("a", "b")]
+
     def test_collision_does_not_halt(self):
         world = make_world()
         a = world.add_vehicle("a")
@@ -427,6 +439,80 @@ class TestCollisions:
         for _ in range(3):
             world.step()  # no exception, just records
         assert world.collisions
+
+
+# Each actor sits at an x offset from the one declared before it: a tie, a
+# sum of two half lengths (vehicle 2.5, prop 1.0) exactly or 1e-13 off, or
+# anything, then moved by up to two ulps.  Near a power of two, where the
+# spacing of floats changes, rounding can make a test of box ends disagree
+# with `overlaps`.  Off-network actors likewise sit at a y offset from a
+# lane centre.
+HALF_SUMS = (2.0, 3.5, 5.0)
+EDGE_OFFSETS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda h, sign, nudge: sign * h + nudge,
+              st.sampled_from(HALF_SUMS), st.sampled_from((-1.0, 1.0)),
+              st.sampled_from((0.0, 1e-13, -1e-13))),
+    st.floats(-8.0, 8.0))
+ACTOR_SPECS = st.fixed_dictionaries({
+    "kind": st.sampled_from(("vehicle", "prop")),
+    "dx": EDGE_OFFSETS,
+    "ulps": st.integers(-2, 2),
+    "lane": st.integers(0, 2),
+    "off_network_dy": st.none() | EDGE_OFFSETS,
+    "speed": st.sampled_from((0.0, 0.0, 10.0)) | st.floats(0.0, 40.0),
+    "change": st.sampled_from((None, None, "left", "right")),
+})
+
+
+def next_x(x, spec):
+    x += spec["dx"]
+    for _ in range(abs(spec["ulps"])):
+        x = math.nextafter(x, math.copysign(math.inf, spec["ulps"]))
+    return x
+
+
+def add_drawn_actor(world, index, spec, x):
+    add = world.add_vehicle if spec["kind"] == "vehicle" else world.add_prop
+    actor = add(f"{spec['kind'][0]}{index}")
+    if spec["off_network_dy"] is not None:
+        y = TOWN06.lane_center(spec["lane"]) + spec["off_network_dy"]
+        world.place_absolute(actor, x, y, 0.0)
+        return
+    world.place_on_lane(actor, spec["lane"], x)
+    if spec["kind"] == "vehicle":
+        actor.speed = actor.target_speed = spec["speed"]
+        target = spec["lane"] + (1 if spec["change"] == "right" else -1)
+        if spec["change"] and 0 <= target < TOWN06.lane_count:
+            world.begin_lane_change(actor, 1, spec["change"])
+
+
+def all_pairs_collisions(world):
+    actors = list(world.actors.values())
+    return [tuple(sorted((a.name, b.name)))
+            for i, a in enumerate(actors) for b in actors[i + 1:]
+            if overlaps(a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.builds(lambda power, dx: power + dx,
+                      st.sampled_from((128.0, 256.0)),
+                      st.sampled_from((-2.5, -1.0)) | st.floats(-6.0, 6.0))
+       | st.floats(150.0, 300.0),
+       specs=st.lists(ACTOR_SPECS, min_size=1, max_size=12),
+       late=ACTOR_SPECS)
+def test_collisions_match_all_pairs_reference(base, specs, late):
+    """The broad phase finds the pairs an all-pairs test finds, in its order."""
+    world = make_world()
+    x = base
+    for index, spec in enumerate(specs):
+        x = next_x(x, spec)
+        add_drawn_actor(world, index, spec, x)
+    for step in range(4):
+        if step == 1:
+            add_drawn_actor(world, len(specs), late, next_x(x, late))
+        world.step()
+        assert world.collisions == all_pairs_collisions(world)
 
 
 class TestPoseAgreement:
