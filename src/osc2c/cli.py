@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import struct
 import sys
 
 from . import ast
@@ -82,27 +83,82 @@ def _write_record(stream, record: dict) -> None:
     stream.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _tick_record(cs: CompiledScenario, now: int) -> dict:
-    actors = []
-    for actor in cs.world.actors.values():
-        actors.append({
-            "name": actor.name,
-            "x": _round6(actor.x),
-            "y": _round6(actor.y),
-            "heading": _round6(actor.heading),
-            "lane": actor.lane,
-            "speed": _round6(actor.speed),
-            "lights": actor.lights,
-        })
-    return {
-        "record": "tick",
-        "tick": now,
-        "t": _round6(now * cs.dt),
-        "actors": actors,
-        "events": [{"name": name, "first": first}
-                   for name, first in cs.blackboard.emissions],
-        "collisions": [list(pair) for pair in cs.world.collisions],
-    }
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value) -> str:
+    """The JSON text of a trace number, as json.dumps writes `_round6(value)`."""
+    text = repr(round(float(value), 6))
+    return _NON_FINITE.get(text, text)
+
+
+# The bit patterns of an actor's x, y, heading and speed.  Comparing them
+# tells 0.0 from -0.0, which compare equal but print differently.
+_POSE = struct.Struct("4d")
+
+
+class _TickEncoder:
+    """Writes each tick record as one JSON line.
+
+    The bytes are those of `_write_record` on the record
+    {"record": "tick", "tick", "t", "actors": [{"name", "x", "y",
+    "heading", "lane", "speed", "lights"}, ...], "events": [{"name",
+    "first"}, ...], "collisions": [[a, b], ...]}, with every number rounded
+    by `_round6`.  An actor whose pose, lane and lights are unchanged since
+    the previous tick reuses its previous text; one that changed re-rounds
+    only the numbers that changed.
+    """
+
+    def __init__(self, cs: CompiledScenario, stream):
+        self._cs = cs
+        self._write = stream.write
+        self._strings: dict[str, str] = {}
+        # actor name -> (key, numbers, their texts, the actor's JSON object)
+        self._actors: dict[str, tuple] = {}
+
+    def _string(self, value: str) -> str:
+        text = self._strings.get(value)
+        if text is None:
+            text = self._strings[value] = json.dumps(value)
+        return text
+
+    def _actor(self, actor, key, previous) -> tuple:
+        numbers = (actor.x, actor.y, actor.heading, actor.speed)
+        if previous is None:
+            texts = [_number(v) for v in numbers]
+        else:
+            # An equal non-zero number has the same text; a zero may have
+            # changed sign, and NaN equals nothing.
+            texts = [text if v == old and v else _number(v)
+                     for v, old, text in zip(numbers, previous[1],
+                                             previous[2])]
+        x, y, heading, speed = texts
+        lane = "null" if actor.lane is None else repr(actor.lane)
+        fragment = (f'{{"name":{self._string(actor.name)},"x":{x},"y":{y},'
+                    f'"heading":{heading},"lane":{lane},"speed":{speed},'
+                    f'"lights":{self._string(actor.lights)}}}')
+        return key, numbers, texts, fragment
+
+    def write_tick(self, now: int) -> None:
+        cs = self._cs
+        cache = self._actors
+        actors = []
+        for actor in cs.world.actors.values():
+            key = (_POSE.pack(actor.x, actor.y, actor.heading, actor.speed),
+                   actor.lane, actor.lights)
+            entry = cache.get(actor.name)
+            if entry is None or entry[0] != key:
+                entry = cache[actor.name] = self._actor(actor, key, entry)
+            actors.append(entry[3])
+        string = self._string
+        events = ",".join(
+            f'{{"name":{string(name)},"first":{"true" if first else "false"}}}'
+            for name, first in cs.blackboard.emissions)
+        collisions = ",".join(f"[{string(a)},{string(b)}]"
+                              for a, b in cs.world.collisions)
+        self._write(f'{{"record":"tick","tick":{now},'
+                    f'"t":{_number(now * cs.dt)},"actors":[{",".join(actors)}],'
+                    f'"events":[{events}],"collisions":[{collisions}]}}\n')
 
 
 def _summary_record(cs: CompiledScenario | None, outcome: str,
@@ -205,6 +261,7 @@ def _run_loop(cs: CompiledScenario, stream, max_time: float) -> int:
     outcome = "timeout"
     exit_code = EXIT_TIMEOUT
     ticks_run = 0
+    encoder = _TickEncoder(cs, stream)
     for _ in range(max_ticks):
         now = cs.next_tick
         try:
@@ -217,7 +274,7 @@ def _run_loop(cs: CompiledScenario, stream, max_time: float) -> int:
             outcome = "fault"
             exit_code = EXIT_FAULT
             break
-        _write_record(stream, _tick_record(cs, now))
+        encoder.write_tick(now)
         ticks_run += 1
         if status is SUCCESS:
             outcome = "success"

@@ -17,8 +17,12 @@ from .lexer import Token, TokenKind, tokenize
 
 COMPOSITION_KINDS = ("serial", "parallel", "one_of")
 
-# guard against pathological nesting from hostile input
-MAX_DEPTH = 200
+# The deepest nesting of parentheses, method-call argument lists, unary
+# operators and compositions.  One level of expression nesting costs the
+# parser about a dozen Python frames, so the limit fires well before the
+# interpreter's default recursion limit of 1000, with room left for the
+# caller's own frames and for the checker and runtime, which recurse less.
+MAX_DEPTH = 64
 
 
 class ParseError(CompileError):
@@ -310,11 +314,7 @@ class Parser:
     # expressions, loosest to tightest binding
 
     def _expr(self) -> ast.Node:
-        self._enter()
-        try:
-            return self._or_expr()
-        finally:
-            self._leave()
+        return self._or_expr()
 
     def _or_expr(self) -> ast.Node:
         node = self._and_expr()
@@ -335,7 +335,11 @@ class Parser:
     def _not_expr(self) -> ast.Node:
         if self.at(TokenKind.KEYWORD, "not"):
             start = self.advance().span
-            operand = self._not_expr()
+            self._enter()
+            try:
+                operand = self._not_expr()
+            finally:
+                self._leave()
             return ast.Unary("not", operand, span=start.to(operand.span))
         return self._comparison()
 
@@ -382,7 +386,11 @@ class Parser:
             member = self.expect(TokenKind.IDENT, expected="member name")
             if self.at(TokenKind.OP, "("):
                 self.advance()
-                args = self._args()
+                self._enter()
+                try:
+                    args = self._args()
+                finally:
+                    self._leave()
                 end = self.expect(TokenKind.OP, ")").span
                 node = ast.MethodCall(node, member.text, args,
                                       span=node.span.to(end))

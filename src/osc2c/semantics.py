@@ -161,6 +161,9 @@ class Analyzer:
 
     def definition_pass(self, program: ast.Program) -> list[ScenarioInfo]:
         infos = []
+        for scen in program.scenarios[1:]:
+            self.error("E002", f"a file declares one scenario; "
+                       f"'{scen.name}' is a second", scen.span)
         for scen in program.scenarios:
             scope = Scope()
             info = ScenarioInfo(scen, scope)
@@ -349,6 +352,10 @@ class Analyzer:
                     if arg.name == "at" and arg_type == AT_START:
                         # the initializer places the receiver before tick 0
                         self._in_world(receiver, arg.span)
+                        if node.action != "assign_position":
+                            self.error("E002", "'at: start' places an actor "
+                                       "only in assign_position, not in "
+                                       f"'{node.action}'", arg.span)
 
     def _bind(self, callee: str, signature: prelude.Signature,
               args: list[ast.Argument], typed: list, span: Span):

@@ -1,12 +1,18 @@
 """CLI tests: exit codes, diagnostics output, trace format, dumps."""
 
+import io
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from osc2c import ast
-from osc2c.cli import main
+from osc2c.cli import _TickEncoder, main
+from osc2c.parser import MAX_DEPTH
+from osc2c.world import LIGHT_MODES, Actor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FLAGSHIP = str(SCENARIOS / "cut_in_and_evade.osc")
@@ -61,6 +67,60 @@ class TestCheck:
         monkeypatch.setenv("OSC2C_COLOR", "never")
         assert main(["check", FLAGSHIP]) == 0
         assert "\x1b[" not in capsys.readouterr().err
+
+    def test_second_scenario_is_an_error(self, tmp_path, capsys):
+        # used to be ignored, with exit 0
+        path = write(tmp_path, "two.osc",
+                     "scenario a:\n  do serial:\n    wait elapsed(1s)\n"
+                     "scenario b:\n  hero: vehicle\n")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:4:1: error[E002]: a file declares one scenario; "
+            "'b' is a second"]
+
+    def test_deep_nesting_is_p001(self, tmp_path, capsys):
+        # used to end in a RecursionError traceback
+        path = write(tmp_path, "deep.osc",
+                     "scenario s:\n  var x: speed = " + "(" * 3000 + "1kph"
+                     + ")" * 3000 + "\n")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert "error[P001]: expected shallower nesting" in err
+        assert "Traceback" not in err
+
+
+def nested(form, depth):
+    """A scenario whose deepest construct is `depth` levels of `form`."""
+    text = "scenario s:\n  hero: vehicle\n"
+    if form == "parentheses":
+        return (text + "  var x: speed = " + "(" * depth + "1kph"
+                + ")" * depth + "\n  do serial:\n    wait hero.speed > x\n")
+    if form == "negations":
+        return (text + "  var x: speed = " + "-" * depth + "1kph\n"
+                "  do serial:\n    wait hero.speed > x\n")
+    if form == "nots":  # inside the one composition
+        return (text + "  do serial:\n    wait " + "not " * (depth - 1)
+                + "hero.speed > 1kph\n")
+    return (text + "  do serial:\n"
+            + "".join("  " * level + "serial:\n"
+                      for level in range(2, depth + 1))
+            + "  " * (depth + 1) + "wait elapsed(1s)\n")
+
+
+@pytest.mark.parametrize("form", ["parentheses", "negations", "nots",
+                                  "compositions"])
+def test_deepest_accepted_nesting_runs(form, tmp_path, capsys):
+    """The nesting limit, not Python's recursion limit, bounds each stage."""
+    path = write(tmp_path, "deep.osc", nested(form, MAX_DEPTH))
+    assert main(["check", path]) == 0
+    assert main(["dump", path, "--what", "ast"]) == 0
+    assert main(["dump", path, "--what", "bt"]) == 0
+    trace = str(tmp_path / "trace.ndjson")
+    assert main(["run", path, "--max-time", "0.1", "--trace", trace]) in (0, 3)
+    capsys.readouterr()
+    path = write(tmp_path, "deeper.osc", nested(form, MAX_DEPTH + 1))
+    assert main(["check", path]) == 1
+    assert "expected shallower nesting" in capsys.readouterr().err
 
 
 class TestRun:
@@ -269,3 +329,101 @@ class TestDump:
                      "scenario s:\n  p: person\n  do serial:\n    p.walk()\n")
         assert main(["dump", path, "--what", "bt"]) == 1
         assert "error[E007]" in capsys.readouterr().err
+
+
+def reference_tick_record(cs, now):
+    """The tick record as a dict, as `json.dumps` gets it (the reference)."""
+    def round6(value):
+        return round(float(value), 6)
+    actors = []
+    for actor in cs.world.actors.values():
+        actors.append({
+            "name": actor.name,
+            "x": round6(actor.x),
+            "y": round6(actor.y),
+            "heading": round6(actor.heading),
+            "lane": actor.lane,
+            "speed": round6(actor.speed),
+            "lights": actor.lights,
+        })
+    return {
+        "record": "tick",
+        "tick": now,
+        "t": round6(now * cs.dt),
+        "actors": actors,
+        "events": [{"name": name, "first": first}
+                   for name, first in cs.blackboard.emissions],
+        "collisions": [list(pair) for pair in cs.world.collisions],
+    }
+
+
+# Signed zeros, values that round to -0.0 or sit on a half-way point,
+# exponent forms, large magnitudes, ints and non-finite values.
+TRACE_NUMBERS = (0.0, -0.0, -1e-7, 1e-7, -4e-7, 5e-07, -5e-07, 1.5e-06,
+                 1e-05, -1e-05, 0.1 + 0.2, 2.0000005, 1e16, 1e22, -1e22,
+                 0, 1, -3, 2 ** 53 + 1, math.nan, math.inf, -math.inf)
+SAME = None  # a field that keeps its previous tick's value
+OFF_NETWORK = object()  # a lane of None
+
+trace_number = (st.sampled_from(TRACE_NUMBERS) | st.floats()
+                | st.integers(-2 ** 62, 2 ** 62))
+trace_name = st.text(max_size=4) | st.sampled_from(("hero", "npc", "é", "車"))
+FLIP = {"x": 0.0, "y": -0.0, "heading": 0.0, "speed": -0.0,
+        "lane": OFF_NETWORK, "lights": SAME}
+FLOP = {"x": -0.0, "y": 0.0, "heading": -0.0, "speed": 0.0,
+        "lane": SAME, "lights": SAME}
+
+
+@st.composite
+def tick_inputs(draw):
+    """Actor names and four or five ticks of actor fields, events and
+    collisions.  Numbers come from a small pool that always holds 0.0 and
+    -0.0, so fields repeat, change and flip sign from tick to tick."""
+    names = draw(st.lists(trace_name, min_size=1, max_size=3, unique=True))
+    pool = [SAME, 0.0, -0.0] + draw(st.lists(trace_number, max_size=4))
+    number = st.sampled_from(pool)
+    state = st.fixed_dictionaries({
+        "x": number, "y": number, "heading": number, "speed": number,
+        "lane": st.sampled_from((SAME, OFF_NETWORK, 0, 1, 4)),
+        "lights": st.sampled_from((SAME,) + LIGHT_MODES + ("é",)),
+    })
+    label = st.sampled_from(names + ["go_signal", "évite"])
+    ticks = draw(st.lists(st.tuples(
+        st.lists(state, min_size=len(names), max_size=len(names)),
+        st.lists(st.tuples(label, st.booleans()), max_size=2),
+        st.lists(st.tuples(label, label), max_size=2)),
+        min_size=4, max_size=5))
+    return names, ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=tick_inputs(), dt=st.sampled_from((0.05, 0.1, 1e-7, 0.3)),
+       start=st.integers(0, 10 ** 6))
+@example(inputs=(["hero", "npc"], [([FLIP, FLOP], [], []),
+                                   ([FLOP, FLIP], [], []),
+                                   ([FLIP, FLOP], [], []),
+                                   ([FLOP, FLIP], [], [])]),
+         dt=0.05, start=0)
+def test_tick_lines_match_json_dumps(inputs, dt, start):
+    """Each tick line is `json.dumps` of the record, tick after tick."""
+    names, ticks = inputs
+    actors = {name: Actor(name, "vehicle") for name in names}
+    world = SimpleNamespace(actors=actors, collisions=[])
+    blackboard = SimpleNamespace(emissions=[])
+    cs = SimpleNamespace(world=world, blackboard=blackboard, dt=dt)
+    stream = io.StringIO()
+    encoder = _TickEncoder(cs, stream)
+    for offset, (states, emissions, collisions) in enumerate(ticks):
+        for actor, state in zip(actors.values(), states):
+            for field, value in state.items():
+                if value is OFF_NETWORK:
+                    actor.lane = None
+                elif value is not SAME:
+                    setattr(actor, field, value)
+        blackboard.emissions = emissions
+        world.collisions = collisions
+        before = stream.tell()
+        encoder.write_tick(start + offset)
+        line = stream.getvalue()[before:]
+        assert line == json.dumps(reference_tick_record(cs, start + offset),
+                                  separators=(",", ":")) + "\n"

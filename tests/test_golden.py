@@ -34,6 +34,22 @@ def test_scenario_trace_hash(name, tmp_path):
     assert digest == GOLDEN_TRACES[name]
 
 
+def test_trace_number_text(tmp_path):
+    """A number that rounds to zero keeps its sign; a small one is 1e-05."""
+    source = tmp_path / "probe.osc"
+    source.write_text("scenario probe:\n  hero: vehicle\n  do serial:\n"
+                      "    hero.assign_position() with:\n"
+                      "      position(x: -0.0000001m, y: 0.00001m, at: start)\n"
+                      "    wait elapsed(0.05s)\n")
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", str(source), "--trace", str(trace)]) == 0
+    assert trace.read_text().splitlines()[1] == (
+        '{"record":"tick","tick":0,"t":0.0,"actors":[{"name":"hero",'
+        '"x":-0.0,"y":1e-05,"heading":0.0,"lane":null,"speed":0.0,'
+        '"lights":"off"}],"events":[{"name":"go_signal","first":true}],'
+        '"collisions":[]}')
+
+
 @pytest.mark.parametrize("members, body, record", [
     ("  var d: length = 1m / 0\n", "    wait elapsed(1s)\n",
      '{"record":"fault","tick":0,"error":"EvalError",'
@@ -113,15 +129,25 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
      [("E002", "actor 'my_map' of type 'map' is not in the world")]),
     (WORLDLESS, "    env.assign_celestial_position(azimuth: 1rad, "
                 "elevation: 1rad) with:\n      speed(1kph, at: start)\n",
-     [("E002", "actor 'env' of type 'environment' is not in the world")]),
+     [("E002", "actor 'env' of type 'environment' is not in the world"),
+      ("E002", "'at: start' places an actor only in assign_position, "
+               "not in 'assign_celestial_position'")]),
+    ("", "    hero.drive() with:\n      speed(10kph, at: start)\n",
+     [("E002", "'at: start' places an actor only in assign_position, "
+               "not in 'drive'")]),
+    ("", '    hero.set_lights(mode: "high_beam") with:\n'
+         "      lane(1, at: start)\n",
+     [("E002", "'at: start' places an actor only in assign_position, "
+               "not in 'set_lights'")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
         "drive-stray-argument", "position-value", "environment-speed",
         "environment-position", "ahead-of-environment", "map-reference",
-        "environment-at-start"])
+        "environment-at-start", "drive-at-start", "set-lights-at-start"])
 def test_check_time_fault(members, body, expected, tmp_path):
-    """Argument faults that once ended a run at tick 0 are now diagnostics."""
+    """Faults that once ended a run at tick 0, or were skipped without a
+    word, are now diagnostics."""
     text = MEMBERS + members + "  do serial:\n" + body
     assert [(d.code, d.message) for d in check(text).diagnostics] == expected
     source = tmp_path / "probe.osc"
