@@ -1,9 +1,12 @@
 """Typed syntax tree.
 
-Every node is a frozen dataclass carrying its source span (keyword-only so
-positional fields stay readable at construction sites).  ``to_dict`` /
-``from_dict`` give a lossless structured form: serializing a tree to JSON
-and reading it back yields an equal tree, spans included.
+Every node is a slots dataclass carrying its source span (keyword-only so
+positional fields stay readable at construction sites).  Nodes are
+immutable by convention: nothing assigns to a field after construction.
+They are not frozen, since frozen construction costs an
+``object.__setattr__`` call per field, so they are not hashable either.
+``to_dict`` / ``from_dict`` give a lossless structured form: serializing a
+tree to JSON and reading it back yields an equal tree, spans included.
 """
 
 from __future__ import annotations
@@ -15,61 +18,61 @@ from dataclasses import dataclass
 from .diagnostics import Span
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
+@dataclass(slots=True, kw_only=True)
 class Node:
     span: Span
 
 
 # expressions
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NumberLiteral(Node):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QuantityLiteral(Node):
     value: float
     unit: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StringLiteral(Node):
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Identifier(Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MemberAccess(Node):
     receiver: Node
     member: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MethodCall(Node):
     receiver: Node
     method: str
     args: list[Node]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Argument(Node):
     name: str | None
     value: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Binary(Node):
     op: str
     lhs: Node
     rhs: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Unary(Node):
     op: str
     operand: Node
@@ -77,40 +80,40 @@ class Unary(Node):
 
 # wait conditions
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EventRef(Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RiseCondition(Node):
     expr: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FallCondition(Node):
     expr: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ElapsedCondition(Node):
     duration: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BoolCondition(Node):
     expr: Node
 
 
 # behaviors
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ModifierApplication(Node):
     name: str
     args: list[Node]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActionInvocation(Node):
     actor: str
     action: str
@@ -118,17 +121,17 @@ class ActionInvocation(Node):
     modifiers: list[Node]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitStatement(Node):
     condition: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EmitStatement(Node):
     event: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Composition(Node):
     kind: str  # serial | parallel | one_of
     children: list[Node]
@@ -136,48 +139,48 @@ class Composition(Node):
 
 # declarations
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class KeepConstraint(Node):
     expr: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FieldDecl(Node):
     name: str
     type_name: str
     constraints: list[Node]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VarDecl(Node):
     name: str
     type_name: str
     init: Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DoBlock(Node):
     root: Composition
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScenarioDecl(Node):
     name: str
     members: list[Node]
     body: DoBlock | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ImportDecl(Node):
     path: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UseDecl(Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Program(Node):
     imports: list[Node]
     uses: list[Node]

@@ -3,7 +3,8 @@
 All user-facing problems are reported as ``Diagnostic`` records rendered as
 ``<file>:<line>:<col>: <severity>[<code>]: <message>``.  Frontend failures
 (lexing, parsing) abort via ``CompileError``; semantic analysis collects
-diagnostics without aborting so one pass reports everything.
+diagnostics without aborting so one pass reports everything.  ``Span`` and
+``Diagnostic`` are immutable by convention, like the syntax tree.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Span:
     """Half-open source region, 1-based line/column, end column exclusive."""
 
@@ -33,7 +34,7 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Diagnostic:
     severity: str
     code: str

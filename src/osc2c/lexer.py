@@ -5,6 +5,12 @@ via synthetic INDENT/DEDENT tokens, tabs advance to the next multiple of 8,
 and every DEDENT must land on an enclosing indentation level.  Newlines and
 layout are suppressed inside parentheses so argument lists may wrap.
 
+Within a line one compiled pattern, ``_TOKEN``, scans each token: a match
+skips blanks, then takes a name, a number with its optional unit suffix, an
+operator, a string, a comment, a name that starts with a non-ASCII
+character, or else the single character that no token starts with.  Number
+literals use the ASCII digits 0-9 only.
+
 Quantity literals (``35kph``, ``-1.57rad`` minus the sign, ``0.5s``) are a
 number immediately followed by a unit suffix; the suffix is validated here
 against the unit table so a bad unit fails with a precise span.
@@ -14,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .diagnostics import ERROR, CompileError, Diagnostic, Span
 from .units import UNITS
@@ -26,8 +33,19 @@ KEYWORDS = frozenset({
     "and", "or", "not",
 })
 
-TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
-ONE_CHAR_OPS = frozenset("()+-*/<>=:,.@")
+# A name or unit starts with a letter or "_" and goes on with letters,
+# digits and "_"; ``\w`` is exactly str.isalnum() or "_".  The ``word``
+# group takes a name with a non-ASCII start, which the scanner accepts
+# only if that first character is a letter.
+_TOKEN = re.compile(r"""[ \t]*(?:
+    (?P<name>[A-Za-z_]\w*)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?)(?P<unit>[^\W\d]\w*)?
+  | (?P<op>[=!<>]=|[()+\-*/<>=:,.@])
+  | "(?P<string>[^"]*)"
+  | (?P<comment>\#)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<other>[^ \t])
+)""", re.VERBOSE)
 
 
 class TokenKind(enum.Enum):
@@ -43,7 +61,7 @@ class TokenKind(enum.Enum):
     OP = "OP"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -63,147 +81,6 @@ def _error(message: str, filename: str, line: int, col: int) -> LexError:
     return LexError(Diagnostic(ERROR, "L001", message, Span.point(line, col), filename))
 
 
-def _indent_width(line: str) -> int:
-    width = 0
-    for ch in line:
-        if ch == " ":
-            width += 1
-        elif ch == "\t":
-            width = (width // 8 + 1) * 8
-        else:
-            break
-    return width
-
-
-@dataclass
-class _Scanner:
-    source: str
-    filename: str
-    tokens: list[Token] = field(default_factory=list)
-    indents: list[int] = field(default_factory=lambda: [0])
-    paren_depth: int = 0
-
-    def run(self) -> list[Token]:
-        lineno = 0
-        for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            self._scan_line(lineno, raw)
-        end = Span.point(lineno + 1, 1)
-        while len(self.indents) > 1:
-            self.indents.pop()
-            self.tokens.append(Token(TokenKind.DEDENT, "", end))
-        self.tokens.append(Token(TokenKind.EOF, "", end))
-        return self.tokens
-
-    def _scan_line(self, lineno: int, line: str) -> None:
-        i = 0
-        while i < len(line) and line[i] in " \t":
-            i += 1
-        if i >= len(line) or line[i] == "#":
-            return
-        if self.paren_depth == 0:
-            self._layout(lineno, _indent_width(line))
-        produced = self._scan_tokens(lineno, line, i)
-        if self.paren_depth == 0 and produced:
-            self.tokens.append(Token(TokenKind.NEWLINE, "",
-                                     Span.point(lineno, len(line) + 1)))
-
-    def _layout(self, lineno: int, width: int) -> None:
-        span = Span.point(lineno, 1)
-        if width > self.indents[-1]:
-            self.indents.append(width)
-            self.tokens.append(Token(TokenKind.INDENT, "", span))
-            return
-        while width < self.indents[-1]:
-            self.indents.pop()
-            self.tokens.append(Token(TokenKind.DEDENT, "", span))
-        if width != self.indents[-1]:
-            raise _error("unindent does not match any outer indentation level",
-                         self.filename, lineno, 1)
-
-    def _scan_tokens(self, lineno: int, line: str, i: int) -> bool:
-        produced = False
-        while i < len(line):
-            ch = line[i]
-            if ch in " \t":
-                i += 1
-                continue
-            if ch == "#":
-                break
-            if ch.isalpha() or ch == "_":
-                i = self._ident(lineno, line, i)
-            elif ch.isdigit():
-                i = self._number(lineno, line, i)
-            elif ch == '"':
-                i = self._string(lineno, line, i)
-            else:
-                i = self._operator(lineno, line, i)
-            produced = True
-        return produced
-
-    def _ident(self, lineno: int, line: str, i: int) -> int:
-        j = i
-        while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-            j += 1
-        text = line[i:j]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        self.tokens.append(Token(kind, text, Span(lineno, i + 1, lineno, j + 1)))
-        return j
-
-    def _number(self, lineno: int, line: str, i: int) -> int:
-        j = i
-        while j < len(line) and line[j].isdigit():
-            j += 1
-        if j < len(line) and line[j] == "." and j + 1 < len(line) and line[j + 1].isdigit():
-            j += 1
-            while j < len(line) and line[j].isdigit():
-                j += 1
-        value = float(line[i:j])
-        k, unit, factor = j, None, 1.0
-        if j < len(line) and (line[j].isalpha() or line[j] == "_"):
-            while k < len(line) and (line[k].isalnum() or line[k] == "_"):
-                k += 1
-            unit = line[j:k]
-            if unit not in UNITS:
-                raise _error(f"unknown unit suffix {unit!r}",
-                             self.filename, lineno, j + 1)
-            factor = UNITS[unit][0]
-        # the checker folds literals, so one that overflows is a lex error
-        if not math.isfinite(value * factor):
-            raise _error("number literal is out of range",
-                         self.filename, lineno, i + 1)
-        kind = TokenKind.NUMBER if unit is None else TokenKind.QUANTITY
-        self.tokens.append(Token(kind, line[i:k],
-                                 Span(lineno, i + 1, lineno, k + 1),
-                                 value=value, unit=unit))
-        return k
-
-    def _string(self, lineno: int, line: str, i: int) -> int:
-        # no escape sequences: a string is everything up to the next quote
-        j = line.find('"', i + 1)
-        if j < 0:
-            raise _error("unterminated string literal", self.filename, lineno, i + 1)
-        self.tokens.append(Token(TokenKind.STRING, line[i + 1:j],
-                                 Span(lineno, i + 1, lineno, j + 2)))
-        return j + 1
-
-    def _operator(self, lineno: int, line: str, i: int) -> int:
-        two = line[i:i + 2]
-        if two in TWO_CHAR_OPS:
-            self.tokens.append(Token(TokenKind.OP, two,
-                                     Span(lineno, i + 1, lineno, i + 3)))
-            return i + 2
-        ch = line[i]
-        if ch not in ONE_CHAR_OPS:
-            raise _error(f"unexpected character {ch!r}", self.filename, lineno, i + 1)
-        if ch == "(":
-            self.paren_depth += 1
-        elif ch == ")":
-            self.paren_depth = max(0, self.paren_depth - 1)
-        self.tokens.append(Token(TokenKind.OP, ch,
-                                 Span(lineno, i + 1, lineno, i + 2)))
-        return i + 1
-
-
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:
     """Lex source text into a token list ending with EOF.
 
@@ -211,4 +88,78 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
     unknown unit suffixes, literals whose SI value overflows a float, and
     unterminated strings.
     """
-    return _Scanner(source, filename).run()
+    IDENT, KEYWORD, OP = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.OP
+    match = _TOKEN.match
+    tokens: list[Token] = []
+    append = tokens.append
+    indents = [0]
+    parens = 0
+    lineno = 0
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        rest = line.lstrip(" \t")
+        if not rest or rest[0] == "#":
+            continue
+        pos = len(line) - len(rest)
+        if parens == 0:
+            width = len(line[:pos].expandtabs(8))
+            span = Span.point(lineno, 1)
+            if width > indents[-1]:
+                indents.append(width)
+                append(Token(TokenKind.INDENT, "", span))
+            while width < indents[-1]:
+                indents.pop()
+                append(Token(TokenKind.DEDENT, "", span))
+            if width != indents[-1]:
+                raise _error("unindent does not match any outer indentation level",
+                             filename, lineno, 1)
+        while (m := match(line, pos)) is not None:
+            group = m.lastgroup
+            pos = m.end()
+            if group == "name" or group == "word" and m[group][0].isalpha():
+                text = m[group]
+                append(Token(KEYWORD if text in KEYWORDS else IDENT, text,
+                             Span(lineno, pos - len(text) + 1, lineno, pos + 1)))
+            elif group == "op":
+                text = m[group]
+                if text == "(":
+                    parens += 1
+                elif text == ")" and parens:
+                    parens -= 1
+                append(Token(OP, text, Span(lineno, pos - len(text) + 1, lineno, pos + 1)))
+            elif group == "number" or group == "unit":
+                start = m.start("number")
+                value, unit, factor = float(m["number"]), m["unit"], 1.0
+                if unit is not None:
+                    if unit in UNITS:
+                        factor = UNITS[unit][0]
+                    elif unit[0].isalpha() or unit[0] == "_":
+                        raise _error(f"unknown unit suffix {unit!r}",
+                                     filename, lineno, m.start("unit") + 1)
+                    else:  # a digit such as "²" is no unit; it fails next
+                        unit, pos = None, m.start("unit")
+                # the checker folds literals, so one that overflows is a lex error
+                if not math.isfinite(value * factor):
+                    raise _error("number literal is out of range",
+                                 filename, lineno, start + 1)
+                append(Token(TokenKind.NUMBER if unit is None else TokenKind.QUANTITY,
+                             line[start:pos], Span(lineno, start + 1, lineno, pos + 1),
+                             value, unit))
+            elif group == "string":
+                # no escape sequences: a string is everything up to the next quote
+                append(Token(TokenKind.STRING, m[group],
+                             Span(lineno, m.start(group), lineno, pos + 1)))
+            elif group == "comment":
+                break
+            else:
+                col = m.start(group) + 1
+                if line[col - 1] == '"':
+                    raise _error("unterminated string literal", filename, lineno, col)
+                raise _error(f"unexpected character {line[col - 1]!r}",
+                             filename, lineno, col)
+        if parens == 0:
+            append(Token(TokenKind.NEWLINE, "", Span.point(lineno, len(line) + 1)))
+    end = Span.point(lineno + 1, 1)
+    for _ in indents[1:]:
+        append(Token(TokenKind.DEDENT, "", end))
+    append(Token(TokenKind.EOF, "", end))
+    return tokens

@@ -88,6 +88,34 @@ class TestCheck:
         assert "error[P001]: expected shallower nesting" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("expr", [
+        "1kph" + " + 1kph" * 1999,
+        " and ".join(["x > 0kph"] * 2000),
+        "hero" + ".speed" * 2000,
+    ], ids=["additions", "conjunctions", "member-reads"])
+    def test_long_chain_is_p001(self, expr, tmp_path, capsys):
+        # used to end in a RecursionError traceback in the checker or in
+        # ast.to_dict: the parser builds a chain in a loop
+        path = write(tmp_path, "chain.osc",
+                     "scenario s:\n  hero: vehicle\n  var x: speed = 1kph\n"
+                     f"  var y: speed = {expr}\n"
+                     "  do serial:\n    wait hero.speed > y\n")
+        trace = str(tmp_path / "trace.ndjson")
+        for argv in (["check", path], ["dump", path, "--what", "ast"],
+                     ["run", path, "--trace", trace]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "error[P001]: expected shallower nesting" in err
+            assert "Traceback" not in err
+
+    def test_non_ascii_digit_is_l001(self, tmp_path, capsys):
+        # "²" used to end in a ValueError traceback, exit 1
+        path = write(tmp_path, "digit.osc",
+                     "scenario s:\n  var x: length = \u00b2m\n")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:2:19: error[L001]: unexpected character '\u00b2'"]
+
 
 def nested(form, depth):
     """A scenario whose deepest construct is `depth` levels of `form`."""
@@ -101,6 +129,12 @@ def nested(form, depth):
     if form == "nots":  # inside the one composition
         return (text + "  do serial:\n    wait " + "not " * (depth - 1)
                 + "hero.speed > 1kph\n")
+    if form == "additions":  # each operator of a chain is one level
+        return (text + "  var x: speed = 1kph" + " + 1kph" * depth
+                + "\n  do serial:\n    wait hero.speed > x\n")
+    if form == "conjunctions":  # of operands with no operator level
+        return (text + "  var x: speed = 1kph\n  do serial:\n    wait "
+                + " and ".join(["x > 0kph"] * (depth + 1)) + "\n")
     return (text + "  do serial:\n"
             + "".join("  " * level + "serial:\n"
                       for level in range(2, depth + 1))
@@ -108,7 +142,8 @@ def nested(form, depth):
 
 
 @pytest.mark.parametrize("form", ["parentheses", "negations", "nots",
-                                  "compositions"])
+                                  "compositions", "additions",
+                                  "conjunctions"])
 def test_deepest_accepted_nesting_runs(form, tmp_path, capsys):
     """The nesting limit, not Python's recursion limit, bounds each stage."""
     path = write(tmp_path, "deep.osc", nested(form, MAX_DEPTH))

@@ -1,9 +1,11 @@
 """Golden outputs that must not change across refactors.
 
 The trace hashes pin every byte `osc2c run` writes for the shipped
-scenarios; the fault records pin the exact error of check-clean programs
-that can only fail once they run, and the check-time faults pin the
-diagnostic of programs whose fault the checker can know.
+scenarios, and the tree hashes every byte of their syntax tree, spans
+included; the fault records pin the exact error of check-clean programs
+that can only fail once they run, the check-time faults pin the diagnostic
+of programs whose fault the checker can know, and the frontend failures
+pin what `osc2c check` prints when lexing or parsing fails.
 """
 
 import hashlib
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from osc2c import ast
 from osc2c.cli import main
+from osc2c.parser import parse
 from osc2c.semantics import check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -20,6 +24,12 @@ GOLDEN_TRACES = {
     "cut_in_and_evade": "16d21b53dc50d396",
     "handshake_phases": "c47d0ec478ecf366",
     "minimal_wait": "f2f0ca472a615295",
+}
+
+GOLDEN_TREES = {
+    "cut_in_and_evade": "fce9c4533030d6f8",
+    "handshake_phases": "a93ff40f53c1e090",
+    "minimal_wait": "005838bd08cadcf9",
 }
 
 MEMBERS = "scenario probe:\n  hero: vehicle\n  npc: vehicle\n"
@@ -32,6 +42,40 @@ def test_scenario_trace_hash(name, tmp_path):
                  "--trace", str(trace)]) == 0
     digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
     assert digest == GOLDEN_TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+def test_scenario_tree_hash(name):
+    tree = parse((SCENARIOS / f"{name}.osc").read_text())
+    digest = hashlib.sha256(ast.dump_json(tree).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_TREES[name]
+
+
+@pytest.mark.parametrize("body, position, message", [
+    ("  do serial:\n      wait elapsed(1s)\n    emit DONE\n", "6:1",
+     "error[L001]: unindent does not match any outer indentation level"),
+    ("  var d: length = 35parsecs\n", "4:21",
+     "error[L001]: unknown unit suffix 'parsecs'"),
+    ('  obstacle: vehicle with:\n    keep(it.name == "cone)\n', "5:21",
+     "error[L001]: unterminated string literal"),
+    ("  do serial:\n    wait $now\n", "5:10",
+     "error[L001]: unexpected character '$'"),
+    ("  var d: length = " + "9" * 400 + "m\n", "4:19",
+     "error[L001]: number literal is out of range"),
+    ("  var x: speed = " + "(" * 65 + "1kph" + ")" * 65 + "\n", "4:83",
+     "error[P001]: expected shallower nesting (limit exceeded), "
+     "found literal '1kph'"),
+    ("  do serial:\n    wait elapsed(1s)\n  do serial:\n    emit DONE\n",
+     "6:3", "error[P001]: expected at most one 'do' block per scenario, "
+     "found keyword 'do'"),
+], ids=["bad-unindent", "unknown-unit", "unterminated-string",
+        "unexpected-character", "out-of-range", "nesting-limit", "second-do"])
+def test_frontend_failure(body, position, message, tmp_path, capsys):
+    source = tmp_path / "probe.osc"
+    source.write_text(MEMBERS + body)
+    assert main(["check", str(source)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{source}:{position}: {message}"]
 
 
 def test_trace_number_text(tmp_path):
