@@ -105,10 +105,11 @@ class BtNode:
         return self._halted
 
     def tick(self, ctx) -> Status:
+        status = self._status
         if self._halted:
-            return self._status if self._status is not None else RUNNING
-        if self._status in (SUCCESS, FAILURE):
-            return self._status
+            return status if status is not None else RUNNING
+        if status is SUCCESS or status is FAILURE:
+            return status
         status = self._tick(ctx)
         self._status = status
         return status
@@ -153,13 +154,13 @@ class Sequence(BtNode):
         return self._children
 
     def _tick(self, ctx) -> Status:
-        while self.cursor < len(self._children):
-            status = self._children[self.cursor].tick(ctx)
-            if status is RUNNING:
-                return RUNNING
-            if status is FAILURE:
-                return FAILURE
-            self.cursor += 1
+        children = self._children
+        cursor = self.cursor
+        while cursor < len(children):
+            status = children[cursor].tick(ctx)
+            if status is not SUCCESS:
+                return status
+            cursor = self.cursor = cursor + 1
         return SUCCESS
 
     def _reset(self):
@@ -181,19 +182,21 @@ class Parallel(BtNode):
 
     def _tick(self, ctx) -> Status:
         failed = False
+        done = True
         for child in self._children:
-            if child.status is SUCCESS:
+            if child._status is SUCCESS:
                 continue
-            if child.tick(ctx) is FAILURE:
+            status = child.tick(ctx)
+            if status is FAILURE:
                 failed = True
+            elif status is RUNNING:
+                done = False
         if failed:
             for child in self._children:
-                if child.status is not SUCCESS:
+                if child._status is not SUCCESS:
                     child.halt()
             return FAILURE
-        if all(child.status is SUCCESS for child in self._children):
-            return SUCCESS
-        return RUNNING
+        return SUCCESS if done else RUNNING
 
 
 class OneOf(BtNode):
@@ -274,11 +277,13 @@ class Timer(BtNode):
         super().__init__(**kw)
         self.duration = duration
         self.start: int | None = None
+        self.ticks = 0  # the duration in whole ticks, set with the start
 
     def _tick(self, ctx) -> Status:
         if self.start is None:
             self.start = ctx.now
-        if ctx.now - self.start >= required_ticks(self.duration, ctx.dt):
+            self.ticks = required_ticks(self.duration, ctx.dt)
+        if ctx.now - self.start >= self.ticks:
             return SUCCESS
         return RUNNING
 

@@ -32,7 +32,8 @@ from .btree import (
 )
 from .diagnostics import CompileError, Diagnostic, ERROR, Span
 from .prelude import ACTOR_TYPES, MODIFIERS, inheritance_chain
-from .semantics import Analysis, EvalError, Evaluator, ScenarioInfo, check
+from .semantics import (Analysis, EvalError, Evaluator, ScenarioInfo, check,
+                        constant_value)
 from .units import UnitsError
 from .world import Actor, RoadMap, SweepList, TOWN06, World, load_map
 
@@ -112,10 +113,9 @@ class ExecutionContext:
                  evaluators: dict[int, Evaluator | None]):
         self.world = world
         self.actors: dict[str, Actor] = {}
-        self.attributes = scenario.constraints
         self._var_decls = scenario.variables
+        self._var_order = scenario.var_order
         self._var_values: dict[str, object] = {}
-        self._in_progress: set[str] = set()
         self._evaluators = evaluators
 
     def bind_actor(self, name: str, actor: Actor) -> None:
@@ -130,24 +130,19 @@ class ExecutionContext:
     # variables
 
     def evaluate_variables(self) -> None:
-        """Force every var initializer once, in declaration order."""
-        for name in self._var_decls:
+        """Force every var initializer once, each after the vars it reads,
+        so that no evaluation nests in another."""
+        for name in self._var_order:
             self.var(name)
 
     def var(self, name: str):
+        """The value of a var; the checker rules out cyclic initializers."""
         if name in self._var_values:
             return self._var_values[name]
         decl = self._var_decls.get(name)
         if decl is None:
             raise EvalError(f"unknown variable '{name}'")
-        if name in self._in_progress:
-            raise EvalError(f"initializer of '{name}' depends on itself")
-        self._in_progress.add(name)
-        try:
-            value = self.eval(decl)
-        finally:
-            self._in_progress.discard(name)
-        self._var_values[name] = value
+        value = self._var_values[name] = self.eval(decl)
         return value
 
     # expressions
@@ -162,6 +157,15 @@ class ExecutionContext:
             return evaluate(self)
         except UnitsError as exc:
             raise EvalError(str(exc)) from exc
+
+    def constant(self, expr: ast.Node):
+        """The value of a checked expression that cannot change during the
+        run, or None if it may.
+
+        Folded constants qualify, and so do var references: every var is
+        evaluated before the tree is built.
+        """
+        return constant_value(self._evaluators.get(id(expr)), self)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,13 @@ class _Leaf(ActionLeaf):
         """The magnitude of a quantity argument."""
         return self.context.eval(self.args[name]).value
 
+    def constant(self, expr) -> float | None:
+        """The magnitude of a quantity argument that cannot change during
+        the run, read once when the leaf is built; None if it may change or
+        is absent."""
+        value = None if expr is None else self.context.constant(expr)
+        return None if value is None else value.value
+
 
 class _MotionLeaf(_Leaf):
     """Base for leaves that command an actor's motion.
@@ -204,10 +215,15 @@ class _MotionLeaf(_Leaf):
     """
 
     _board: Blackboard | None = None
+    _actor: Actor | None = None
 
     @property
     def actor(self) -> Actor:
-        return self.context.actor(self.actor_name)
+        """The receiver's live actor, looked up on the first tick that
+        needs it."""
+        if self._actor is None:
+            self._actor = self.context.actor(self.actor_name)
+        return self._actor
 
     def _claim(self, ctx) -> None:
         ctx.blackboard.claim_motion(self.actor_name, self, ctx.now)
@@ -230,13 +246,18 @@ class DriveLeaf(_MotionLeaf):
         super().__init__(receiver, args, modifiers, context)
         speed = _modifier_args(modifiers).get("speed", {})
         self.speed_expr = speed.get("speed")
+        self.target = self.constant(self.speed_expr)
         self.profile = _optional(context, speed.get("rate_profile"), "asap")
 
     def _tick(self, ctx) -> Status:
-        self._claim(ctx)
+        # `_claim` and `actor`, inlined: a crowd ticks one drive per vehicle
+        board = self._board = ctx.blackboard
+        board.claim_motion(self.actor_name, self, ctx.now)
         if self.speed_expr is not None:
-            target = self.context.eval(self.speed_expr).value
-            actor = self.actor
+            target = self.target
+            if target is None:
+                target = self.context.eval(self.speed_expr).value
+            actor = self._actor or self.actor
             actor.target_speed = target
             actor.profile = self.profile
         return RUNNING
@@ -245,13 +266,19 @@ class DriveLeaf(_MotionLeaf):
 class ChangeSpeedLeaf(_MotionLeaf):
     """Commands a new target speed; Success once the actor has reached it."""
 
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__(receiver, args, modifiers, context)
+        self.target = self.constant(args["target"])
+        self.profile = _optional(context, args.get("rate_profile"), "asap")
+
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
-        target = self.value("target")
+        target = self.target
+        if target is None:
+            target = self.value("target")
         actor = self.actor
         actor.target_speed = target
-        actor.profile = _optional(self.context, self.args.get("rate_profile"),
-                                  "asap")
+        actor.profile = self.profile
         if abs(actor.speed - target) < SPEED_TOLERANCE:
             self._release()
             return SUCCESS
@@ -332,13 +359,20 @@ class FollowPathLeaf(_MotionLeaf):
 
     goal: float | None = None
 
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__(receiver, args, modifiers, context)
+        self.speed = self.constant(args.get("speed"))
+
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         actor = self.actor
         if self.goal is None:
             self.goal = actor.s + self.value("distance")
         if "speed" in self.args:
-            actor.target_speed = self.value("speed")
+            speed = self.speed
+            if speed is None:
+                speed = self.value("speed")
+            actor.target_speed = speed
         if actor.s >= self.goal - 1e-9:
             self._release()
             return SUCCESS

@@ -5,14 +5,18 @@ symbol (fields, vars, and event names harvested from emit/wait sites) so
 forward references are legal by construction.  The resolution pass then
 binds references, walks actor inheritance chains, checks dimensions, binds
 the arguments of actions, modifiers and queries to their signatures in the
-prelude, and binds the scenario to a builtin map.  Diagnostics accumulate in
-source order; errors never abort the pass, so one run reports everything.
+prelude, and binds the scenario to a builtin map.  It also rejects cyclic
+``var`` initializers and reads of attributes that no ``keep`` sets.
+Diagnostics accumulate in source order; errors never abort the pass, so one
+run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(env)``.  ``Analysis.evaluators`` maps the ``id`` of every
 argument, wait condition and ``VarDecl`` to its evaluator; ``env`` is the
-runtime's execution context (``world``, ``actors``, ``attributes`` and
-``var(name)``).  Literals are folded; the live world is read at run time.
+runtime's execution context (``world``, ``actors`` and ``var(name)``).
+Literals, attribute reads and every operator whose operands are constants
+are folded, so a constant that cannot be computed (``1m / 0``) is a
+diagnostic; the live world and the vars are read at run time.
 """
 
 from __future__ import annotations
@@ -77,6 +81,14 @@ UNKNOWN = _Singleton("unknown")
 ARITHMETIC = ("+", "-", "*", "/")
 AT_START = EnumWord("start")
 
+# the type of a number, of each unit's literals and of each physical type's
+# vars, made once: a frozen dataclass is slow to build
+NUMBER = QuantityType(DIMENSIONLESS)
+_UNIT_TYPES = {unit: QuantityType(dim)
+               for unit, (_, dim) in units.UNITS.items()}
+_VAR_TYPES = {name: QuantityType(dim)
+              for name, dim in prelude.PHYSICAL_TYPES.items()}
+
 
 @dataclass
 class Symbol:
@@ -118,6 +130,8 @@ class ScenarioInfo:
     fields: dict[str, str] = field(default_factory=dict)
     constraints: dict[str, dict[str, str]] = field(default_factory=dict)
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
+    # the vars in an order where each follows every var its initializer reads
+    var_order: list[str] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
 
@@ -149,6 +163,9 @@ class Analyzer:
         self.diagnostics: list[Diagnostic] = []
         self.evaluators: dict[int, Evaluator | None] = {}
         self._names: dict[tuple[str, str], Evaluator] = {}
+        self._reads: list[str] | None = None  # vars the initializer reads
+        # the attributes set by keep constraints, once all are known
+        self._attributes: dict[str, dict[str, str]] | None = None
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -203,13 +220,19 @@ class Analyzer:
 
     def resolution_pass(self, infos: list[ScenarioInfo]) -> None:
         for info in infos:
+            reads: dict[str, tuple[list[str], int]] = {}
             for member in info.decl.members:
                 if isinstance(member, ast.FieldDecl):
                     self._resolve_field(member, info)
                 else:
-                    self._resolve_var(member, info)
+                    self._resolve_var(member, info, reads)
+            self._order_vars(info, reads)
             if info.decl.body is not None:
+                # A var initializer cannot hold an attribute read without
+                # an error, so only the body's reads are checked.
+                self._attributes = info.constraints
                 self._resolve_behavior(info.decl.body.root, info.scope)
+                self._attributes = None
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
         if decl.type_name not in prelude.ACTOR_TYPES:
@@ -252,7 +275,8 @@ class Analyzer:
             else:
                 info.map_name = value.lower()
 
-    def _resolve_var(self, decl: ast.VarDecl, info: ScenarioInfo) -> None:
+    def _resolve_var(self, decl: ast.VarDecl, info: ScenarioInfo,
+                     reads: dict[str, tuple[list[str], int]]) -> None:
         declared = prelude.PHYSICAL_TYPES.get(decl.type_name)
         if declared is None:
             if decl.type_name in prelude.ACTOR_TYPES:
@@ -267,7 +291,30 @@ class Analyzer:
         if symbol is not None:
             symbol.resolved = True
         info.variables[decl.name] = decl
+        self._reads = []
         self._check_initializer(decl, declared, info.scope)
+        reads[decl.name] = (self._reads, len(self.diagnostics))
+        self._reads = None
+
+    def _order_vars(self, info: ScenarioInfo,
+                    reads: dict[str, tuple[list[str], int]]) -> None:
+        """Order the vars for evaluation, and report each cycle of var
+        initializers once, at the var of the cycle declared first; the
+        diagnostic follows that var's own."""
+        declared = {name: i for i, name in enumerate(reads)}
+        found = []
+        # a var that reads none is on no cycle and may go first
+        graph = {name: names for name, (names, _) in reads.items() if names}
+        info.var_order = [name for name in reads if name not in graph]
+        for component in _components(graph):
+            info.var_order.extend(component)
+            if len(component) > 1 or component[0] in graph[component[0]]:
+                first = min(component, key=declared.__getitem__)
+                found.append((reads[first][1], declared[first], first))
+        for at, _, name in sorted(found, reverse=True):
+            self.diagnostics.insert(at, Diagnostic(
+                ERROR, "E002", f"initializer of '{name}' depends on itself",
+                info.variables[name].span, self.filename))
 
     def _check_initializer(self, decl: ast.VarDecl, declared: Dimension,
                            scope: Scope) -> None:
@@ -287,8 +334,11 @@ class Analyzer:
                     f"'{decl.name}': {dimension_name(rhs_type.dim)} operand "
                     f"reinterpreted as a dimensionless scalar",
                     init.span)
-                self.evaluators[id(decl)] = lambda env: units.coerce_product(
+                evaluator = lambda env: units.coerce_product(
                     lhs_fn(env), rhs_fn(env), declared)
+                if _is_constant(lhs_fn) and _is_constant(rhs_fn):
+                    _, evaluator = self._folded(UNKNOWN, evaluator, init.span)
+                self.evaluators[id(decl)] = evaluator
                 return
             result, self.evaluators[id(decl)] = self._binary(init, lhs, rhs)
         else:
@@ -465,10 +515,9 @@ class Analyzer:
                                 self.resolve_expr(expr.rhs, scope))
         if isinstance(expr, ast.QuantityLiteral):
             value = units.from_literal(expr.value, expr.unit)
-            return QuantityType(value.dim), partial(_constant, value)
+            return _UNIT_TYPES[expr.unit], partial(_constant, value)
         if isinstance(expr, ast.NumberLiteral):
-            return (QuantityType(DIMENSIONLESS),
-                    partial(_constant, Quantity(expr.value)))
+            return NUMBER, partial(_constant, Quantity(expr.value))
         if isinstance(expr, ast.MethodCall):
             return self._resolve_call(expr, scope)
         if isinstance(expr, ast.MemberAccess):
@@ -486,10 +535,12 @@ class Analyzer:
         if symbol is not None:
             symbol.resolved = True
             if symbol.kind == "variable":
-                dim = prelude.PHYSICAL_TYPES.get(symbol.declared_type)
-                if dim is None:
+                if self._reads is not None:
+                    self._reads.append(name)
+                result = _VAR_TYPES.get(symbol.declared_type)
+                if result is None:
                     return UNKNOWN, None
-                return QuantityType(dim), self._name_evaluator("variable", name)
+                return result, self._name_evaluator("variable", name)
             return (ActorRef(symbol.declared_type, name),
                     self._name_evaluator("actor-instance", name))
         if name in prelude.ENUM_WORDS:
@@ -505,17 +556,35 @@ class Analyzer:
             evaluator = self._names[key] = partial(_NAME_EVALUATORS[kind], name)
         return evaluator
 
+    def _folded(self, result: ExprType, evaluator: Evaluator, span: Span):
+        """``(result, evaluator)`` for an evaluator of constant operands,
+        folded to a constant.
+
+        The fold runs ``evaluator`` once, so a constant is computed by the
+        same operations in the same order as at run time.  If that fails,
+        the failure is E002 here and the type is unknown.
+        """
+        try:
+            return result, partial(_constant, evaluator(None))
+        except units.UnitsError as exc:
+            self.error("E002", str(exc), span)
+            return UNKNOWN, None
+
     def _resolve_unary(self, expr: ast.Unary, scope: Scope):
         operand, fn = self.resolve_expr(expr.operand, scope)
         if expr.op == "-":
-            if operand is UNKNOWN or isinstance(operand, QuantityType):
-                return operand, lambda env: -fn(env)
-            self.error("E002", "negation requires a quantity", expr.span)
+            if not (operand is UNKNOWN or isinstance(operand, QuantityType)):
+                self.error("E002", "negation requires a quantity", expr.span)
+                return UNKNOWN, None
+            result, evaluator = operand, lambda env: -fn(env)
+        elif operand in (BOOL, UNKNOWN):
+            result, evaluator = BOOL, lambda env: not fn(env)
+        else:
+            self.error("E002", "'not' requires a boolean", expr.span)
             return UNKNOWN, None
-        if operand in (BOOL, UNKNOWN):
-            return BOOL, lambda env: not fn(env)
-        self.error("E002", "'not' requires a boolean", expr.span)
-        return UNKNOWN, None
+        if _is_constant(fn):
+            return self._folded(result, evaluator, expr.span)
+        return result, evaluator
 
     def _binary(self, expr: ast.Binary, lhs_typed, rhs_typed):
         """Type and lower ``expr`` from its typed and lowered operands."""
@@ -524,41 +593,53 @@ class Analyzer:
         if lhs is UNKNOWN or rhs is UNKNOWN:
             return (UNKNOWN if op in ARITHMETIC else BOOL), None
         if op in ("and", "or"):
-            if lhs is BOOL and rhs is BOOL:
-                if op == "and":
-                    return BOOL, lambda env: lhs_fn(env) and rhs_fn(env)
-                return BOOL, lambda env: lhs_fn(env) or rhs_fn(env)
-            self.error("E002", f"'{op}' requires boolean operands", expr.span)
-            return UNKNOWN, None
-        if op in ARITHMETIC:
-            if isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
-                if op in ("+", "-"):
-                    if lhs.dim != rhs.dim:
-                        self.error("E003",
-                                   f"cannot apply '{op}' to "
-                                   f"{dimension_name(lhs.dim)} and "
-                                   f"{dimension_name(rhs.dim)}", expr.span)
-                        return UNKNOWN, None
-                    result = lhs
-                elif op == "*":
-                    result = QuantityType(lhs.dim * rhs.dim)
-                else:
-                    result = QuantityType(lhs.dim / rhs.dim)
-                return result, partial(_apply, units.binary, lhs_fn, op, rhs_fn)
-            self.error("E002", "arithmetic requires quantity operands", expr.span)
-            return UNKNOWN, None
+            if not (lhs is BOOL and rhs is BOOL):
+                self.error("E002", f"'{op}' requires boolean operands",
+                           expr.span)
+                return UNKNOWN, None
+            result = BOOL
+            if op == "and":
+                evaluator = lambda env: lhs_fn(env) and rhs_fn(env)
+            else:
+                evaluator = lambda env: lhs_fn(env) or rhs_fn(env)
+        elif op in ARITHMETIC:
+            if not (isinstance(lhs, QuantityType)
+                    and isinstance(rhs, QuantityType)):
+                self.error("E002", "arithmetic requires quantity operands",
+                           expr.span)
+                return UNKNOWN, None
+            if op in ("+", "-"):
+                if lhs.dim != rhs.dim:
+                    self.error("E003",
+                               f"cannot apply '{op}' to "
+                               f"{dimension_name(lhs.dim)} and "
+                               f"{dimension_name(rhs.dim)}", expr.span)
+                    return UNKNOWN, None
+                result = lhs
+            elif op == "*":
+                result = QuantityType(lhs.dim * rhs.dim)
+            else:
+                result = QuantityType(lhs.dim / rhs.dim)
+            evaluator = partial(_apply, units.binary, lhs_fn, op, rhs_fn)
         # comparisons
-        if isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
+        elif isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
             if lhs.dim != rhs.dim:
                 self.error("E003",
                            f"cannot compare {dimension_name(lhs.dim)} with "
                            f"{dimension_name(rhs.dim)}", expr.span)
-            return BOOL, partial(_apply, units.compare, lhs_fn, op, rhs_fn)
-        if lhs is STRING and rhs is STRING and op in ("==", "!="):
+                return BOOL, None
+            result = BOOL
+            evaluator = partial(_apply, units.compare, lhs_fn, op, rhs_fn)
+        elif lhs is STRING and rhs is STRING and op in ("==", "!="):
             same = op == "=="
-            return BOOL, lambda env: (lhs_fn(env) == rhs_fn(env)) is same
-        self.error("E002", "incomparable operand types", expr.span)
-        return BOOL, None
+            result = BOOL
+            evaluator = lambda env: (lhs_fn(env) == rhs_fn(env)) is same
+        else:
+            self.error("E002", "incomparable operand types", expr.span)
+            return BOOL, None
+        if _is_constant(lhs_fn) and _is_constant(rhs_fn):
+            return self._folded(result, evaluator, expr.span)
+        return result, evaluator
 
     def _resolve_member(self, expr: ast.MemberAccess, scope: Scope):
         receiver, actor = self.resolve_expr(expr.receiver, scope)
@@ -575,7 +656,15 @@ class Analyzer:
             if member == "position":
                 return PositionType(receiver.instance), partial(_position, actor)
             if prelude.has_attribute(receiver.type_name, member):
-                return STRING, partial(_attribute, receiver.instance, member)
+                if self._attributes is None:
+                    return STRING, None
+                value = self._attributes.get(receiver.instance, {}).get(member)
+                if value is None:
+                    self.error("E002", f"attribute '{member}' of "
+                               f"'{receiver.instance}' is not set by a keep "
+                               f"constraint", expr.span)
+                    return UNKNOWN, None
+                return STRING, partial(_constant, value)
             self.error("E001",
                        f"actor type '{receiver.type_name}' has no member "
                        f"'{member}'", expr.span)
@@ -645,6 +734,71 @@ _NAME_EVALUATORS = {"variable": _variable, "actor-instance": _live_actor,
                     "enum-word": _constant}
 
 
+def _is_constant(evaluator: Evaluator | None) -> bool:
+    return type(evaluator) is partial and evaluator.func is _constant
+
+
+def constant_value(evaluator: Evaluator | None, env):
+    """The value of an evaluator that reads no live state, or None.
+
+    A folded constant reads nothing.  A var reference reads ``env.var``,
+    whose value never changes once it has been evaluated.
+    """
+    if _is_constant(evaluator):
+        return evaluator.args[0]
+    if type(evaluator) is partial and evaluator.func is _variable:
+        return env.var(evaluator.args[0])
+    return None
+
+
+def _components(reads: dict[str, list[str]]) -> list[list[str]]:
+    """The strongly connected components of the var graph, each after
+    every component it reads; ``reads`` maps each var to the vars its
+    initializer reads.
+
+    Tarjan's algorithm, with an explicit stack so that a long chain of vars
+    cannot exhaust Python's recursion limit.  A var whose component is
+    found gets an index above every other, so the vars still on the stack
+    are those with an index below it.
+    """
+    done = len(reads)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    found = []
+    for root in reads:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(reads[root]))]  # (var, successors not yet seen)
+        while work:
+            name, successors = work[-1]
+            for successor in successors:
+                if successor not in reads:
+                    continue  # it reads no var, or its type is undefined
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    work.append((successor, iter(reads[successor])))
+                    break
+                if index[successor] < low[name]:
+                    low[name] = index[successor]
+            else:
+                work.pop()
+                if work and low[name] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[name]
+                if low[name] == index[name]:
+                    component = []
+                    member = None
+                    while member != name:
+                        member = stack.pop()
+                        index[member] = done
+                        component.append(member)
+                    found.append(component)
+    return found
+
+
 def _apply(fn, lhs: Evaluator, op: str, rhs: Evaluator, env):
     return fn(lhs(env), op, rhs(env))
 
@@ -652,13 +806,6 @@ def _apply(fn, lhs: Evaluator, op: str, rhs: Evaluator, env):
 def _position(actor: Evaluator, env):
     actor(env)
     raise EvalError("'position' is only usable as an ahead_of receiver")
-
-
-def _attribute(name: str, member: str, env):
-    attributes = env.attributes.get(name)
-    if attributes is None or member not in attributes:
-        raise EvalError(f"cannot read member '{member}'")
-    return attributes[member]
 
 
 def _object_distance(subject: Evaluator, reference: Evaluator,

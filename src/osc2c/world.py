@@ -7,12 +7,15 @@ lane-change maneuver at a time (smoothstep over 3 s of simulated time).
 Static props never move; off-network actors (absolute placements) keep
 their pose verbatim and are excluded from topological queries.
 
-Collisions come from a sort-and-sweep broad phase on x (`SweepList`;
-Cohen et al., "I-COLLIDE", 1995).  Actors stay sorted by centre x from one
-step to the next, and each is tested only against the actors to its right
-whose centres are near enough in x; `overlaps` decides, so the pairs are
-exactly those an all-pairs test finds.  The initializer's spawn search and
-start-overlap check use the same broad phase.
+Collisions come from a banded sort-and-sweep broad phase (`SweepList`;
+Cohen et al., "I-COLLIDE", 1995).  Actors are kept in bands of y two box
+widths tall, so a lane's actors share a band, and within each band in
+order of centre x from one step to the next.  Each actor is tested only
+against the actors to its right, in its own band and the band above, whose
+centres are near enough in x; the test is `overlaps`, so the pairs are
+exactly those an all-pairs test finds.  An actor changes band only when
+its y changes, at a placement or during a lane change.  The initializer's
+spawn search and start-overlap check use the same broad phase.
 
 Everything is scalar float arithmetic at fixed dt; stepping the same
 initial state twice produces bit-identical trajectories.
@@ -187,49 +190,139 @@ _centre_x = attrgetter("x")
 
 
 class SweepList:
-    """Actors in ascending order of centre x: the broad phase.
+    """Actors in bands of y, each band in ascending order of centre x: the
+    broad phase.
 
-    Two boxes can overlap only while the distance between their centres in
-    x is below ``a.half_length + max_half_length``.  The cut-off takes the
-    same difference of centres that `overlaps` takes, and rounding is
-    monotonic, so once one actor is past the cut-off, every actor further
-    out is too.  (A cut-off on the box ends, ``x - half_length``
-    against ``x + half_length``, rounds differently and can disagree with
-    `overlaps` on boxes that just touch.)
+    Actor ``a`` lies in band ``floor(a.y / cell)``, where ``cell`` is the
+    least power of two that is at least 1 and at least ``2 *
+    max_half_width``.  A band is swept on its own and against the band
+    above it, and no other pair of bands is looked at.  This is exact.  If
+    two boxes overlap, ``abs(a.y - b.y) < a.half_width + b.half_width <=
+    cell`` holds in floats, and rounding is monotonic, so the real
+    difference of the two y values is below ``cell`` too.  Dividing by a
+    power of two is exact (below 2**-1022 it rounds, monotonically, and the
+    bands there are -1 and 0), so the two quotients also differ by less
+    than 1, and their floors by at most 1.  A cell of ``2 *
+    max_half_width`` that is not a power of two would round each quotient
+    on its own, which can put two such floors 2 apart.  A cell of at least
+    1 keeps the quotient of a huge y finite.
+
+    Within and across bands, two boxes can overlap only while the distance
+    between their centres in x is below ``a.half_length +
+    max_half_length``.  The cut-off takes the same difference of centres
+    that `overlaps` takes, and rounding is monotonic, so once one actor is
+    past the cut-off, every actor further out is too.  (A cut-off on the
+    box ends, ``x - half_length`` against ``x + half_length``, rounds
+    differently and can disagree with `overlaps` on boxes that just touch.)
+
+    Bands persist from step to step.  Only a change of y moves an actor to
+    another band, so whoever changes an actor's y calls `move`; the next
+    sweep moves the actors noted since the last one, all at once.
     """
 
     def __init__(self) -> None:
-        self.actors: list[Actor] = []
+        self.bands: dict[int, list[Actor]] = {}
+        self._band_of: dict[int, int] = {}  # id(actor) -> its band
+        # id(actor) -> (actor, the band whose list still holds it)
+        self._moved: dict[int, tuple[Actor, int]] = {}
+        # each band with the band above it; None once a band came or went
+        self._neighbours: list[tuple[list[Actor], list[Actor]]] | None = []
         self.max_half_length = 0.0
+        self.max_half_width = 0.0
+        self.cell = 1.0
+
+    def _band(self, actor: Actor) -> int:
+        return math.floor(actor.y / self.cell)
 
     def add(self, actor: Actor) -> None:
-        bisect.insort(self.actors, actor, key=_centre_x)
-        self.max_half_length = max(self.max_half_length, actor.half_length)
+        if actor.half_length > self.max_half_length:
+            self.max_half_length = actor.half_length
+        cell = self.cell
+        while cell < 2.0 * actor.half_width:
+            cell *= 2.0
+        if actor.half_width > self.max_half_width:
+            self.max_half_width = actor.half_width
+        if cell != self.cell:
+            self.cell = cell
+            listed = [a for members in self.bands.values() for a in members]
+            self.bands.clear()
+            self._band_of.clear()
+            self._moved.clear()
+            for a in listed:
+                self._insert(a)
+        self._insert(actor)
+
+    def _insert(self, actor: Actor) -> None:
+        band = self._band_of[id(actor)] = self._band(actor)
+        members = self.bands.get(band)
+        if members is None:
+            members = self.bands[band] = []
+            self._neighbours = None
+        bisect.insort(members, actor, key=_centre_x)
+
+    def move(self, actor: Actor) -> None:
+        """Note a listed actor whose y may have changed."""
+        key = id(actor)
+        band = self._band(actor)
+        held = self._band_of[key]
+        if band != held:
+            self._band_of[key] = band
+            self._moved.setdefault(key, (actor, held))
+
+    def _settle(self) -> None:
+        """Move each actor noted by `move` into the list of its band."""
+        moved = self._moved
+        bands = self.bands
+        for held in {held for _, held in moved.values()}:
+            kept = [a for a in bands[held] if id(a) not in moved]
+            if kept:
+                bands[held] = kept
+            else:
+                del bands[held]
+        for key, (actor, _) in moved.items():
+            bands.setdefault(self._band_of[key], []).append(actor)
+        moved.clear()
+        self._neighbours = None
 
     def pairs(self) -> list[tuple[Actor, Actor]]:
-        """Re-sort by x, then return every overlapping pair, leftmost first.
+        """Re-sort each band by x, then return every overlapping pair.
 
-        Actors move little per step, so the list is nearly sorted and the
-        re-sort takes about linear time.  Most actors inside the x window
-        are in other lanes; the y half of `overlaps`, done inline, turns
-        them away without a call.
+        Actors move little per step, so each band is nearly sorted and its
+        re-sort takes about linear time.  Each pair comes once, in no
+        particular order.  The test of a candidate ``b`` right of ``a`` is
+        `overlaps`, inline: ``b.x - a.x`` is ``abs(a.x - b.x)`` there, as
+        rounding is symmetric.
         """
-        actors = self.actors
-        actors.sort(key=_centre_x)
+        if self._moved:
+            self._settle()
+        bands = self.bands
         reach = self.max_half_length
-        n = len(actors)
         found = []
-        for i, a in enumerate(actors):
-            x, y, half_width = a.x, a.y, a.half_width
-            limit = a.half_length + reach
-            j = i + 1
-            while j < n:
-                b = actors[j]
-                if b.x - x >= limit:
-                    break
-                if abs(b.y - y) < half_width + b.half_width and overlaps(a, b):
-                    found.append((a, b))
-                j += 1
+        for members in bands.values():
+            n = len(members)
+            if n < 2:
+                continue
+            members.sort(key=_centre_x)
+            for i, a in enumerate(members):
+                x, y = a.x, a.y
+                half_length, half_width = a.half_length, a.half_width
+                limit = half_length + reach
+                j = i + 1
+                while j < n:
+                    b = members[j]
+                    dx = b.x - x
+                    if dx >= limit:
+                        break
+                    if dx < half_length + b.half_length \
+                            and abs(b.y - y) < half_width + b.half_width:
+                        found.append((a, b))
+                    j += 1
+        if self._neighbours is None:
+            self._neighbours = [(members, bands[band + 1])
+                                for band, members in bands.items()
+                                if band + 1 in bands]
+        for lower, upper in self._neighbours:
+            _across(lower, upper, reach, found)
         return found
 
     def hits(self, actor: Actor) -> bool:
@@ -237,23 +330,57 @@ class SweepList:
 
         The listed actors must not have moved since they were added.
         """
-        actors = self.actors
         x = actor.x
         limit = actor.half_length + self.max_half_length
-        start = bisect.bisect_left(actors, x, key=_centre_x)
-        for k in range(start, len(actors)):
-            b = actors[k]
-            if b.x - x >= limit:
-                break
-            if overlaps(actor, b):
-                return True
-        for k in range(start - 1, -1, -1):
-            b = actors[k]
-            if x - b.x >= limit:
-                break
-            if overlaps(actor, b):
-                return True
+        # as in `pairs`, but ``actor`` may be wider than the listed ones
+        band = self._band(actor)
+        span = math.ceil((actor.half_width + self.max_half_width) / self.cell)
+        for k in range(band - span, band + span + 1):
+            members = self.bands.get(k)
+            if members is None:
+                continue
+            start = bisect.bisect_left(members, x, key=_centre_x)
+            for i in range(start, len(members)):
+                b = members[i]
+                if b.x - x >= limit:
+                    break
+                if overlaps(actor, b):
+                    return True
+            for i in range(start - 1, -1, -1):
+                b = members[i]
+                if x - b.x >= limit:
+                    break
+                if overlaps(actor, b):
+                    return True
         return False
+
+
+def _across(lower: list[Actor], upper: list[Actor], reach: float,
+            found: list) -> None:
+    """Add the overlapping pairs of two x-sorted bands to ``found``.
+
+    Each actor of one band is tested against the actors of the other band
+    that lie to its right, up to the cut-off; a pair level in x is taken
+    from ``lower``, so no pair is found twice.
+    """
+    for ours, theirs, level in ((lower, upper, True), (upper, lower, False)):
+        m = len(theirs)
+        start = 0
+        for a in ours:
+            x, y = a.x, a.y
+            half_length, half_width = a.half_length, a.half_width
+            while start < m and (theirs[start].x < x if level
+                                 else theirs[start].x <= x):
+                start += 1
+            limit = half_length + reach
+            for j in range(start, m):
+                b = theirs[j]
+                dx = b.x - x
+                if dx >= limit:
+                    break
+                if dx < half_length + b.half_length \
+                        and abs(b.y - y) < half_width + b.half_width:
+                    found.append((a, b))
 
 
 class World:
@@ -295,7 +422,9 @@ class World:
         actor.off_network = False
         actor.lateral_offset = 0.0
         actor.heading = 0.0
-        self._refresh_pose(actor)
+        actor.x = s
+        actor.y = self.road.lane_center(lane) + actor.lateral_offset
+        self._sweep.move(actor)
 
     def place_absolute(self, actor: Actor, x: float, y: float,
                        heading: float) -> None:
@@ -304,6 +433,7 @@ class World:
         actor.x = x
         actor.y = y
         actor.heading = heading
+        self._sweep.move(actor)
 
     def set_sun(self, azimuth: float, elevation: float) -> None:
         self.environment.azimuth = azimuth % (2.0 * math.pi)
@@ -335,31 +465,39 @@ class World:
     # stepping
 
     def step(self) -> None:
+        """Advance every actor by dt, then record the overlapping pairs.
+
+        An on-network vehicle's x follows its station s; its y changes only
+        during a lane change, and then the broad phase re-bands it.
+        """
+        dt = self.dt
+        length = self.road.length
         for actor in self.actors.values():
             if actor.kind == "static-prop":
                 actor.speed = 0.0  # zero-velocity kinematic lock
                 continue
-            self._step_vehicle(actor)
+            if not actor.off_network:
+                speed = actor.speed
+                if speed != actor.target_speed:  # else either profile holds it
+                    speed = speed_controller(speed, actor.target_speed,
+                                             actor.profile, dt)
+                speed = actor.speed = speed if speed > 0.0 else 0.0
+                s = actor.s = actor.s + speed * dt
+                if not 0.0 <= s <= length:
+                    raise OffMapFault(
+                        f"actor '{actor.name}' left the road at s={s:.2f}")
+                if actor.lane_change is not None:
+                    self._advance_lane_change(actor)
+                    actor.y = (self.road.lane_center(actor.lane)
+                               + actor.lateral_offset)
+                    self._sweep.move(actor)
+                actor.x = s
+            if actor.light_mode == "auto":
+                actor.lights = self._effective_lights(actor)
         self._detect_collisions()
-
-    def _step_vehicle(self, actor: Actor) -> None:
-        if actor.off_network:
-            actor.lights = self._effective_lights(actor)
-            return
-        actor.speed = max(0.0, speed_controller(
-            actor.speed, actor.target_speed, actor.profile, self.dt))
-        actor.s += actor.speed * self.dt
-        if not 0.0 <= actor.s <= self.road.length:
-            raise OffMapFault(
-                f"actor '{actor.name}' left the road at s={actor.s:.2f}")
-        self._advance_lane_change(actor)
-        self._refresh_pose(actor)
-        actor.lights = self._effective_lights(actor)
 
     def _advance_lane_change(self, actor: Actor) -> None:
         maneuver = actor.lane_change
-        if maneuver is None:
-            return
         maneuver.steps += 1
         u = maneuver.steps / maneuver.total_steps
         shift = (self.road.lane_center(maneuver.to_lane)
@@ -374,12 +512,6 @@ class World:
             actor.lane_change = None
         else:
             actor.heading = math.atan2(lateral_rate, actor.speed)
-
-    def _refresh_pose(self, actor: Actor) -> None:
-        if actor.off_network:
-            return
-        actor.x = actor.s
-        actor.y = self.road.lane_center(actor.lane) + actor.lateral_offset
 
     def _effective_lights(self, actor: Actor) -> str:
         if actor.light_mode != "auto":

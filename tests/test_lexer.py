@@ -440,6 +440,7 @@ _SOURCE = st.lists(_LINE, min_size=1, max_size=8).map("\n".join)
 @given(source=_SOURCE)
 @example(source="var x: length = \u00b2m")
 @example(source="a:\n  f(1\u0663m,\n 2.5kph)  # wrapped\n\tb")
+@example(source="9" * 400 + "\u0663and")
 def test_matches_the_character_scanner(source):
     """The one-pattern scan gives the old scanner's tokens and errors.
 
@@ -455,11 +456,16 @@ def test_matches_the_character_scanner(source):
         return
     assert isinstance(new, Diagnostic) and new.code == "L001", (old, new)
     line, col = new.span.line, new.span.col
-    if new.message == "number literal is out of range":
-        # the old scanner read on past the ASCII digits and float() failed
-        assert old is ValueError and scanner.numbers[-1] == (line, col), (old, new)
-        return
     text = source.splitlines()[line - 1]
+    if new.message == "number literal is out of range":
+        # the old scanner read on past the ASCII digits into a non-ASCII
+        # one; then float() failed, or a later part of the literal did
+        assert scanner.numbers[-1] == (line, col), (old, new)
+        end = col - 1
+        while end < len(text) and text[end] in "0123456789.":
+            end += 1
+        assert text[end:end + 1].isdigit() and not text[end].isascii(), (old, new)
+        return
     char = text[col - 1]
     assert char.isdigit() and not char.isascii(), (old, new)
     assert new.message == f"unexpected character {char!r}"

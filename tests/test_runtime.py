@@ -203,6 +203,46 @@ class TestLeaves:
         cs.step_tick()
         assert b.target_speed == 5.0
 
+    def test_constant_arguments_are_read_once(self):
+        cs = compile_body(
+            "    parallel:\n"
+            "      a.drive() with:\n"
+            "        speed(30kph + 5kph)\n"
+            "      b.drive() with:\n"
+            "        speed(a.speed)\n"
+            "      c.change_speed(target: cruise)\n"
+            "      d.follow_path(distance: 5m, speed: 72kph)\n",
+            members=("  a: vehicle\n  b: vehicle\n  c: vehicle\n"
+                     "  d: vehicle\n  var cruise: speed = 36kph\n"))
+        drive_a, drive_b, change, follow = cs.root.children()[0].children()
+        assert drive_a.target == pytest.approx(35 / 3.6)
+        assert drive_b.target is None  # a.speed is read every tick
+        assert change.target == pytest.approx(10.0)
+        assert follow.speed == pytest.approx(20.0)
+        cs.step_tick()
+        assert cs.context.actor("a").target_speed == drive_a.target
+        assert cs.context.actor("d").target_speed == follow.speed
+
+    @pytest.mark.parametrize("body, faults", [
+        ("    env.drive() with:\n      speed(5kph)\n", True),
+        ("    env.change_speed(target: 5kph)\n", True),
+        ("    env.drive()\n", False),  # a bare drive never reads its actor
+    ])
+    def test_missing_actor_faults_on_its_first_tick(self, body, faults):
+        registry = MethodRegistry()
+        for action, leaf in (("drive", DriveLeaf),
+                             ("change_speed", ChangeSpeedLeaf)):
+            registry.register("environment", action, leaf)
+        cs = compile_body("    wait elapsed(0.1s)\n" + body,
+                          members="  env: environment\n", registry=registry)
+        cs.step_tick()
+        cs.step_tick()
+        if faults:
+            with pytest.raises(EvalError, match="no live actor named 'env'"):
+                cs.step_tick()
+        else:
+            assert cs.step_tick() is RUNNING
+
     def test_change_speed_reaches_target(self):
         cs = compile_body(
             "    a.change_speed(target: 18kph, rate_profile: asap)\n")
@@ -279,6 +319,95 @@ class TestLeaves:
         assert cs.step_tick() is RUNNING
 
 
+def conflict(tick):
+    return tick, ("motion of actor 'a' commanded by two behaviors "
+                  f"in tick {tick}")
+
+
+# Motion arbitration of one actor: the tick and message of each fault, or the
+# tick at which the scenario succeeds when every handover is clean.  A leaf
+# that finishes or is halted releases its claim in that tick, so its
+# successor may take over within the same tick.
+ARBITRATION = {
+    "overlapping-drives": (
+        "    parallel:\n"
+        "      serial:\n"
+        "        wait elapsed(0.5s)\n"
+        "        a.drive() with:\n"
+        "          speed(5kph)\n"
+        "      a.drive() with:\n"
+        "        speed(10kph)\n", conflict(10)),
+    "change-speed-under-drive": (
+        "    parallel:\n"
+        "      a.drive() with:\n"
+        "        speed(5kph)\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_speed(target: 0kph)\n", conflict(4)),
+    "drive-under-follow-path": (
+        "    parallel:\n"
+        "      serial:\n"
+        "        wait elapsed(0.1s)\n"
+        "        a.drive() with:\n"
+        "          speed(5kph)\n"
+        "      a.follow_path(distance: 50m, speed: 20kph)\n", conflict(2)),
+    "overlapping-lane-changes": (
+        "    parallel:\n"
+        "      a.change_lane(num_of_lanes: 1, side: right)\n"
+        "      serial:\n"
+        "        wait elapsed(1s)\n"
+        "        a.change_lane(num_of_lanes: 1, side: left)\n", conflict(20)),
+    "sequential": (
+        "    a.change_speed(target: 18kph)\n"
+        "    a.follow_path(distance: 2m)\n"
+        "    a.change_lane(num_of_lanes: 1, side: right)\n"
+        "    a.change_speed(target: 0kph, rate_profile: smooth)\n",
+        (327, "Success")),
+    "one-of-halted-drive": (
+        "    one_of:\n"
+        "      a.drive() with:\n"
+        "        speed(5kph)\n"
+        "      wait elapsed(0.2s)\n"
+        "    a.change_speed(target: 0kph)\n", (8, "Success")),
+    # the drive is halted earlier in the tick than its successor claims
+    "handover-after-halt": (
+        "    parallel:\n"
+        "      one_of:\n"
+        "        a.drive() with:\n"
+        "          speed(20kph)\n"
+        "        wait elapsed(0.2s)\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_speed(target: 0kph)\n", (8, "Success")),
+    # the successor claims before the drive's last tick: still a conflict
+    "claim-before-halt": (
+        "    parallel:\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_speed(target: 0kph)\n"
+        "      one_of:\n"
+        "        a.drive() with:\n"
+        "          speed(20kph)\n"
+        "        wait elapsed(0.2s)\n", conflict(4)),
+}
+
+
+@pytest.mark.parametrize("body, outcome", ARBITRATION.values(),
+                         ids=ARBITRATION.keys())
+def test_motion_arbitration(body, outcome):
+    cs = compile_body(body)
+    for tick in range(400):
+        try:
+            status = cs.step_tick()
+        except ArbitrationFault as exc:
+            assert (tick, str(exc)) == outcome
+            return
+        if status is not RUNNING:
+            assert (tick, status.value) == outcome
+            return
+    pytest.fail("the scenario neither settled nor faulted")
+
+
 class TestEvaluation:
     def test_variables_evaluated_at_start(self, flagship_source):
         cs = compile_source(flagship_source, "flagship.osc")
@@ -300,7 +429,8 @@ class TestEvaluation:
         assert cs.context.var("double").value == 6.0
 
     def test_cyclic_variables_rejected(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(CompileError,
+                           match="initializer of 'x' depends on itself"):
             compile_body(
                 "    wait elapsed(0.05s)\n",
                 members=("  a: vehicle\n"

@@ -1,11 +1,13 @@
 """Semantic analysis tests: both passes, all diagnostic codes, scope rules."""
 
+import dataclasses
 import pathlib
 
 import pytest
 
-from osc2c import ast
+from osc2c import ast, units
 from osc2c.parser import parse
+from osc2c.runtime import compile_scenario
 from osc2c.semantics import analyze, check
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -184,6 +186,128 @@ class TestCoercion:
         # left factor off the declared type means no coercion, plain E003
         src = wrap("emit X", members="var t: time = 5m * 1kph")
         assert codes(check(src)) == ["E003"]
+
+
+def messages(analysis):
+    return [(d.code, d.span.line, d.message) for d in analysis.diagnostics]
+
+
+class TestVarCycles:
+    def test_self_reference(self):
+        src = wrap("emit X", members="var a: length = a + 1m")
+        assert messages(check(src)) == [
+            ("E002", 2, "initializer of 'a' depends on itself")]
+
+    def test_reported_once_at_first_declared_member(self):
+        # c is declared first and reads the cycle {a, b} without being on it
+        src = wrap("emit X", members=(
+            "var c: length = b\n"
+            "var a: length = b * 2\n"
+            "var b: length = a + 1m"))
+        assert messages(check(src)) == [
+            ("E002", 3, "initializer of 'a' depends on itself")]
+
+    def test_source_order_among_other_diagnostics(self):
+        src = wrap("emit X", members=(
+            "var x: length = y\n"
+            "var bad: length = 1kph\n"
+            "var y: length = x\n"
+            "var z: length = z"))
+        assert messages(check(src)) == [
+            ("E002", 2, "initializer of 'x' depends on itself"),
+            ("E003", 3, "initializer of 'bad' has dimension speed, "
+                        "expected length"),
+            ("E002", 5, "initializer of 'z' depends on itself")]
+
+    def test_long_chain_checks_and_runs(self):
+        # each var reads the next one, declared after it
+        count = 3000
+        members = "\n".join([f"var v{i}: length = v{i + 1} + 1m"
+                              for i in range(count)]
+                             + [f"var v{count}: length = 1m"])
+        analysis = check(wrap("emit X", members=members))
+        assert analysis.ok
+        cs = compile_scenario(analysis)
+        assert cs.context.var("v0").value == count + 1
+
+
+class TestConstantFolding:
+    def test_division_by_zero(self):
+        src = wrap("emit X", members="var a: length = 1m / 0")
+        assert [(d.code, d.span.col, d.message)
+                for d in check(src).diagnostics] == [
+            ("E002", 19, "division by a zero-valued quantity")]
+
+    def test_overflow(self):
+        big = "1" + "0" * 200
+        src = wrap("emit X", members=f"var a: length = {big} * {big} * 1m")
+        assert messages(check(src)) == [
+            ("E002", 2, "non-finite quantity value: inf")]
+
+    def test_folded_value_matches_run_time_arithmetic(self):
+        src = wrap("hero.drive() with:\n  speed(-(30kph + 5kph) * 2 / 3)",
+                   members="hero: vehicle")
+        analysis = check(src)
+        (arg,) = [a for a in find_all(analysis.program, ast.Argument)
+                  if a.name is None]
+        evaluator = analysis.evaluators[id(arg.value)]
+        expected = (-(units.from_literal(30.0, "kph")
+                      + units.from_literal(5.0, "kph")) * units.Quantity(2.0)
+                    / units.Quantity(3.0))
+        assert evaluator.func.__name__ == "_constant"
+        assert evaluator(None) == expected
+
+    def test_mismatched_comparison_reports_once(self):
+        src = wrap("wait 1m > 1s", members="")
+        assert codes(check(src)) == ["E003"]
+
+    def test_live_operands_are_not_folded(self):
+        src = wrap("wait hero.speed / 0 > 1kph", members="hero: vehicle")
+        assert codes(check(src)) == []
+
+
+class TestAttributeReads:
+    def test_unset_attribute(self):
+        src = wrap('wait hero.color == "red"', members="hero: vehicle")
+        assert messages(check(src)) == [
+            ("E002", 4, "attribute 'color' of 'hero' is not set by a keep "
+                        "constraint")]
+
+    def test_set_attribute_is_a_constant(self):
+        src = wrap('wait hero.color == "red"',
+                   members='hero: vehicle with:\n  keep(it.color == "red")')
+        analysis = check(src)
+        assert analysis.ok
+        (wait,) = find_all(analysis.program, ast.BoolCondition)
+        assert analysis.evaluators[id(wait.expr)](None) is True
+
+    def test_keep_declared_after_the_body_counts(self):
+        src = ("scenario s:\n  do serial:\n    wait hero.color == \"red\"\n"
+               "  hero: vehicle with:\n    keep(it.color == \"red\")\n")
+        assert codes(check(src)) == []
+
+    def test_read_in_initializer_reports_only_the_type(self):
+        src = wrap("emit X", members=(
+            "var a: length = hero.color\n"
+            'hero: vehicle with:\n  keep(it.color == "red")'))
+        assert messages(check(src)) == [
+            ("E002", 2, "initializer of 'a' is not a quantity")]
+
+
+def find_all(node, node_type):
+    """Every syntax node of one type under ``node``."""
+    found = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ast.Node):
+            if isinstance(current, node_type):
+                found.append(current)
+            stack.extend(getattr(current, f.name)
+                         for f in dataclasses.fields(current))
+        elif isinstance(current, list):
+            stack.extend(current)
+    return found
 
 
 class TestOrderIndependence:

@@ -3,12 +3,14 @@
 import json
 import math
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osc2c.world import (
     ASAP_ACCEL_LIMIT,
+    Actor,
     SMOOTH_ACCEL_LIMIT,
     TOWN06,
     LaneOutOfBounds,
@@ -445,8 +447,12 @@ class TestCollisions:
 # sum of two half lengths (vehicle 2.5, prop 1.0) exactly or 1e-13 off, or
 # anything, then moved by up to two ulps.  Near a power of two, where the
 # spacing of floats changes, rounding can make a test of box ends disagree
-# with `overlaps`.  Off-network actors likewise sit at a y offset from a
-# lane centre.
+# with `overlaps`.  An actor stands at its lane centre, or off the network at
+# a y offset from it, at a multiple of a band cell (2 m for vehicles and
+# props, more for wide boxes) or one ulp either side of it, or at a huge
+# finite y.  A wide box is a static box broader than it is long, so the band
+# cell follows the widest half width, not the longest half length; one that
+# arrives late makes the broad phase re-band every actor.
 HALF_SUMS = (2.0, 3.5, 5.0)
 EDGE_OFFSETS = st.one_of(
     st.just(0.0),
@@ -454,29 +460,57 @@ EDGE_OFFSETS = st.one_of(
               st.sampled_from(HALF_SUMS), st.sampled_from((-1.0, 1.0)),
               st.sampled_from((0.0, 1e-13, -1e-13))),
     st.floats(-8.0, 8.0))
+BAND_EDGES = st.builds(lambda k, cell, ulps: nudged(k * cell, ulps),
+                       st.integers(-9, 2),
+                       st.sampled_from((2.0, 4.0, 8.0, 16.0)),
+                       st.integers(-1, 1))
+HUGE_Y = st.sampled_from((1e300, -1e300, 2.0 ** 1000, sys.float_info.max,
+                          -sys.float_info.max))
 ACTOR_SPECS = st.fixed_dictionaries({
-    "kind": st.sampled_from(("vehicle", "prop")),
+    "kind": st.sampled_from(("vehicle", "vehicle", "prop", "wide")),
+    "half_width": st.sampled_from((1.5, 5.0, 12.0)),
     "dx": EDGE_OFFSETS,
     "ulps": st.integers(-2, 2),
     "lane": st.integers(0, 2),
-    "off_network_dy": st.none() | EDGE_OFFSETS,
+    "place": st.sampled_from(("lane", "lane", "offset", "edge", "huge")),
+    "dy": EDGE_OFFSETS,
+    "edge": BAND_EDGES,
+    "huge": HUGE_Y,
     "speed": st.sampled_from((0.0, 0.0, 10.0)) | st.floats(0.0, 40.0),
     "change": st.sampled_from((None, None, "left", "right")),
 })
 
 
-def next_x(x, spec):
-    x += spec["dx"]
-    for _ in range(abs(spec["ulps"])):
-        x = math.nextafter(x, math.copysign(math.inf, spec["ulps"]))
+def make_spec(**drawn):
+    """An actor spec as ACTOR_SPECS draws it: a vehicle at its lane centre."""
+    return {"kind": "vehicle", "half_width": 1.5, "dx": 0.0, "ulps": 0,
+            "lane": 1, "place": "lane", "dy": 0.0, "edge": 0.0, "huge": 1e300,
+            "speed": 0.0, "change": None, **drawn}
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
     return x
 
 
+def next_x(x, spec):
+    return nudged(x + spec["dx"], spec["ulps"])
+
+
 def add_drawn_actor(world, index, spec, x):
-    add = world.add_vehicle if spec["kind"] == "vehicle" else world.add_prop
-    actor = add(f"{spec['kind'][0]}{index}")
-    if spec["off_network_dy"] is not None:
-        y = TOWN06.lane_center(spec["lane"]) + spec["off_network_dy"]
+    name = f"{spec['kind'][0]}{index}"
+    if spec["kind"] == "wide":
+        actor = world._add(Actor(name, "static-prop", half_length=0.5,
+                                 half_width=spec["half_width"]))
+    elif spec["kind"] == "prop":
+        actor = world.add_prop(name)
+    else:
+        actor = world.add_vehicle(name)
+    place = spec["place"]
+    if place != "lane":
+        y = {"offset": TOWN06.lane_center(spec["lane"]) + spec["dy"],
+             "edge": spec["edge"], "huge": spec["huge"]}[place]
         world.place_absolute(actor, x, y, 0.0)
         return
     world.place_on_lane(actor, spec["lane"], x)
@@ -495,21 +529,41 @@ def all_pairs_collisions(world):
 
 
 @settings(max_examples=200, deadline=None)
+# A box reaches across the band boundary at y = -4 into the band below.
+@example(base=200.0,
+         specs=[make_spec(kind="prop", place="edge", edge=nudged(-4.0, 1)),
+                make_spec(kind="prop", place="edge", edge=nudged(-4.0, -1))],
+         late=make_spec(lane=0), late_step=5, dt=DT)
+# A lane change from lane 1 to lane 2 ends on top of a vehicle in lane 2.
+@example(base=200.0, specs=[make_spec(change="right"), make_spec(lane=2)],
+         late=make_spec(lane=0), late_step=5, dt=0.5)
+# A wide box reaches two lanes and more; its y is 12.5 m below a vehicle.
+@example(base=200.0,
+         specs=[make_spec(lane=0),
+                make_spec(kind="wide", half_width=12.0, place="offset",
+                          lane=2, dy=-5.5)],
+         late=make_spec(lane=0), late_step=5, dt=DT)
 @given(base=st.builds(lambda power, dx: power + dx,
                       st.sampled_from((128.0, 256.0)),
                       st.sampled_from((-2.5, -1.0)) | st.floats(-6.0, 6.0))
        | st.floats(150.0, 300.0),
        specs=st.lists(ACTOR_SPECS, min_size=1, max_size=12),
-       late=ACTOR_SPECS)
-def test_collisions_match_all_pairs_reference(base, specs, late):
-    """The broad phase finds the pairs an all-pairs test finds, in its order."""
-    world = make_world()
+       late=ACTOR_SPECS, late_step=st.integers(1, 5),
+       dt=st.sampled_from((DT, 0.5)))
+def test_collisions_match_all_pairs_reference(base, specs, late, late_step,
+                                              dt):
+    """The broad phase finds the pairs an all-pairs test finds, in its order.
+
+    At dt 0.5 a lane change ends within the six steps, crossing the band
+    between two lanes.
+    """
+    world = World(TOWN06, dt)
     x = base
     for index, spec in enumerate(specs):
         x = next_x(x, spec)
         add_drawn_actor(world, index, spec, x)
-    for step in range(4):
-        if step == 1:
+    for step in range(6):
+        if step == late_step:
             add_drawn_actor(world, len(specs), late, next_x(x, late))
         world.step()
         assert world.collisions == all_pairs_collisions(world)
