@@ -42,6 +42,7 @@ class Blackboard:
     def __init__(self):
         self.events: dict[str, int] = {}  # name -> first-emission tick
         self.emissions: list[tuple[str, bool]] = []  # this tick's emits
+        # actor -> (tick, claimant token) of the last motion claim
         self._claims: dict[str, tuple[int, object]] = {}
 
     def begin_tick(self, now: int) -> None:
@@ -60,6 +61,13 @@ class Blackboard:
         return self.events.get(name)
 
     def claim_motion(self, actor: str, claimant: object, now: int) -> None:
+        """Claim an actor's motion for tick `now`.
+
+        `claimant` is a token that identifies the commander by identity.
+        The table keeps it, so it must not be the commander itself: a
+        commander that holds this blackboard would then close a reference
+        cycle, and only a full collection could free the tree.
+        """
         held = self._claims.get(actor)
         if held is not None and held[0] == now and held[1] is not claimant:
             raise ArbitrationFault(

@@ -87,8 +87,19 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _number(value) -> str:
-    """The JSON text of a trace number, as json.dumps writes `_round6(value)`."""
-    text = repr(round(float(value), 6))
+    """The JSON text of a trace number, as json.dumps writes `_round6(value)`.
+
+    From 1e-4 up to 1e9, and at a signed zero, that is the six-decimal fixed
+    notation with its trailing zeros dropped but one.  Both texts round
+    correctly, `repr` writes these magnitudes in fixed notation, and a text
+    of at most 15 significant digits is the shortest that reads back as the
+    rounded double.
+    """
+    value = float(value)
+    if 1e-4 <= abs(value) < 1e9 or value == 0.0:
+        text = ("%.6f" % value).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    text = repr(round(value, 6))
     return _NON_FINITE.get(text, text)
 
 

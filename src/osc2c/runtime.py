@@ -30,7 +30,8 @@ from .btree import (
     TickContext,
     Timer,
 )
-from .diagnostics import CompileError, Diagnostic, ERROR, Span
+from .diagnostics import (CompileError, Diagnostic, ERROR, Span,
+                          collector_paused)
 from .prelude import ACTOR_TYPES, MODIFIERS, inheritance_chain
 from .semantics import (Analysis, EvalError, Evaluator, ScenarioInfo, check,
                         constant_value)
@@ -217,6 +218,12 @@ class _MotionLeaf(_Leaf):
     _board: Blackboard | None = None
     _actor: Actor | None = None
 
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__(receiver, args, modifiers, context)
+        # the leaf's claimant token on the blackboard, which must not hold
+        # the leaf (see Blackboard.claim_motion)
+        self._token = object()
+
     @property
     def actor(self) -> Actor:
         """The receiver's live actor, looked up on the first tick that
@@ -226,12 +233,12 @@ class _MotionLeaf(_Leaf):
         return self._actor
 
     def _claim(self, ctx) -> None:
-        ctx.blackboard.claim_motion(self.actor_name, self, ctx.now)
+        ctx.blackboard.claim_motion(self.actor_name, self._token, ctx.now)
         self._board = ctx.blackboard
 
     def _release(self) -> None:
         if self._board is not None:
-            self._board.release_motion(self.actor_name, self)
+            self._board.release_motion(self.actor_name, self._token)
             self._board = None
 
     def halt(self) -> None:
@@ -252,7 +259,7 @@ class DriveLeaf(_MotionLeaf):
     def _tick(self, ctx) -> Status:
         # `_claim` and `actor`, inlined: a crowd ticks one drive per vehicle
         board = self._board = ctx.blackboard
-        board.claim_motion(self.actor_name, self, ctx.now)
+        board.claim_motion(self.actor_name, self._token, ctx.now)
         if self.speed_expr is not None:
             target = self.target
             if target is None:
@@ -719,6 +726,7 @@ class CompiledScenario:
         return None
 
 
+@collector_paused
 def compile_scenario(analysis: Analysis, *,
                      registry: MethodRegistry | None = None,
                      road: RoadMap | None = None,

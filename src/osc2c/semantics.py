@@ -6,7 +6,9 @@ forward references are legal by construction.  The resolution pass then
 binds references, walks actor inheritance chains, checks dimensions, binds
 the arguments of actions, modifiers and queries to their signatures in the
 prelude, and binds the scenario to a builtin map.  It also rejects cyclic
-``var`` initializers and reads of attributes that no ``keep`` sets.
+``var`` initializers, ``var`` initializers that read actor state (the vars
+are evaluated before any actor is placed) and reads of attributes that no
+``keep`` sets.
 Diagnostics accumulate in source order; errors never abort the pass, so one
 run reports everything.
 
@@ -26,7 +28,8 @@ from functools import partial
 from typing import Any, Callable
 
 from . import ast, prelude, units
-from .diagnostics import ERROR, WARNING, CompileError, Diagnostic, Span
+from .diagnostics import (ERROR, WARNING, CompileError, Diagnostic, Span,
+                          collector_paused)
 from .parser import parse
 from .units import (DIMENSIONLESS, DURATION, LENGTH, SPEED, Dimension,
                     Quantity, dimension_name)
@@ -556,6 +559,15 @@ class Analyzer:
             evaluator = self._names[key] = partial(_NAME_EVALUATORS[kind], name)
         return evaluator
 
+    def _reads_actors(self, what: str, span: Span) -> bool:
+        """Whether a read of actor state is in a var initializer, which is
+        evaluated before any actor is placed; reports E002 if it is."""
+        if self._reads is None:
+            return False
+        self.error("E002", f"a var initializer cannot {what}: vars are "
+                   f"evaluated before any actor is placed", span)
+        return True
+
     def _folded(self, result: ExprType, evaluator: Evaluator, span: Span):
         """``(result, evaluator)`` for an evaluator of constant operands,
         folded to a constant.
@@ -651,6 +663,9 @@ class Analyzer:
                     and not self._in_world(receiver, expr.span):
                 return UNKNOWN, None
             if member == "speed":
+                if self._reads_actors(f"read '{receiver.instance}.speed'",
+                                      expr.span):
+                    return UNKNOWN, None
                 return (QuantityType(SPEED),
                         lambda env: Quantity(actor(env).speed, SPEED))
             if member == "position":
@@ -685,7 +700,8 @@ class Analyzer:
                 return UNKNOWN, None
             bound = self._bind(expr.method, prelude.AHEAD_OF, expr.args, args,
                                expr.span)
-            if bound is None:
+            if bound is None or self._reads_actors("call 'ahead_of'",
+                                                   expr.span):
                 return UNKNOWN, None
             subject = self._name_evaluator("actor-instance", receiver.instance)
             other = bound["actor"][1]
@@ -700,7 +716,8 @@ class Analyzer:
             in_world = self._in_world(receiver, expr.receiver.span)
             bound = self._bind(expr.method, prelude.OBJECT_DISTANCE,
                                expr.args, args, expr.span)
-            if bound is None or not in_world:
+            if bound is None or not in_world or self._reads_actors(
+                    "call 'object_distance'", expr.span):
                 return UNKNOWN, None
             direction = bound.get("direction")
             word = "euclidean" if direction is None else direction[0].word
@@ -824,6 +841,7 @@ def analyze(program: ast.Program, filename: str = "<string>",
                     analyzer.evaluators)
 
 
+@collector_paused
 def check(source: str, filename: str = "<string>",
           extra_actions: dict[str, frozenset[str]] | None = None) -> Analysis:
     """Full frontend: lex, parse, analyze.  Frontend aborts become diagnostics."""

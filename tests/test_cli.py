@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osc2c import ast
-from osc2c.cli import _TickEncoder, main
+from osc2c.cli import _TickEncoder, _number, main
 from osc2c.parser import MAX_DEPTH
 from osc2c.world import LIGHT_MODES, Actor
 
@@ -462,3 +463,41 @@ def test_tick_lines_match_json_dumps(inputs, dt, start):
         line = stream.getvalue()[before:]
         assert line == json.dumps(reference_tick_record(cs, start + offset),
                                   separators=(",", ":")) + "\n"
+
+
+def _neighbours(value, count=3):
+    """``value`` and the ``count`` doubles on either side of it."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        x = value
+        for _ in range(count):
+            x = math.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+# Where the fixed-notation path ends (1e-4 and 1e9, either sign) and the
+# doubles next to those bounds, values just below 1e-4 that `repr` writes
+# with an exponent, signed zeros, values that round to 1e-4, 1e9 or zero,
+# half-way points at the sixth decimal, non-finite values and ints.
+NUMBER_EDGES = tuple(
+    [x for bound in (1e-4, -1e-4, 1e9, -1e9) for x in _neighbours(bound)]
+    + [9.9e-5, -9.9e-5, 5e-5, 1e-5, 1.5e-6, 0.0000994999,
+       0.0, -0.0, 5e-7, -5e-7, 4.9999999e-7, 0.00009999995, 0.0000999995,
+       0.0001000005, 2.0000005, -2.0000005, 0.1 + 0.2, 999999999.9999995,
+       999999999.9999996, -999999999.9999996, 123456.0000005, 1e16, 1e-300,
+       5e-324, math.nan, math.inf, -math.inf, 0, 1, -3, 10 ** 9,
+       2 ** 53 + 1])
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.floats() | st.integers(0, 2 ** 64 - 1).map(bits_to_float)
+       | st.sampled_from(NUMBER_EDGES) | st.integers(-2 ** 62, 2 ** 62))
+def test_number_matches_json_dumps(value):
+    """A trace number is the text json.dumps writes for it rounded to six
+    decimals, through the fixed-notation path and the `repr` one alike."""
+    assert _number(value) == json.dumps(round(float(value), 6))

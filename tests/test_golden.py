@@ -98,15 +98,12 @@ def test_trace_number_text(tmp_path):
     ("", "    wait npc.position.ahead_of(hero) / hero.speed > 1s\n",
      '{"record":"fault","tick":0,"error":"EvalError",'
      '"message":"division by a zero-valued quantity"}'),
-    ("  var t: time = 1m / hero.speed\n", "    wait elapsed(1s)\n",
-     '{"record":"fault","tick":0,"error":"EvalError",'
-     '"message":"division by a zero-valued quantity"}'),
     ("", "    hero.assign_position() with:\n"
          "      position(x: 10m, y: 3m, at: start)\n"
          "    wait rise(hero.position.ahead_of(npc) > 1m)\n",
      '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
      '"message":"ahead_of requires both actors on the lane network"}'),
-], ids=["query-div-zero", "var-reads-world", "off-network-ahead-of"])
+], ids=["query-div-zero", "off-network-ahead-of"])
 def test_runtime_fault_record(members, body, record, tmp_path):
     source = tmp_path / "probe.osc"
     source.write_text(MEMBERS + members + "  do serial:\n" + body)
@@ -169,6 +166,13 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
     ("  var a: length = b + 1m\n  var b: length = a * 2\n",
      "    wait elapsed(1s)\n",
      [("E002", "initializer of 'a' depends on itself")]),
+    ("  var t: time = 1m / hero.speed\n", "    wait elapsed(1s)\n",
+     [("E002", "a var initializer cannot read 'hero.speed': vars are "
+               "evaluated before any actor is placed")]),
+    ("  var d: length = hero.object_distance(reference: npc)\n",
+     "    wait elapsed(1s)\n",
+     [("E002", "a var initializer cannot call 'object_distance': vars are "
+               "evaluated before any actor is placed")]),
     (WORLDLESS, "    wait hero.object_distance(reference: my_map) < 1m\n",
      [("E002", "actor 'my_map' of type 'map' is not in the world")]),
     (WORLDLESS, "    env.assign_celestial_position(azimuth: 1rad, "
@@ -188,7 +192,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "behind-length", "lane-side-start", "distance-stray-argument",
         "drive-stray-argument", "position-value", "environment-speed",
         "environment-position", "ahead-of-environment", "var-div-zero",
-        "missing-attribute", "cyclic-vars", "map-reference",
+        "missing-attribute", "cyclic-vars", "var-reads-world",
+        "var-object-distance", "map-reference",
         "environment-at-start", "drive-at-start", "set-lights-at-start"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a

@@ -294,6 +294,46 @@ class TestAttributeReads:
             ("E002", 2, "initializer of 'a' is not a quantity")]
 
 
+PLACED_LATER = "vars are evaluated before any actor is placed"
+
+
+class TestInitializerActorReads:
+    """The vars are evaluated before the initializer places any actor, so an
+    initializer may not read actor state."""
+
+    @pytest.mark.parametrize("init, col, what", [
+        ("1m / hero.speed", 22, "read 'hero.speed'"),
+        ("hero.speed * 2s", 19, "read 'hero.speed'"),
+        ("hero.object_distance(reference: npc)", 19,
+         "call 'object_distance'"),
+        ("hero.object_distance(reference: npc, direction: topological)", 19,
+         "call 'object_distance'"),
+        ("hero.position.ahead_of(npc) + 1m", 19, "call 'ahead_of'"),
+    ])
+    def test_read_is_e002(self, init, col, what):
+        kind = "time" if init.startswith("1m /") else "length"
+        src = wrap("emit X", members=(f"hero: vehicle\nnpc: vehicle\n"
+                                      f"var v: {kind} = {init}"))
+        assert [(d.code, d.span.line, d.span.col, d.message)
+                for d in check(src).diagnostics] == [
+            ("E002", 4, col, f"a var initializer cannot {what}: "
+                             f"{PLACED_LATER}")]
+
+    def test_reads_in_the_body_are_allowed(self):
+        src = wrap("wait hero.object_distance(reference: npc) > d\n"
+                   "wait hero.speed > 1kph",
+                   members="hero: vehicle\nnpc: vehicle\nvar d: length = 5m")
+        assert codes(check(src)) == []
+
+    def test_only_the_reading_var_is_reported(self):
+        src = wrap("emit X", members=(
+            "hero: vehicle\nvar a: length = b * 2\n"
+            "var b: length = hero.speed * 1s"))
+        assert messages(check(src)) == [
+            ("E002", 4, f"a var initializer cannot read 'hero.speed': "
+                        f"{PLACED_LATER}")]
+
+
 def find_all(node, node_type):
     """Every syntax node of one type under ``node``."""
     found = []
