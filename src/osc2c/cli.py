@@ -14,32 +14,20 @@ import struct
 import sys
 
 from . import ast
-from .btree import (
-    ArbitrationFault,
-    FAILURE,
-    SUCCESS,
-    dump_tree,
-    required_ticks,
-)
+from .btree import dump_tree, required_ticks
 from .diagnostics import CompileError, Diagnostic
 from .parser import parse
-from .runtime import (
-    BuildError,
-    CompiledScenario,
-    EvalError,
-    InitConflict,
-    SpawnCollision,
-    UnsupportedAction,
-    compile_scenario,
-)
+from .runtime import CompiledScenario, builtin_registry, compile_source
 from .semantics import check
-from .world import SimFault, load_map
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_IO = 2
 EXIT_TIMEOUT = 3
 EXIT_FAULT = 4
+
+_OUTCOME_EXITS = {"success": EXIT_OK, "failure": EXIT_FAULT,
+                  "fault": EXIT_FAULT, "timeout": EXIT_TIMEOUT}
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 _RESET = "\x1b[0m"
@@ -172,60 +160,31 @@ class _TickEncoder:
                     f'"events":[{events}],"collisions":[{collisions}]}}\n')
 
 
-def _summary_record(cs: CompiledScenario | None, outcome: str,
-                    ticks: int) -> dict:
-    events = []
-    if cs is not None:
-        ordered = sorted(cs.blackboard.events.items(),
-                         key=lambda item: (item[1], item[0]))
-        events = [{"name": name, "tick": tick} for name, tick in ordered]
-    return {"record": "summary", "outcome": outcome, "ticks": ticks,
-            "events": events}
-
-
 def cmd_check(args) -> int:
     try:
         source = _read_source(args.file)
     except OSError as exc:
         return _fail_io(str(exc))
-    analysis = check(source, args.file)
+    analysis = check(source, args.file,
+                     extra_actions=builtin_registry().action_table())
     _print_diagnostics(analysis.diagnostics)
     return EXIT_OK if analysis.ok else EXIT_DIAGNOSTICS
 
 
-def _check_and_compile(path: str, map_spec: str | None = None,
-                       dt: float = 0.05, initialize: bool = True):
-    """Read, check and compile a scenario file, printing its diagnostics.
-
-    Returns an exit code, or (analysis, road, compiled scenario or None,
-    the runtime fault that compiling raised or None).
-    """
+def _compile(path: str, road: str | None = None, dt: float = 0.05):
+    """Read, check and lower a scenario file, printing its diagnostics;
+    returns an exit code, or the compiled scenario with no actor placed."""
     try:
         source = _read_source(path)
     except OSError as exc:
         return _fail_io(str(exc))
-    analysis = check(source, path)
-    _print_diagnostics(analysis.diagnostics)
-    if not analysis.ok:
-        return EXIT_DIAGNOSTICS
-
-    if map_spec is None:
-        bound = analysis.scenarios[0].map_name if analysis.scenarios else None
-        map_spec = f"builtin:{bound}" if bound else "builtin:town06"
     try:
-        road = load_map(map_spec)
-    except (OSError, ValueError) as exc:
+        return compile_source(source, path, road=road, dt=dt,
+                              initialize=False, report=_print_diagnostics)
+    except CompileError:  # reported
+        return EXIT_DIAGNOSTICS
+    except (OSError, ValueError) as exc:  # the road map
         return _fail_io(str(exc))
-    try:
-        cs = compile_scenario(analysis, road=road, dt=dt, filename=path,
-                              initialize=initialize)
-    except UnsupportedAction as exc:
-        _print_diagnostics([exc.diagnostic])
-        return EXIT_DIAGNOSTICS
-    except (InitConflict, SpawnCollision, BuildError, EvalError,
-            SimFault) as exc:
-        return analysis, road, None, exc
-    return analysis, road, cs, None
 
 
 def cmd_run(args) -> int:
@@ -234,80 +193,45 @@ def cmd_run(args) -> int:
     if not 0 <= args.max_time < math.inf:
         return _fail_io(
             f"--max-time must be finite and not negative, got {args.max_time}")
-    compiled = _check_and_compile(args.file, args.map, args.dt)
-    if isinstance(compiled, int):
-        return compiled
-    analysis, road, cs, fault = compiled
+    cs = _compile(args.file, args.map, args.dt)
+    if isinstance(cs, int):
+        return cs
 
-    scenario_name = analysis.scenarios[0].decl.name
-    if args.trace is not None:
-        try:
-            stream = open(args.trace, "w", encoding="utf-8")
-        except OSError as exc:
-            return _fail_io(str(exc))
-    else:
-        stream = sys.stdout
+    try:
+        stream = (sys.stdout if args.trace is None
+                  else open(args.trace, "w", encoding="utf-8"))
+    except OSError as exc:
+        return _fail_io(str(exc))
     try:
         _write_record(stream, {
             "record": "header",
-            "scenario": scenario_name,
-            "map": road.name,
+            "scenario": cs.scenario.decl.name,
+            "map": cs.world.road.name,
             "dt": _round6(args.dt),
         })
+        outcome, ticks, fault = cs.run(required_ticks(args.max_time, cs.dt),
+                                       _TickEncoder(cs, stream).write_tick)
         if fault is not None:
             _write_record(stream, {
-                "record": "fault", "tick": 0,
+                "record": "fault", "tick": ticks,
                 "error": type(fault).__name__, "message": str(fault),
             })
-            _write_record(stream, _summary_record(cs, "fault", 0))
-            return EXIT_FAULT
-        return _run_loop(cs, stream, args.max_time)
+        events = sorted(cs.blackboard.events.items(),
+                        key=lambda item: (item[1], item[0]))
+        _write_record(stream, {
+            "record": "summary", "outcome": outcome, "ticks": ticks,
+            "events": [{"name": name, "tick": tick} for name, tick in events]})
+        return _OUTCOME_EXITS[outcome]
     finally:
         if stream is not sys.stdout:
             stream.close()
 
 
-def _run_loop(cs: CompiledScenario, stream, max_time: float) -> int:
-    max_ticks = required_ticks(max_time, cs.dt)
-    outcome = "timeout"
-    exit_code = EXIT_TIMEOUT
-    ticks_run = 0
-    encoder = _TickEncoder(cs, stream)
-    for _ in range(max_ticks):
-        now = cs.next_tick
-        try:
-            status = cs.step_tick()
-        except (SimFault, ArbitrationFault, EvalError, InitConflict) as exc:
-            _write_record(stream, {
-                "record": "fault", "tick": now,
-                "error": type(exc).__name__, "message": str(exc),
-            })
-            outcome = "fault"
-            exit_code = EXIT_FAULT
-            break
-        encoder.write_tick(now)
-        ticks_run += 1
-        if status is SUCCESS:
-            outcome = "success"
-            exit_code = EXIT_OK
-            break
-        if status is FAILURE:
-            outcome = "failure"
-            exit_code = EXIT_FAULT
-            break
-    _write_record(stream, _summary_record(cs, outcome, ticks_run))
-    return exit_code
-
-
 def cmd_dump(args) -> int:
     if args.what == "bt":
-        compiled = _check_and_compile(args.file, initialize=False)
-        if isinstance(compiled, int):
-            return compiled
-        _, _, cs, fault = compiled
-        if fault is not None:
-            print(f"osc2c: {type(fault).__name__}: {fault}", file=sys.stderr)
-            return EXIT_FAULT
+        cs = _compile(args.file)
+        if isinstance(cs, int):
+            return cs
         print(dump_tree(cs.root))
         return EXIT_OK
 

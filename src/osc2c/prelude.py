@@ -92,6 +92,12 @@ ACTOR_TYPES: dict[str, ActorType] = {
     )
 }
 
+# the signature of each action by type; the prelude's own table is the one
+# `check` binds actions against when it is given no backend's table
+ActionTable = dict[str, dict[str, Signature]]
+ACTIONS: ActionTable = {
+    name: actor_type.actions for name, actor_type in ACTOR_TYPES.items()}
+
 PHYSICAL_TYPES: dict[str, Dimension] = {
     "speed": SPEED,
     "length": LENGTH,
@@ -138,10 +144,12 @@ def inheritance_chain(type_name: str) -> list[str]:
     return chain
 
 
-def find_action(type_name: str, action: str) -> Signature | None:
-    """The signature of an action on a type or its ancestors, or None."""
+def find_action(type_name: str, action: str,
+                table: ActionTable = ACTIONS) -> Signature | None:
+    """The signature of an action on a type or its ancestors in an action
+    table, the prelude's own by default, or None."""
     for name in inheritance_chain(type_name):
-        signature = ACTOR_TYPES[name].actions.get(action)
+        signature = table.get(name, {}).get(action)
         if signature is not None:
             return signature
     return None

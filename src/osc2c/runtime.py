@@ -1,11 +1,12 @@
 """Lowering and execution: action dispatch, expression evaluation, placement.
 
 This module turns a resolved scenario into something that runs: a
-MethodRegistry maps (actor type, action) pairs to behavior factories (the
-builtin one maps each prelude action to its leaf class), an
-ExecutionContext runs the expression closures the checker lowered against
-the live world, a BehaviorTreeBuilder lowers the composition tree, and a
-ScenarioInitializer places actors from their `at: start` constraints.
+MethodRegistry maps (actor type, action) pairs to behavior factories and
+signatures (the builtin one maps each prelude action to its leaf class) and
+gives the checker its action table, an ExecutionContext runs the expression
+closures the checker lowered against the live world, a BehaviorTreeBuilder
+lowers the composition tree, a ScenarioInitializer places actors from their
+`at: start` constraints, and CompiledScenario.run is the one tick loop.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .btree import (
+    ArbitrationFault,
     Blackboard,
     BtNode,
     Condition,
     EdgeCondition,
     EventEmit,
     EventWait,
+    FAILURE,
     OneOf,
     Parallel,
     RUNNING,
@@ -30,13 +33,13 @@ from .btree import (
     TickContext,
     Timer,
 )
-from .diagnostics import (CompileError, Diagnostic, ERROR, Span,
-                          collector_paused)
-from .prelude import ACTOR_TYPES, MODIFIERS, inheritance_chain
+from .diagnostics import CompileError, Diagnostic, ERROR, collector_paused
+from .prelude import (ACTOR_TYPES, MODIFIERS, ActionTable, Signature,
+                      inheritance_chain)
 from .semantics import (Analysis, EvalError, Evaluator, ScenarioInfo, check,
-                        constant_value)
+                        constant_value, unsupported_action)
 from .units import UnitsError
-from .world import Actor, RoadMap, SweepList, TOWN06, World, load_map
+from .world import Actor, RoadMap, SimFault, SweepList, World, load_map
 
 GO_SIGNAL = "go_signal"
 
@@ -65,7 +68,8 @@ class UnsupportedAction(CompileError):
 
 
 class MethodRegistry:
-    """Maps (actor type, action) to a factory building the action's leaf.
+    """Maps (actor type, action) to a factory building the action's leaf,
+    and to the signature the checker binds the action's arguments to.
 
     Lookup walks the actor type's inheritance chain, so an action registered
     on `traffic_participant` dispatches for `vehicle` receivers. Factories
@@ -73,30 +77,33 @@ class MethodRegistry:
     """
 
     def __init__(self):
-        self._factories: dict[tuple[str, str], object] = {}
+        # type -> action -> (factory, signature)
+        self._actions: dict[str, dict[str, tuple[object, Signature]]] = {}
 
-    def register(self, type_name: str, action: str, factory) -> None:
+    def register(self, type_name: str, action: str, factory,
+                 signature: Signature) -> None:
         if not inheritance_chain(type_name):
             raise ValueError(f"unknown actor type '{type_name}'")
-        key = (type_name, action)
-        if key in self._factories:
+        actions = self._actions.setdefault(type_name, {})
+        if action in actions:
             raise ValueError(
                 f"action '{action}' is already registered for '{type_name}'")
-        self._factories[key] = factory
+        actions[action] = (factory, signature)
 
     def lookup(self, type_name: str, action: str):
+        """The (factory, signature) of an action, or None."""
         for ancestor in inheritance_chain(type_name):
-            factory = self._factories.get((ancestor, action))
-            if factory is not None:
-                return factory
+            entry = self._actions.get(ancestor, {}).get(action)
+            if entry is not None:
+                return entry
         return None
 
-    def action_table(self) -> dict[str, frozenset[str]]:
-        """Registered actions grouped by type, for the semantic checker."""
-        table: dict[str, set[str]] = {}
-        for type_name, action in self._factories:
-            table.setdefault(type_name, set()).add(action)
-        return {name: frozenset(actions) for name, actions in table.items()}
+    def action_table(self) -> ActionTable:
+        """The signature of each registered action by type, the table the
+        semantic checker binds actions against."""
+        return {name: {action: signature
+                       for action, (_, signature) in actions.items()}
+                for name, actions in self._actions.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +111,16 @@ class MethodRegistry:
 
 
 class ExecutionContext:
-    """Live actor handles, lazily evaluated variables, expression evaluation.
+    """Live actor handles and expression evaluation.
 
     Expressions run as the closures the checker lowered them to; each takes
     this context as its ``env``.
     """
 
-    def __init__(self, world: World, scenario: ScenarioInfo,
-                 evaluators: dict[int, Evaluator | None]):
+    def __init__(self, world: World, evaluators: dict[int, Evaluator | None]):
         self.world = world
         self.actors: dict[str, Actor] = {}
-        self._var_decls = scenario.variables
-        self._var_order = scenario.var_order
-        self._var_values: dict[str, object] = {}
         self._evaluators = evaluators
-
-    def bind_actor(self, name: str, actor: Actor) -> None:
-        self.actors[name] = actor
 
     def actor(self, name: str) -> Actor:
         try:
@@ -128,28 +128,8 @@ class ExecutionContext:
         except KeyError:
             raise EvalError(f"no live actor named '{name}'") from None
 
-    # variables
-
-    def evaluate_variables(self) -> None:
-        """Force every var initializer once, each after the vars it reads,
-        so that no evaluation nests in another."""
-        for name in self._var_order:
-            self.var(name)
-
-    def var(self, name: str):
-        """The value of a var; the checker rules out cyclic initializers."""
-        if name in self._var_values:
-            return self._var_values[name]
-        decl = self._var_decls.get(name)
-        if decl is None:
-            raise EvalError(f"unknown variable '{name}'")
-        value = self._var_values[name] = self.eval(decl)
-        return value
-
-    # expressions
-
     def eval(self, expr: ast.Node):
-        """Evaluate an expression (or var declaration) that was checked."""
+        """Evaluate an expression that was checked."""
         evaluate = self._evaluators.get(id(expr))
         if evaluate is None:
             raise EvalError(
@@ -160,13 +140,9 @@ class ExecutionContext:
             raise EvalError(str(exc)) from exc
 
     def constant(self, expr: ast.Node):
-        """The value of a checked expression that cannot change during the
-        run, or None if it may.
-
-        Folded constants qualify, and so do var references: every var is
-        evaluated before the tree is built.
-        """
-        return constant_value(self._evaluators.get(id(expr)), self)
+        """The value of a checked expression that the checker folded to a
+        constant, or None if it may change during the run."""
+        return constant_value(self._evaluators.get(id(expr)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +158,7 @@ class _Leaf(ActionLeaf):
     """An action leaf; each leaf class is the factory of its action.
 
     The checker has bound every argument to the action's signature in the
-    prelude, so a leaf reads its arguments by name and trusts their kinds:
+    registry, so a leaf reads its arguments by name and trusts their kinds:
     a quantity has the declared dimension or none.
     """
 
@@ -406,12 +382,14 @@ _LEAVES = {
 
 
 def builtin_registry() -> MethodRegistry:
-    """A registry holding the leaf of every prelude action that has one."""
+    """A registry holding the leaf of every prelude action that has one,
+    with the prelude's signature."""
     registry = MethodRegistry()
     for type_name, actor_type in ACTOR_TYPES.items():
-        for action in actor_type.actions:
+        for action, signature in actor_type.actions.items():
             if action in _LEAVES:
-                registry.register(type_name, action, _LEAVES[action])
+                registry.register(type_name, action, _LEAVES[action],
+                                  signature)
     return registry
 
 
@@ -433,29 +411,26 @@ def _modifier_args(modifiers) -> dict[str, dict]:
     return out
 
 
-def place_actor(context: ExecutionContext, actor: Actor, modifiers,
-                placed: set[str] | None = None) -> bool:
+def place_actor(context: ExecutionContext, actor: Actor, modifiers) -> bool:
     """Apply placement modifiers to one actor; True if a pose was set.
 
-    Exactly one of three paradigms applies: a default spawn on a numbered
-    lane, a pose relative to an already placed anchor, or an absolute
-    Cartesian pose that takes the actor off the road network.
+    At most one of three paradigms applies, which the checker ensures: a
+    default spawn on a numbered lane, a pose relative to one already placed
+    anchor, or an absolute Cartesian pose that takes the actor off the road
+    network.
     """
     world = context.world
     bound = _modifier_args(modifiers)
     lane_args = bound.get("lane", {})
     position_args = bound.get("position", {})
+    # the checker ensures that every anchor argument names the same actor
+    anchors = [node for node in (lane_args.get("side_of"),
+                                 position_args.get("behind"),
+                                 position_args.get("ahead_of"))
+               if node is not None]
 
-    default_map = "lane" in lane_args
-    relative = ("side_of" in lane_args or "side" in lane_args
-                or "behind" in position_args or "ahead_of" in position_args)
-    absolute = "x" in position_args or "y" in position_args
-    if default_map + relative + absolute > 1:
-        raise InitConflict(
-            f"actor '{actor.name}' mixes start placement paradigms")
-
-    did_place = False
-    if default_map:
+    did_place = True
+    if "lane" in lane_args:
         lane_index = int(round(context.eval(lane_args["lane"]).value))
         s = world.road.spawn_on_lane(lane_index)
         if s is None:
@@ -463,49 +438,24 @@ def place_actor(context: ExecutionContext, actor: Actor, modifiers,
                 f"no default spawn point on lane {lane_index} "
                 f"for actor '{actor.name}'")
         world.place_on_lane(actor, lane_index, s)
-        did_place = True
-    elif relative:
-        side = _optional(context, lane_args.get("side"))
-        anchor = _optional(context, lane_args.get("side_of"))
-        distance = 0.0
-        sign = -1.0
-        for key, ahead in (("behind", False), ("ahead_of", True)):
-            node = position_args.get(key)
-            if node is None:
-                continue
-            other = context.eval(node)
-            if anchor is not None and other is not anchor:
-                raise InitConflict(
-                    f"actor '{actor.name}' names two different anchors")
-            anchor = other
-            sign = 1.0 if ahead else -1.0
-        node = position_args.get("distance")
-        if node is not None:
-            distance = context.eval(node).value
-        if anchor is None:
-            raise InitConflict(
-                f"actor '{actor.name}' has a relative placement "
-                f"without an anchor")
-        if placed is not None and anchor.name not in placed:
-            raise InitConflict(
-                f"actor '{actor.name}' is anchored to '{anchor.name}', "
-                f"which is not placed yet")
+    elif anchors:
+        anchor = context.eval(anchors[0])
         if anchor.lane is None:
             raise InitConflict(
                 f"anchor '{anchor.name}' is not on the road network")
-        lane_index = anchor.lane
-        if side == "right":
-            lane_index += 1
-        elif side == "left":
-            lane_index -= 1
+        side = _optional(context, lane_args.get("side"))
+        lane_index = anchor.lane + {"right": 1, "left": -1}.get(side, 0)
+        sign = 1.0 if "ahead_of" in position_args else -1.0
+        distance = _optional(context, position_args.get("distance"))
+        distance = 0.0 if distance is None else distance.value
         world.place_on_lane(actor, lane_index, anchor.s + sign * distance)
-        did_place = True
-    elif absolute:
+    elif "x" in position_args or "y" in position_args:
         def coord(key):
             node = position_args.get(key)
             return 0.0 if node is None else context.eval(node).value
         world.place_absolute(actor, coord("x"), coord("y"), coord("h"))
-        did_place = True
+    else:
+        did_place = False
 
     speed_node = bound.get("speed", {}).get("speed")
     if speed_node is not None:
@@ -525,8 +475,7 @@ class ScenarioInitializer:
     def run(self, plan: list[ast.ActionInvocation]) -> None:
         for invocation in plan:
             actor = self.context.actor(invocation.actor)
-            if place_actor(self.context, actor, invocation.modifiers,
-                           placed=self.placed):
+            if place_actor(self.context, actor, invocation.modifiers):
                 self.placed.add(invocation.actor)
         self._place_remaining()
         self._check_overlap()
@@ -573,20 +522,11 @@ class ScenarioInitializer:
 # tree builder
 
 
-def _has_start_modifier(invocation: ast.ActionInvocation) -> bool:
-    for mod in invocation.modifiers:
-        for arg in mod.args:
-            if (arg.name == "at" and isinstance(arg.value, ast.Identifier)
-                    and arg.value.name == "start"):
-                return True
-    return False
-
-
 class BehaviorTreeBuilder:
     """Lowers a resolved scenario body to a behavior tree.
 
-    Invocations carrying an `at: start` modifier are collected into the
-    placement plan instead of becoming tree nodes.
+    The invocations of the scenario's placement plan, those carrying an
+    `at: start` modifier, are left to the initializer.
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
@@ -595,7 +535,7 @@ class BehaviorTreeBuilder:
         self.registry = registry
         self.context = context
         self.filename = filename
-        self.plan: list[ast.ActionInvocation] = []
+        self._planned = {id(invocation) for invocation in scenario.plan}
 
     def build(self) -> BtNode:
         body = self.scenario.decl.body
@@ -622,8 +562,7 @@ class BehaviorTreeBuilder:
             return EventEmit(node.event, label=f"emit {node.event}",
                              span=node.span)
         if isinstance(node, ast.ActionInvocation):
-            if _has_start_modifier(node):
-                self.plan.append(node)
+            if id(node) in self._planned:
                 return None
             return self._invocation(node)
         raise BuildError(
@@ -641,7 +580,8 @@ class BehaviorTreeBuilder:
             return EdgeCondition("fall", lambda _: self.context.eval(cond.expr),
                                  label="wait fall", span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
-            seconds = self.context.eval(cond.duration).value
+            # the checker folded the duration to a constant
+            seconds = self.context.constant(cond.duration).value
             return Timer(seconds, label="wait elapsed", span=node.span)
         if isinstance(cond, ast.BoolCondition):
             return Condition(lambda _: self.context.eval(cond.expr), label="wait",
@@ -649,25 +589,15 @@ class BehaviorTreeBuilder:
         raise BuildError(f"cannot lower a {type(cond).__name__} wait")
 
     def _invocation(self, node: ast.ActionInvocation) -> BtNode:
-        type_name = self.scenario.fields.get(node.actor)
-        factory = None
-        if type_name is not None:
-            factory = self.registry.lookup(type_name, node.action)
-        if factory is None:
-            diagnostic = Diagnostic(
-                ERROR, "E007",
-                f"action '{node.action}' is not supported by the execution "
-                f"backend for type '{type_name}'",
-                node.span, self.filename)
-            raise UnsupportedAction(diagnostic)
-        args = {}
-        index = 0
-        for arg in node.args:
-            if arg.name is None:
-                args[index] = arg.value
-                index += 1
-            else:
-                args[arg.name] = arg.value
+        type_name = self.scenario.fields[node.actor]
+        entry = self.registry.lookup(type_name, node.action)
+        if entry is None:
+            # checked against another table than this registry's
+            raise UnsupportedAction(Diagnostic(
+                ERROR, "E007", unsupported_action(node.action, type_name),
+                node.span, self.filename))
+        factory, signature = entry
+        args = {name: arg.value for name, arg in signature.bind(node.args)}
         leaf = factory(node.actor, args, node.modifiers, self.context)
         if leaf.label is None:
             leaf.label = f"{node.actor}.{node.action}"
@@ -680,6 +610,12 @@ class BehaviorTreeBuilder:
 # compiled scenario
 
 
+# what ends a run as a fault: the world, arbitration, evaluation, placement
+FAULTS = (SimFault, ArbitrationFault, EvalError, InitConflict, SpawnCollision)
+
+_OUTCOMES = {SUCCESS: "success", FAILURE: "failure"}
+
+
 @dataclass
 class CompiledScenario:
     """A lowered scenario bound to a live world, ready to tick."""
@@ -690,7 +626,7 @@ class CompiledScenario:
     context: ExecutionContext
     blackboard: Blackboard
     plan: list[ast.ActionInvocation]
-    filename: str = "<string>"
+    initialized: bool = False
     tick_ctx: TickContext = field(init=False)
     next_tick: int = 0
 
@@ -705,6 +641,11 @@ class CompiledScenario:
     def status(self) -> Status | None:
         return self.root.status
 
+    def initialize(self) -> None:
+        """Place every actor: the start placements, then default spawns."""
+        ScenarioInitializer(self.context).run(self.plan)
+        self.initialized = True
+
     def step_tick(self) -> Status:
         """One full tick: behaviors first, then world physics."""
         now = self.next_tick
@@ -717,68 +658,92 @@ class CompiledScenario:
         self.world.step()
         return status
 
-    def run(self, max_ticks: int) -> Status | None:
-        """Tick until the tree settles; None if the budget runs out first."""
-        for _ in range(max_ticks):
-            status = self.step_tick()
-            if status is not RUNNING:
-                return status
-        return None
+    def run(self, max_ticks: int, after_tick=None
+            ) -> tuple[str, int, Exception | None]:
+        """Place the actors unless that is done, then tick until the tree
+        settles, one of ``FAULTS`` ends the run, or ``max_ticks`` ticks are
+        done, calling ``after_tick(tick)`` after each tick that completes.
+
+        Returns the outcome ("success", "failure", "fault" or "timeout"),
+        the ticks completed and the fault or None.
+        """
+        ticks = 0
+        try:
+            if not self.initialized:
+                self.initialize()
+            while ticks < max_ticks:
+                now = self.next_tick
+                status = self.step_tick()
+                if after_tick is not None:
+                    after_tick(now)
+                ticks += 1
+                if status is not RUNNING:
+                    return _OUTCOMES[status], ticks, None
+        except FAULTS as fault:
+            return "fault", ticks, fault
+        return "timeout", ticks, None
 
 
 @collector_paused
 def compile_scenario(analysis: Analysis, *,
                      registry: MethodRegistry | None = None,
-                     road: RoadMap | None = None,
+                     road: RoadMap | str | None = None,
                      dt: float = 0.05,
                      filename: str = "<string>",
                      initialize: bool = True) -> CompiledScenario:
     """Lower a clean analysis into an initialized, runnable scenario.
 
+    ``road`` is a road map, a map spec for ``load_map`` (``builtin:<name>``
+    or a JSON file), or None for the map the scenario binds, else town06.
     With `initialize=False` the tree is built but no actor is placed,
-    which is enough for structural inspection.
+    which is enough for structural inspection; `run` places them.
     """
     if not analysis.ok:
         raise ValueError("cannot compile a program with semantic errors")
-    if not analysis.scenarios:
-        raise ValueError("no scenario to compile")
     scenario = analysis.scenarios[0]
 
     if registry is None:
         registry = builtin_registry()
     if road is None:
-        if scenario.map_name is not None:
-            road = load_map(f"builtin:{scenario.map_name}")
-        else:
-            road = TOWN06
+        road = f"builtin:{scenario.map_name or 'town06'}"
+    if isinstance(road, str):
+        road = load_map(road)
 
     world = World(road, dt)
-    context = ExecutionContext(world, scenario, analysis.evaluators)
+    context = ExecutionContext(world, analysis.evaluators)
     for name, type_name in scenario.fields.items():
         kind = ACTOR_TYPES[type_name].world
         if kind == "vehicle":
-            context.bind_actor(name, world.add_vehicle(name))
+            context.actors[name] = world.add_vehicle(name)
         elif kind == "prop":
-            context.bind_actor(name, world.add_prop(name))
+            context.actors[name] = world.add_prop(name)
 
-    context.evaluate_variables()
-    builder = BehaviorTreeBuilder(scenario, registry, context, filename)
-    root = builder.build()
+    root = BehaviorTreeBuilder(scenario, registry, context, filename).build()
+    compiled = CompiledScenario(scenario, root, world, context, Blackboard(),
+                                scenario.plan)
     if initialize:
-        ScenarioInitializer(context).run(builder.plan)
-    return CompiledScenario(scenario, root, world, context,
-                            Blackboard(), builder.plan, filename)
+        compiled.initialize()
+    return compiled
 
 
 def compile_source(source: str, filename: str = "<string>", *,
                    registry: MethodRegistry | None = None,
-                   road: RoadMap | None = None,
-                   dt: float = 0.05) -> CompiledScenario:
-    """Check and compile source text; raises CompileError on the first error."""
+                   road: RoadMap | str | None = None,
+                   dt: float = 0.05,
+                   initialize: bool = True,
+                   report=None) -> CompiledScenario:
+    """Check source text against the registry's action table and compile
+    it as ``compile_scenario`` does; raises CompileError on the first error.
+
+    ``report(diagnostics)`` is called with all of the check's diagnostics,
+    if given, before anything else can fail.
+    """
     if registry is None:
         registry = builtin_registry()
     analysis = check(source, filename, extra_actions=registry.action_table())
+    if report is not None:
+        report(analysis.diagnostics)
     if not analysis.ok:
         raise CompileError(analysis.errors[0])
     return compile_scenario(analysis, registry=registry, road=road, dt=dt,
-                            filename=filename)
+                            filename=filename, initialize=initialize)

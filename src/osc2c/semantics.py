@@ -4,21 +4,24 @@ The definition pass builds each scenario's scope and registers every declared
 symbol (fields, vars, and event names harvested from emit/wait sites) so
 forward references are legal by construction.  The resolution pass then
 binds references, walks actor inheritance chains, checks dimensions, binds
-the arguments of actions, modifiers and queries to their signatures in the
-prelude, and binds the scenario to a builtin map.  It also rejects cyclic
-``var`` initializers, ``var`` initializers that read actor state (the vars
-are evaluated before any actor is placed) and reads of attributes that no
+the arguments of actions to their signatures in an action table (a
+backend's, or else the prelude's) and those of modifiers and queries to
+theirs in the prelude, and binds the scenario to a builtin map.  It also
+rejects cyclic ``var`` initializers, reads of actor state where no actor is
+placed yet (``var`` initializers and ``elapsed`` durations), start
+placements that contradict each other, and reads of attributes that no
 ``keep`` sets.
 Diagnostics accumulate in source order; errors never abort the pass, so one
 run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(env)``.  ``Analysis.evaluators`` maps the ``id`` of every
-argument, wait condition and ``VarDecl`` to its evaluator; ``env`` is the
-runtime's execution context (``world``, ``actors`` and ``var(name)``).
-Literals, attribute reads and every operator whose operands are constants
-are folded, so a constant that cannot be computed (``1m / 0``) is a
-diagnostic; the live world and the vars are read at run time.
+argument and wait condition to its evaluator; ``env`` is the runtime's
+execution context (``world`` and ``actors``).  The vars are evaluated once,
+here, and every reference to one is its value.  Literals, var references,
+attribute reads and every operator whose operands are constants are folded,
+so a constant that cannot be computed (``1m / 0``) is a diagnostic; only
+the live world is read at run time.
 """
 
 from __future__ import annotations
@@ -133,8 +136,10 @@ class ScenarioInfo:
     fields: dict[str, str] = field(default_factory=dict)
     constraints: dict[str, dict[str, str]] = field(default_factory=dict)
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
-    # the vars in an order where each follows every var its initializer reads
-    var_order: list[str] = field(default_factory=list)
+    # the value of each var whose initializer could be computed
+    var_values: dict[str, object] = field(default_factory=dict)
+    # the invocations with an `at: start` modifier, in tree order
+    plan: list[ast.ActionInvocation] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
 
@@ -158,17 +163,35 @@ class Analysis:
         return not self.errors
 
 
+# each var's reads of other vars, the diagnostic count after its own, and
+# its initializer's evaluator (None on an error)
+_VarReads = dict[str, tuple[list[str], int, Evaluator | None]]
+
+
+def unsupported_action(action: str, type_name: str) -> str:
+    """The E007 message: a declared action that no backend runs."""
+    return (f"action '{action}' is not supported by the execution backend "
+            f"for type '{type_name}'")
+
+
 class Analyzer:
     def __init__(self, filename: str,
-                 extra_actions: dict[str, frozenset[str]] | None = None):
+                 actions: prelude.ActionTable | None = None):
         self.filename = filename
-        self.extra_actions = extra_actions or {}
+        self.actions = prelude.ACTIONS if actions is None else actions
         self.diagnostics: list[Diagnostic] = []
         self.evaluators: dict[int, Evaluator | None] = {}
         self._names: dict[tuple[str, str], Evaluator] = {}
         self._reads: list[str] | None = None  # vars the initializer reads
-        # the attributes set by keep constraints, once all are known
-        self._attributes: dict[str, dict[str, str]] | None = None
+        # (what, why) while an expression is computed before any actor is
+        # placed: a var initializer or an elapsed duration
+        self._fixed: tuple[str, str] | None = None
+        # each var reference's constant evaluator, once the vars have values
+        self._constants: dict[str, Evaluator] = {}
+        # the scenario whose body is resolved, its keep constraints known,
+        # and the actors its start placements have placed so far
+        self._info: ScenarioInfo | None = None
+        self._placed: set[str] = set()
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -223,19 +246,22 @@ class Analyzer:
 
     def resolution_pass(self, infos: list[ScenarioInfo]) -> None:
         for info in infos:
-            reads: dict[str, tuple[list[str], int]] = {}
+            reads: _VarReads = {}
             for member in info.decl.members:
                 if isinstance(member, ast.FieldDecl):
                     self._resolve_field(member, info)
                 else:
                     self._resolve_var(member, info, reads)
-            self._order_vars(info, reads)
+            self._evaluate_vars(info, reads)
             if info.decl.body is not None:
                 # A var initializer cannot hold an attribute read without
                 # an error, so only the body's reads are checked.
-                self._attributes = info.constraints
+                self._info = info
+                self._constants = {name: partial(_constant, value)
+                                   for name, value in info.var_values.items()}
+                self._placed = set()
                 self._resolve_behavior(info.decl.body.root, info.scope)
-                self._attributes = None
+                self._info = None
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
         if decl.type_name not in prelude.ACTOR_TYPES:
@@ -279,7 +305,7 @@ class Analyzer:
                 info.map_name = value.lower()
 
     def _resolve_var(self, decl: ast.VarDecl, info: ScenarioInfo,
-                     reads: dict[str, tuple[list[str], int]]) -> None:
+                     reads: _VarReads) -> None:
         declared = prelude.PHYSICAL_TYPES.get(decl.type_name)
         if declared is None:
             if decl.type_name in prelude.ACTOR_TYPES:
@@ -295,32 +321,48 @@ class Analyzer:
             symbol.resolved = True
         info.variables[decl.name] = decl
         self._reads = []
-        self._check_initializer(decl, declared, info.scope)
-        reads[decl.name] = (self._reads, len(self.diagnostics))
-        self._reads = None
+        self._fixed = ("a var initializer", "vars are evaluated")
+        evaluator = self._check_initializer(decl, declared, info.scope)
+        reads[decl.name] = (self._reads, len(self.diagnostics), evaluator)
+        self._reads = self._fixed = None
 
-    def _order_vars(self, info: ScenarioInfo,
-                    reads: dict[str, tuple[list[str], int]]) -> None:
-        """Order the vars for evaluation, and report each cycle of var
-        initializers once, at the var of the cycle declared first; the
+    def _evaluate_vars(self, info: ScenarioInfo, reads: _VarReads) -> None:
+        """Evaluate each var once, after every var its initializer reads;
+        a var on a cycle, with an error, or reading a var without a value
+        gets none.  Each cycle is reported once, at its var declared first,
+        and each initializer that cannot be computed at itself; either
         diagnostic follows that var's own."""
         declared = {name: i for i, name in enumerate(reads)}
         found = []
         # a var that reads none is on no cycle and may go first
-        graph = {name: names for name, (names, _) in reads.items() if names}
-        info.var_order = [name for name in reads if name not in graph]
+        graph = {name: names for name, (names, *_) in reads.items() if names}
+        order = [name for name in reads if name not in graph]
         for component in _components(graph):
-            info.var_order.extend(component)
+            order.extend(component)
             if len(component) > 1 or component[0] in graph[component[0]]:
                 first = min(component, key=declared.__getitem__)
-                found.append((reads[first][1], declared[first], first))
-        for at, _, name in sorted(found, reverse=True):
-            self.diagnostics.insert(at, Diagnostic(
-                ERROR, "E002", f"initializer of '{name}' depends on itself",
-                info.variables[name].span, self.filename))
+                found.append((reads[first][1], declared[first],
+                              f"initializer of '{first}' depends on itself",
+                              info.variables[first].span))
+        values = info.var_values
+        for name in order:
+            names, at, evaluator = reads[name]
+            if evaluator is None or not all(read in values for read in names):
+                continue
+            try:
+                values[name] = evaluator(values)
+            except units.UnitsError as exc:
+                found.append((at, declared[name], str(exc),
+                              info.variables[name].init.span))
+        found.sort(key=lambda fault: fault[:2], reverse=True)
+        for at, _, message, span in found:
+            self.diagnostics.insert(at, Diagnostic(ERROR, "E002", message,
+                                                   span, self.filename))
 
     def _check_initializer(self, decl: ast.VarDecl, declared: Dimension,
-                           scope: Scope) -> None:
+                           scope: Scope) -> Evaluator | None:
+        """Type and lower a var initializer; returns its evaluator, None if
+        the initializer has an error."""
         init = decl.init
         if isinstance(init, ast.Binary) and init.op == "*":
             # a product may only work if the right factor is read as a scalar
@@ -341,21 +383,23 @@ class Analyzer:
                     lhs_fn(env), rhs_fn(env), declared)
                 if _is_constant(lhs_fn) and _is_constant(rhs_fn):
                     _, evaluator = self._folded(UNKNOWN, evaluator, init.span)
-                self.evaluators[id(decl)] = evaluator
-                return
-            result, self.evaluators[id(decl)] = self._binary(init, lhs, rhs)
+                return evaluator
+            result, evaluator = self._binary(init, lhs, rhs)
         else:
-            result, self.evaluators[id(decl)] = self.resolve_expr(init, scope)
+            result, evaluator = self.resolve_expr(init, scope)
         if result is UNKNOWN:
-            return
+            return None
         if not isinstance(result, QuantityType):
             self.error("E002", f"initializer of '{decl.name}' is not a quantity",
                        init.span)
-        elif result.dim != declared:
+            return None
+        if result.dim != declared:
             self.error("E003",
                        f"initializer of '{decl.name}' has dimension "
                        f"{dimension_name(result.dim)}, expected "
                        f"{dimension_name(declared)}", init.span)
+            return None
+        return evaluator
 
     def _resolve_behavior(self, node: ast.Node, scope: Scope) -> None:
         if isinstance(node, ast.Composition):
@@ -371,7 +415,7 @@ class Analyzer:
                 symbol.resolved = True
 
     def _resolve_invocation(self, node: ast.ActionInvocation, scope: Scope) -> None:
-        # signature None: undefined, or only in extra_actions (typed only)
+        # signature None: the actor or the action is undefined (typed only)
         signature = receiver = None
         actor_sym = scope.lookup(node.actor, ("actor-instance",))
         if actor_sym is None:
@@ -380,16 +424,22 @@ class Analyzer:
             actor_sym.resolved = True
             type_name = actor_sym.declared_type
             receiver = ActorRef(type_name, node.actor)
-            signature = prelude.find_action(type_name, node.action)
-            if signature is None and not any(
-                    node.action in self.extra_actions.get(name, ())
-                    for name in prelude.inheritance_chain(type_name)):
+            signature = prelude.find_action(type_name, node.action,
+                                            self.actions)
+            declared = prelude.find_action(type_name, node.action) is not None
+            if signature is None and declared:
+                self.error("E007", unsupported_action(node.action, type_name),
+                           node.span)
+            elif signature is None:
                 self.error("E004",
                            f"action '{node.action}' is not defined for actor "
                            f"type '{type_name}' or its ancestors", node.span)
         typed = [self._resolve_root(arg.value, scope) for arg in node.args]
         if signature is not None:
             self._bind(node.action, signature, node.args, typed, node.span)
+        # the bound arguments of the placement modifiers; None on an error
+        placement: dict[str, dict] | None = {}
+        at_start = False
         for modifier in node.modifiers:
             if modifier.name not in prelude.MODIFIERS:
                 self.error("E004", f"unknown modifier '{modifier.name}'",
@@ -398,17 +448,64 @@ class Analyzer:
                      for arg in modifier.args]
             signature = prelude.MODIFIERS.get(modifier.name)
             if signature is not None:
-                self._bind(modifier.name, signature, modifier.args, typed,
-                           modifier.span)
+                bound = self._bind(modifier.name, signature, modifier.args,
+                                   typed, modifier.span)
+                if bound is None:
+                    placement = None
+                elif placement is not None:
+                    placement.setdefault(modifier.name, {}).update(bound)
             if receiver is not None:
                 for arg, (arg_type, _) in zip(modifier.args, typed):
                     if arg.name == "at" and arg_type == AT_START:
                         # the initializer places the receiver before tick 0
+                        at_start = True
                         self._in_world(receiver, arg.span)
                         if node.action != "assign_position":
                             self.error("E002", "'at: start' places an actor "
                                        "only in assign_position, not in "
                                        f"'{node.action}'", arg.span)
+        if at_start:
+            self._info.plan.append(node)
+        if node.action == "assign_position" and receiver is not None:
+            self._check_placement(node, placement, at_start)
+
+    def _check_placement(self, node: ast.ActionInvocation,
+                         placement: dict[str, dict] | None,
+                         at_start: bool) -> None:
+        """Check that an assign_position places its actor in at most one
+        way, relative to exactly one anchor, and, before tick 0, only
+        relative to an actor that an earlier start placement places.
+
+        ``placement`` holds the bound arguments of its modifiers, or None
+        if one has an error; the actor then counts as placed.
+        """
+        actor = node.actor
+        if placement is None:
+            if at_start:
+                self._placed.add(actor)
+            return
+        lane = placement.get("lane", {})
+        position = placement.get("position", {})
+        anchors = {typed[0].instance
+                   for typed in (lane.get("side_of"), position.get("behind"),
+                                 position.get("ahead_of")) if typed}
+        relative = bool(anchors) or "side" in lane
+        places = ("lane" in lane) + relative + ("x" in position
+                                                or "y" in position)
+        if places > 1:
+            self.error("E002",
+                       f"actor '{actor}' mixes start placement paradigms",
+                       node.span)
+        elif relative and len(anchors) != 1:
+            self.error("E002", f"actor '{actor}' names two different anchors"
+                       if anchors else f"actor '{actor}' has a relative "
+                       f"placement without an anchor", node.span)
+        elif at_start and relative and not anchors <= self._placed:
+            self.error("E002", f"actor '{actor}' is anchored to "
+                       f"'{min(anchors)}', which is not placed yet",
+                       node.span)
+        if at_start and places:
+            self._placed.add(actor)
 
     def _bind(self, callee: str, signature: prelude.Signature,
               args: list[ast.Argument], typed: list, span: Span):
@@ -488,7 +585,10 @@ class Analyzer:
                 self.error("E002", f"{kind}() requires a boolean condition",
                            cond.span)
         elif isinstance(cond, ast.ElapsedCondition):
+            # the tree builder reads the duration once
+            self._fixed = ("elapsed()", "its duration is fixed")
             result = self._resolve_root(cond.duration, scope)[0]
+            self._fixed = None
             if result is not UNKNOWN and \
                     (not isinstance(result, QuantityType) or result.dim != DURATION):
                 self.error("E003", "elapsed() requires a time duration",
@@ -538,11 +638,13 @@ class Analyzer:
         if symbol is not None:
             symbol.resolved = True
             if symbol.kind == "variable":
-                if self._reads is not None:
-                    self._reads.append(name)
                 result = _VAR_TYPES.get(symbol.declared_type)
                 if result is None:
                     return UNKNOWN, None
+                if self._reads is None:
+                    # None if the var has no value, which is reported
+                    return result, self._constants.get(name)
+                self._reads.append(name)
                 return result, self._name_evaluator("variable", name)
             return (ActorRef(symbol.declared_type, name),
                     self._name_evaluator("actor-instance", name))
@@ -560,12 +662,13 @@ class Analyzer:
         return evaluator
 
     def _reads_actors(self, what: str, span: Span) -> bool:
-        """Whether a read of actor state is in a var initializer, which is
-        evaluated before any actor is placed; reports E002 if it is."""
-        if self._reads is None:
+        """Whether a read of actor state is in an expression computed
+        before any actor is placed; reports E002 if it is."""
+        if self._fixed is None:
             return False
-        self.error("E002", f"a var initializer cannot {what}: vars are "
-                   f"evaluated before any actor is placed", span)
+        subject, reason = self._fixed
+        self.error("E002", f"{subject} cannot {what}: {reason} before any "
+                   f"actor is placed", span)
         return True
 
     def _folded(self, result: ExprType, evaluator: Evaluator, span: Span):
@@ -671,9 +774,10 @@ class Analyzer:
             if member == "position":
                 return PositionType(receiver.instance), partial(_position, actor)
             if prelude.has_attribute(receiver.type_name, member):
-                if self._attributes is None:
+                if self._info is None:
                     return STRING, None
-                value = self._attributes.get(receiver.instance, {}).get(member)
+                value = self._info.constraints.get(
+                    receiver.instance, {}).get(member)
                 if value is None:
                     self.error("E002", f"attribute '{member}' of "
                                f"'{receiver.instance}' is not set by a keep "
@@ -736,8 +840,9 @@ def _constant(value, env):
     return value
 
 
-def _variable(name: str, env):
-    return env.var(name)
+def _variable(name: str, values):
+    """A var read in an initializer, evaluated with the vars' values."""
+    return values[name]
 
 
 def _live_actor(name: str, env):
@@ -755,17 +860,9 @@ def _is_constant(evaluator: Evaluator | None) -> bool:
     return type(evaluator) is partial and evaluator.func is _constant
 
 
-def constant_value(evaluator: Evaluator | None, env):
-    """The value of an evaluator that reads no live state, or None.
-
-    A folded constant reads nothing.  A var reference reads ``env.var``,
-    whose value never changes once it has been evaluated.
-    """
-    if _is_constant(evaluator):
-        return evaluator.args[0]
-    if type(evaluator) is partial and evaluator.func is _variable:
-        return env.var(evaluator.args[0])
-    return None
+def constant_value(evaluator: Evaluator | None):
+    """The value of a folded evaluator, which reads no live state, or None."""
+    return evaluator.args[0] if _is_constant(evaluator) else None
 
 
 def _components(reads: dict[str, list[str]]) -> list[list[str]]:
@@ -832,8 +929,9 @@ def _object_distance(subject: Evaluator, reference: Evaluator,
 
 
 def analyze(program: ast.Program, filename: str = "<string>",
-            extra_actions: dict[str, frozenset[str]] | None = None) -> Analysis:
-    """Run both passes over a parsed program."""
+            extra_actions: prelude.ActionTable | None = None) -> Analysis:
+    """Run both passes over a parsed program, binding actions against the
+    action table ``extra_actions``, or the prelude's if it is None."""
     analyzer = Analyzer(filename, extra_actions)
     infos = analyzer.definition_pass(program)
     analyzer.resolution_pass(infos)
@@ -843,8 +941,12 @@ def analyze(program: ast.Program, filename: str = "<string>",
 
 @collector_paused
 def check(source: str, filename: str = "<string>",
-          extra_actions: dict[str, frozenset[str]] | None = None) -> Analysis:
-    """Full frontend: lex, parse, analyze.  Frontend aborts become diagnostics."""
+          extra_actions: prelude.ActionTable | None = None) -> Analysis:
+    """Full frontend: lex, parse, analyze.  Frontend aborts become diagnostics.
+
+    ``extra_actions`` is the action table to bind actions against, such as
+    ``MethodRegistry.action_table()``; None binds them against the prelude.
+    """
     try:
         program = parse(source, filename)
     except CompileError as exc:

@@ -165,7 +165,7 @@ def test_criterion_06_units():
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
     compiled = compile_source(Path(FLAGSHIP).read_text(), FLAGSHIP)
-    var = compiled.context.var
+    var = compiled.scenario.var_values.get
     assert var("gap").value == 15.0
     assert var("safety_gap").value == 12.0
     assert var("v_npc_fast").value == pytest.approx(15.27446, rel=1e-6)
@@ -239,9 +239,10 @@ def test_criterion_09_two_pass():
     analysis = check(forward, "fwd.osc")
     assert analysis.ok and not analysis.diagnostics
     compiled = compile_source(forward, "fwd.osc")
-    base = compiled.context.var("base").value
+    values = compiled.scenario.var_values
+    base = values["base"].value
     assert base == pytest.approx(5000.0 / 3600.0, rel=1e-12)
-    assert compiled.context.var("doubled").value == pytest.approx(
+    assert values["doubled"].value == pytest.approx(
         2 * base, rel=1e-12)
 
     # Swapping two independent declarations leaves diagnostics untouched.

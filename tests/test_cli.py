@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osc2c import ast
+from osc2c.btree import required_ticks
 from osc2c.cli import _TickEncoder, _number, main
 from osc2c.parser import MAX_DEPTH
+from osc2c.runtime import compile_source
 from osc2c.world import LIGHT_MODES, Actor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -251,15 +253,29 @@ class TestRun:
         assert records[1]["error"] == "SpawnCollision"
 
     def test_unsupported_action_exit_one(self, tmp_path, capsys):
+        # `check` knows the action has no backend, so `run` never starts
         path = write(tmp_path, "ped.osc",
                      "scenario s:\n  p: person\n  do serial:\n    p.walk()\n")
+        e007 = (f"{path}:4:5: error[E007]: action 'walk' is not supported "
+                f"by the execution backend for type 'person'")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [e007]
         assert main(["run", path, "--trace", str(tmp_path / "t")]) == 1
-        assert "error[E007]" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [e007]
+        assert not (tmp_path / "t").exists()
 
     def test_unknown_builtin_map(self, tmp_path):
         code = main(["run", MINIMAL, "--map", "builtin:atlantis",
                      "--trace", str(tmp_path / "t")])
         assert code == 2
+
+    def test_warnings_come_before_a_map_error(self, tmp_path, capsys):
+        code = main(["run", FLAGSHIP, "--map", "builtin:atlantis",
+                     "--trace", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err] == [
+            "warning[W001]", "unknown builtin map 'atlantis'"]
 
     def test_custom_map_file(self, tmp_path):
         road = write(tmp_path, "strip.json", json.dumps({
@@ -364,7 +380,66 @@ class TestDump:
         path = write(tmp_path, "ped.osc",
                      "scenario s:\n  p: person\n  do serial:\n    p.walk()\n")
         assert main(["dump", path, "--what", "bt"]) == 1
-        assert "error[E007]" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:4:5: error[E007]: action 'walk' is not supported by the "
+            f"execution backend for type 'person'"]
+        assert main(["check", path]) == 1
+
+
+# One program per way a run ends, with its outcome and fault type: the
+# shipped scenarios succeed, and each probe faults in its own way or runs
+# out of time.
+RUN_PROBES = {
+    **{path.stem: (path.read_text(), "success", None)
+       for path in sorted(SCENARIOS.glob("*.osc"))},
+    "off-map": ("scenario p:\n  a: vehicle\n  do serial:\n"
+                "    a.drive() with:\n      speed(200kph)\n",
+                "fault", "OffMapFault"),
+    "arbitration": ("scenario p:\n  a: vehicle\n  do parallel:\n"
+                    "    a.drive() with:\n      speed(5kph)\n"
+                    "    serial:\n      wait elapsed(0.2s)\n"
+                    "      a.change_speed(target: 0kph)\n",
+                    "fault", "ArbitrationFault"),
+    "eval-error": ("scenario p:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
+                   "    wait b.position.ahead_of(a) / a.speed > 1s\n",
+                   "fault", "EvalError"),
+    "placement-at-start": ("scenario p:\n  a: vehicle\n  do serial:\n"
+                           "    a.assign_position() with:\n"
+                           "      lane(7, at: start)\n",
+                           "fault", "InitConflict"),
+    "placement-while-running": ("scenario p:\n  a: vehicle\n  do serial:\n"
+                                "    wait elapsed(0.1s)\n"
+                                "    a.assign_position() with:\n"
+                                "      lane(7)\n",
+                                "fault", "InitConflict"),
+    "spawn-collision": ("scenario p:\n  a: vehicle\n  b: vehicle\n"
+                        "  do serial:\n    a.assign_position() with:\n"
+                        "      lane(1, at: start)\n"
+                        "    b.assign_position() with:\n"
+                        "      lane(1, at: start)\n",
+                        "fault", "SpawnCollision"),
+    "timeout": ("scenario p:\n  do serial:\n    wait @never\n",
+                "timeout", None),
+}
+
+
+@pytest.mark.parametrize("name", RUN_PROBES)
+def test_library_and_cli_runs_agree(name, tmp_path):
+    """`CompiledScenario.run` and `osc2c run` end each run alike: the same
+    outcome, tick count and fault type, and the exit code of the outcome."""
+    source, expected_outcome, expected_fault = RUN_PROBES[name]
+    path = write(tmp_path, f"{name}.osc", source)
+    trace = tmp_path / "trace.ndjson"
+    code = main(["run", path, "--trace", str(trace)])
+    records = read_trace(trace)
+    faults = [r["error"] for r in records if r["record"] == "fault"]
+    cs = compile_source(source, path, initialize=False)
+    outcome, ticks, fault = cs.run(required_ticks(300.0, cs.dt))
+    assert (outcome, None if fault is None else type(fault).__name__) == (
+        expected_outcome, expected_fault)
+    assert (records[-1]["outcome"], records[-1]["ticks"], faults) == (
+        outcome, ticks, [] if fault is None else [expected_fault])
+    assert code == {"success": 0, "fault": 4, "timeout": 3}[outcome]
 
 
 def reference_tick_record(cs, now):

@@ -14,6 +14,7 @@ import pytest
 from osc2c import runtime, semantics
 from osc2c.btree import RUNNING, ArbitrationFault
 from osc2c.diagnostics import collector_paused
+from osc2c.prelude import Signature
 from osc2c.runtime import (BuildError, InitConflict, builtin_registry,
                            compile_scenario)
 from osc2c.semantics import check
@@ -99,12 +100,13 @@ def test_a_run_leaves_no_cyclic_garbage(name):
 
 CLEAN = (SCENARIOS / "minimal_wait.osc").read_text()
 
+# town06 has no lane 7
 PLACEMENT_CONFLICT = """\
 scenario conflict:
   hero: vehicle
   do serial:
     hero.assign_position() with:
-      lane(side: right, at: start)
+      lane(7, at: start)
 """
 
 
@@ -113,7 +115,7 @@ def honk_registry():
     def factory(actor, args, modifiers, context):
         raise BuildError("honk cannot be lowered")
     registry = builtin_registry()
-    registry.register("vehicle", "honk", factory)
+    registry.register("vehicle", "honk", factory, Signature())
     return registry
 
 

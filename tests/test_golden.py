@@ -187,6 +187,37 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
          "      lane(1, at: start)\n",
      [("E002", "'at: start' places an actor only in assign_position, "
                "not in 'set_lights'")]),
+    ("  var z: time = 0s\n  var a: speed = 1m / z\n", "    wait elapsed(1s)\n",
+     [("E002", "division by a zero-valued quantity")]),
+    ("  var z: time = 0s\n", "    hero.drive() with:\n      speed(1m / z)\n",
+     [("E002", "division by a zero-valued quantity")]),
+    ("", "    wait elapsed(1m / hero.speed)\n",
+     [("E002", "elapsed() cannot read 'hero.speed': its duration is fixed "
+               "before any actor is placed")]),
+    ("", "    hero.assign_position() with:\n      lane(1, at: start)\n"
+         "      position(x: 10, y: 0, at: start)\n",
+     [("E002", "actor 'hero' mixes start placement paradigms")]),
+    ("", "    hero.assign_position() with:\n"
+         "      lane(side: right, side_of: npc, at: start)\n"
+         "      position(distance: 5m, behind: npc, at: start)\n"
+         "    npc.assign_position() with:\n      lane(1, at: start)\n",
+     [("E002", "actor 'hero' is anchored to 'npc', which is not placed yet")]),
+    ("", "    hero.assign_position() with:\n"
+         "      lane(side: right, at: start)\n",
+     [("E002", "actor 'hero' has a relative placement without an anchor")]),
+    ("  car: vehicle\n", "    npc.assign_position() with:\n"
+         "      lane(1, at: start)\n"
+         "    car.assign_position() with:\n      lane(2, at: start)\n"
+         "    hero.assign_position() with:\n"
+         "      lane(side: left, side_of: npc, at: start)\n"
+         "      position(distance: 5m, behind: car, at: start)\n",
+     [("E002", "actor 'hero' names two different anchors")]),
+    ("", "    hero.assign_position() with:\n"
+         "      position(distance: 5m, ahead_of: npc, at: start)\n",
+     [("E002", "actor 'hero' is anchored to 'npc', which is not placed yet")]),
+    ("", "    hero.assign_position() with:\n      lane(1)\n"
+         "      position(x: 10m)\n",
+     [("E002", "actor 'hero' mixes start placement paradigms")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -194,7 +225,10 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "environment-position", "ahead-of-environment", "var-div-zero",
         "missing-attribute", "cyclic-vars", "var-reads-world",
         "var-object-distance", "map-reference",
-        "environment-at-start", "drive-at-start", "set-lights-at-start"])
+        "environment-at-start", "drive-at-start", "set-lights-at-start",
+        "var-reads-zero-var", "body-reads-zero-var", "elapsed-reads-world",
+        "mixed-paradigms", "forward-anchor", "missing-anchor", "two-anchors",
+        "anchor-placed-by-spawn", "mixed-paradigms-while-running"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

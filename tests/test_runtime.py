@@ -137,12 +137,18 @@ class TestDispatch:
     def test_unknown_action_is_e007(self):
         source = ("scenario s:\n  ped: person\n  do serial:\n"
                   "    ped.walk()\n")
-        with pytest.raises(UnsupportedAction) as exc:
+        # the checker finds it in the prelude but not in the action table
+        with pytest.raises(CompileError) as exc:
             compile_source(source, "ped.osc")
         diag = exc.value.diagnostic
-        assert diag.code == "E007"
-        assert "walk" in diag.message
-        assert diag.filename == "ped.osc"
+        assert (diag.code, diag.span.line, diag.filename) == ("E007", 4,
+                                                              "ped.osc")
+        assert diag.message == ("action 'walk' is not supported by the "
+                                "execution backend for type 'person'")
+        # checked against the prelude, it is lowering that fails
+        with pytest.raises(UnsupportedAction) as exc:
+            compile_scenario(check(source, "ped.osc"), filename="ped.osc")
+        assert exc.value.diagnostic == diag
 
     def test_registry_extension_via_inheritance(self):
         registry = builtin_registry()
@@ -154,25 +160,68 @@ class TestDispatch:
                 return SUCCESS
 
         registry.register("traffic_participant", "honk",
-                          lambda receiver, args, modifiers, context: HonkLeaf())
+                          lambda receiver, args, modifiers, context: HonkLeaf(),
+                          prelude.Signature())
         cs = compile_body("    a.honk()\n", registry=registry)
         assert cs.step_tick() is SUCCESS
         assert calls == [0]
 
+    @pytest.mark.parametrize("signature, call, expected", [
+        (prelude.Signature(), "a.honk(loud: 5m)",
+         [("E002", "'honk' has no parameter 'loud'")]),
+        (prelude.Signature(), "a.honk(loud: 5m, 3kph)",
+         [("E002", "'honk' has no parameter 'loud'"),
+          ("E002", "unexpected unnamed argument to 'honk'")]),
+        (prelude.Signature({"loud": LENGTH}), "a.honk(loud: 5kph)",
+         [("E003", "'honk' argument 'loud' has dimension speed, "
+                   "expected length")]),
+        (prelude.Signature({"loud": LENGTH}, ("loud",)), "a.honk()",
+         [("E002", "'honk' is missing its 'loud' argument")]),
+    ])
+    def test_registered_signature_is_enforced(self, signature, call,
+                                              expected):
+        registry = builtin_registry()
+        registry.register("vehicle", "honk", lambda *a: EventEmit("HONK"),
+                          signature)
+        analysis = check(wrap(f"    {call}\n"),
+                         extra_actions=registry.action_table())
+        assert [(d.code, d.message)
+                for d in analysis.diagnostics] == expected
+
+    def test_factory_gets_arguments_by_parameter_name(self):
+        registry = builtin_registry()
+        seen = []
+
+        def factory(receiver, args, modifiers, context):
+            seen.append({name: context.eval(expr).value
+                         for name, expr in args.items()})
+            return EventEmit("HONK")
+
+        registry.register("vehicle", "honk", factory, prelude.Signature(
+            {"loud": LENGTH, "pitch": DIMENSIONLESS}, positional=("loud",)))
+        compile_body("    a.honk(5m, pitch: 2)\n", registry=registry)
+        assert seen == [{"loud": 5.0, "pitch": 2.0}]
+
     def test_duplicate_registration_rejected(self):
         registry = builtin_registry()
         with pytest.raises(ValueError):
-            registry.register("vehicle", "drive", lambda *a: None)
+            registry.register("vehicle", "drive", lambda *a: None,
+                              prelude.Signature())
 
     def test_unknown_type_registration_rejected(self):
         registry = MethodRegistry()
         with pytest.raises(ValueError):
-            registry.register("submarine", "dive", lambda *a: None)
+            registry.register("submarine", "dive", lambda *a: None,
+                              prelude.Signature())
 
     def test_builtin_actions_are_in_the_prelude(self):
-        # so the checker needs no extra_actions for the builtin registry
-        for type_name, actions in builtin_registry().action_table().items():
-            assert actions <= prelude.ACTOR_TYPES[type_name].actions.keys()
+        # each builtin action is checked against the prelude's signature
+        table = builtin_registry().action_table()
+        assert table
+        for type_name, actions in table.items():
+            declared = prelude.ACTOR_TYPES[type_name].actions
+            for action, signature in actions.items():
+                assert signature is declared[action]
 
     def test_semantic_error_raises_compile_error(self):
         with pytest.raises(CompileError) as exc:
@@ -232,7 +281,8 @@ class TestLeaves:
         registry = MethodRegistry()
         for action, leaf in (("drive", DriveLeaf),
                              ("change_speed", ChangeSpeedLeaf)):
-            registry.register("environment", action, leaf)
+            registry.register("environment", action, leaf,
+                              prelude.find_action("vehicle", action))
         cs = compile_body("    wait elapsed(0.1s)\n" + body,
                           members="  env: environment\n", registry=registry)
         cs.step_tick()
@@ -246,8 +296,7 @@ class TestLeaves:
     def test_change_speed_reaches_target(self):
         cs = compile_body(
             "    a.change_speed(target: 18kph, rate_profile: asap)\n")
-        status = cs.run(max_ticks=100)
-        assert status is SUCCESS
+        assert cs.run(max_ticks=100)[0] == "success"
         assert abs(cs.context.actor("a").speed - 5.0) < 0.01
 
     def test_change_lane_completes(self):
@@ -255,8 +304,7 @@ class TestLeaves:
             "    a.change_lane(num_of_lanes: 1, side: right)\n")
         a = cs.context.actor("a")
         start_lane = a.lane
-        status = cs.run(max_ticks=100)
-        assert status is SUCCESS
+        assert cs.run(max_ticks=100)[0] == "success"
         assert a.lane == start_lane + 1
         assert a.lane_change is None
 
@@ -285,8 +333,7 @@ class TestLeaves:
             "    a.follow_path(distance: 3m, speed: 10kph)\n")
         a = cs.context.actor("a")
         start = a.s
-        status = cs.run(max_ticks=200)
-        assert status is SUCCESS
+        assert cs.run(max_ticks=200)[0] == "success"
         assert a.s >= start + 3.0 - 1e-9
 
     def test_concurrent_commanders_fault(self):
@@ -306,8 +353,7 @@ class TestLeaves:
             "        speed(5kph)\n"
             "      wait elapsed(0.2s)\n"
             "    a.change_speed(target: 0kph, rate_profile: asap)\n")
-        status = cs.run(max_ticks=50)
-        assert status is SUCCESS
+        assert cs.run(max_ticks=50)[0] == "success"
 
     def test_distinct_actors_no_fault(self):
         cs = compile_body(
@@ -411,7 +457,7 @@ def test_motion_arbitration(body, outcome):
 class TestEvaluation:
     def test_variables_evaluated_at_start(self, flagship_source):
         cs = compile_source(flagship_source, "flagship.osc")
-        var = cs.context.var
+        var = cs.scenario.var_values.get
         assert var("v_hero").value == pytest.approx(9.722222222222221, rel=1e-12)
         assert var("v_npc_fast").value == pytest.approx(15.274459022222221, rel=1e-12)
         assert var("v_npc_slow").value == pytest.approx(6.944444444444445, rel=1e-12)
@@ -426,7 +472,7 @@ class TestEvaluation:
             members=("  a: vehicle\n"
                      "  var double: length = base * 2\n"
                      "  var base: length = 3m\n"))
-        assert cs.context.var("double").value == 6.0
+        assert cs.scenario.var_values["double"].value == 6.0
 
     def test_cyclic_variables_rejected(self):
         with pytest.raises(CompileError,
@@ -481,28 +527,6 @@ class TestInitializer:
         b = cs.context.actor("b")
         assert (a.lane, a.s) == (1, 50.0)
         assert (b.lane, b.s) == (2, 50.0)
-
-    def test_mixed_paradigms_conflict(self):
-        body = ("    a.assign_position() with:\n"
-                "      lane(1, at: start)\n"
-                "      position(x: 10, y: 0, at: start)\n")
-        with pytest.raises(InitConflict):
-            compile_body(body, members="  a: vehicle\n")
-
-    def test_forward_anchor_conflict(self):
-        body = ("    a.assign_position() with:\n"
-                "      lane(side: right, side_of: b, at: start)\n"
-                "      position(distance: 5m, behind: b, at: start)\n"
-                "    b.assign_position() with:\n"
-                "      lane(1, at: start)\n")
-        with pytest.raises(InitConflict):
-            compile_body(body)
-
-    def test_missing_anchor_conflict(self):
-        body = ("    a.assign_position() with:\n"
-                "      lane(side: right, at: start)\n")
-        with pytest.raises(InitConflict):
-            compile_body(body, members="  a: vehicle\n")
 
     def test_spawn_collision(self):
         body = ("    a.assign_position() with:\n"
@@ -594,7 +618,7 @@ class TestInitializer:
 
     def test_run_budget_exhaustion_returns_none(self):
         cs = compile_body("    wait elapsed(100s)\n", members="  a: vehicle\n")
-        assert cs.run(max_ticks=3) is None
+        assert cs.run(max_ticks=3) == ("timeout", 3, None)
 
 
 # Programs of one action with a backend and perhaps one modifier.  Each

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from osc2c import ast, units
+from osc2c import ast, prelude, units
 from osc2c.parser import parse
 from osc2c.runtime import compile_scenario
 from osc2c.semantics import analyze, check
@@ -151,7 +151,7 @@ class TestResolutionPass:
 
     def test_inherited_action_via_extra_catalog(self):
         src = wrap("hero.honk()", members="hero: vehicle")
-        extra = {"traffic_participant": frozenset({"honk"})}
+        extra = {"traffic_participant": {"honk": prelude.Signature()}}
         assert codes(check(src)) != []
         assert codes(check(src, extra_actions=extra)) == []
 
@@ -228,7 +228,7 @@ class TestVarCycles:
         analysis = check(wrap("emit X", members=members))
         assert analysis.ok
         cs = compile_scenario(analysis)
-        assert cs.context.var("v0").value == count + 1
+        assert cs.scenario.var_values["v0"].value == count + 1
 
 
 class TestConstantFolding:
