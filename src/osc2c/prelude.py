@@ -7,29 +7,32 @@ and action lookup walks the chain.  Each action maps to a ``Signature``:
 its parameters by name with their kinds, the required ones, and the names
 unnamed arguments bind to, in order.  A kind is a ``Dimension`` (a bare
 number stands in for any), ``STRING``, ``ACTOR`` (an actor that exists in
-the world) or a set of enumeration words.  The checker binds every argument
-to its signature, so the runtime reads arguments by name and trusts their
-kinds.  ``person`` deliberately carries a declared action with no execution
-backend so the unsupported-action path stays exercised end to end.
+the world), ``LANES``, a set of enumeration words or a tuple of string
+values.  The checker binds every argument to its signature, so the runtime
+reads arguments by name and trusts their kinds.  ``person`` deliberately
+carries a declared action with no execution backend so the
+unsupported-action path stays exercised end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
-                    SPEED, Dimension)
+from .units import ACCELERATION, ANGLE, DURATION, LENGTH, SPEED, Dimension
 
-# parameter kinds besides a Dimension and a set of enumeration words
+# parameter kinds besides a Dimension, a set of words and a tuple of strings
 STRING = "a string"
 ACTOR = "an actor in the world"
+# a lane number or count, which may not read actor state
+LANES = "a whole number of at least 0"
 
 PROFILE = frozenset({"asap", "smooth"})
 SIDE = frozenset({"left", "right"})
 DIRECTION = frozenset({"euclidean", "topological"})
 START = frozenset({"start"})
+LIGHT_MODES = ("off", "auto", "drl", "low_beam", "high_beam")
 
-Kind = Dimension | str | frozenset
+Kind = Dimension | str | frozenset | tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,11 +72,11 @@ ACTOR_TYPES: dict[str, ActorType] = {
                           {"target": SPEED, "rate_profile": PROFILE},
                           ("target",)),
                       "change_lane": Signature(
-                          {"num_of_lanes": DIMENSIONLESS, "side": SIDE},
+                          {"num_of_lanes": LANES, "side": SIDE},
                           ("num_of_lanes", "side")),
                       "assign_position": Signature(),
                       "assign_orientation": Signature({"h": ANGLE}, ("h",)),
-                      "set_lights": Signature({"mode": STRING}, ("mode",)),
+                      "set_lights": Signature({"mode": LIGHT_MODES}, ("mode",)),
                       "follow_path": Signature(
                           {"distance": LENGTH, "speed": SPEED},
                           ("distance",)),
@@ -111,7 +114,7 @@ PHYSICAL_TYPES: dict[str, Dimension] = {
 MODIFIERS: dict[str, Signature | None] = {
     "speed": Signature({"speed": SPEED, "rate_profile": PROFILE,
                         "at": START}, ("speed",), ("speed",)),
-    "lane": Signature({"lane": DIMENSIONLESS, "side": SIDE,
+    "lane": Signature({"lane": LANES, "side": SIDE,
                        "side_of": ACTOR, "at": START}, positional=("lane",)),
     "position": Signature({"distance": LENGTH, "behind": ACTOR,
                            "ahead_of": ACTOR, "x": LENGTH, "y": LENGTH,

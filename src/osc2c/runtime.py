@@ -3,9 +3,9 @@
 This module turns a resolved scenario into something that runs: a
 MethodRegistry maps (actor type, action) pairs to behavior factories and
 signatures (the builtin one maps each prelude action to its leaf class) and
-gives the checker its action table, an ExecutionContext runs the expression
-closures the checker lowered against the live world, a BehaviorTreeBuilder
-lowers the composition tree, a ScenarioInitializer places actors from their
+gives the checker its action table, an ExecutionContext holds the live
+actors the checker's evaluators read, a BehaviorTreeBuilder lowers the
+composition tree, a ScenarioInitializer places actors from their
 `at: start` constraints, and CompiledScenario.run is the one tick loop.
 """
 
@@ -34,10 +34,10 @@ from .btree import (
     Timer,
 )
 from .diagnostics import CompileError, Diagnostic, ERROR, collector_paused
-from .prelude import (ACTOR_TYPES, MODIFIERS, ActionTable, Signature,
-                      inheritance_chain)
-from .semantics import (Analysis, EvalError, Evaluator, ScenarioInfo, check,
-                        constant_value, unsupported_action)
+from .prelude import ACTOR_TYPES, ActionTable, Signature, inheritance_chain
+from .semantics import (Analysis, EvalError, Evaluator, Invocation, Modifiers,
+                        ScenarioInfo, check, constant_value,
+                        unsupported_action)
 from .units import UnitsError
 from .world import Actor, RoadMap, SimFault, SweepList, World, load_map
 
@@ -91,11 +91,11 @@ class MethodRegistry:
         actions[action] = (factory, signature)
 
     def lookup(self, type_name: str, action: str):
-        """The (factory, signature) of an action, or None."""
+        """The factory of an action, or None."""
         for ancestor in inheritance_chain(type_name):
             entry = self._actions.get(ancestor, {}).get(action)
             if entry is not None:
-                return entry
+                return entry[0]
         return None
 
     def action_table(self) -> ActionTable:
@@ -111,16 +111,12 @@ class MethodRegistry:
 
 
 class ExecutionContext:
-    """Live actor handles and expression evaluation.
+    """Live actor handles: the ``env`` that every evaluator the checker
+    lowered takes."""
 
-    Expressions run as the closures the checker lowered them to; each takes
-    this context as its ``env``.
-    """
-
-    def __init__(self, world: World, evaluators: dict[int, Evaluator | None]):
+    def __init__(self, world: World):
         self.world = world
         self.actors: dict[str, Actor] = {}
-        self._evaluators = evaluators
 
     def actor(self, name: str) -> Actor:
         try:
@@ -128,42 +124,27 @@ class ExecutionContext:
         except KeyError:
             raise EvalError(f"no live actor named '{name}'") from None
 
-    def eval(self, expr: ast.Node):
-        """Evaluate an expression that was checked."""
-        evaluate = self._evaluators.get(id(expr))
-        if evaluate is None:
-            raise EvalError(
-                f"cannot evaluate an unchecked {type(expr).__name__}")
-        try:
-            return evaluate(self)
-        except UnitsError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def constant(self, expr: ast.Node):
-        """The value of a checked expression that the checker folded to a
-        constant, or None if it may change during the run."""
-        return constant_value(self._evaluators.get(id(expr)))
-
 
 # ---------------------------------------------------------------------------
 # action leaves
 
 
-def _optional(context: ExecutionContext, expr, default=None):
-    """The value of an optional argument, or the default if it is absent."""
-    return default if expr is None else context.eval(expr)
+def _magnitude(evaluator: Evaluator | None) -> float | None:
+    """The magnitude of a quantity argument if it is a constant, else None."""
+    value = constant_value(evaluator)
+    return None if value is None else value.value
 
 
 class _Leaf(ActionLeaf):
     """An action leaf; each leaf class is the factory of its action.
 
     The checker has bound every argument to the action's signature in the
-    registry, so a leaf reads its arguments by name and trusts their kinds:
+    registry, so a leaf reads its evaluators by name and trusts their kinds:
     a quantity has the declared dimension or none.
     """
 
-    def __init__(self, receiver: str, args: dict, modifiers,
-                 context: ExecutionContext):
+    def __init__(self, receiver: str, args: dict[str, Evaluator],
+                 modifiers: Modifiers, context: ExecutionContext):
         super().__init__()
         self.actor_name = receiver
         self.args = args
@@ -172,14 +153,7 @@ class _Leaf(ActionLeaf):
 
     def value(self, name: str) -> float:
         """The magnitude of a quantity argument."""
-        return self.context.eval(self.args[name]).value
-
-    def constant(self, expr) -> float | None:
-        """The magnitude of a quantity argument that cannot change during
-        the run, read once when the leaf is built; None if it may change or
-        is absent."""
-        value = None if expr is None else self.context.constant(expr)
-        return None if value is None else value.value
+        return self.args[name](self.context).value
 
 
 class _MotionLeaf(_Leaf):
@@ -227,19 +201,19 @@ class DriveLeaf(_MotionLeaf):
 
     def __init__(self, receiver, args, modifiers, context):
         super().__init__(receiver, args, modifiers, context)
-        speed = _modifier_args(modifiers).get("speed", {})
-        self.speed_expr = speed.get("speed")
-        self.target = self.constant(self.speed_expr)
-        self.profile = _optional(context, speed.get("rate_profile"), "asap")
+        speed = modifiers.get("speed", {})
+        self.speed_fn = speed.get("speed")
+        self.target = _magnitude(self.speed_fn)
+        self.profile = constant_value(speed.get("rate_profile")) or "asap"
 
     def _tick(self, ctx) -> Status:
         # `_claim` and `actor`, inlined: a crowd ticks one drive per vehicle
         board = self._board = ctx.blackboard
         board.claim_motion(self.actor_name, self._token, ctx.now)
-        if self.speed_expr is not None:
+        if self.speed_fn is not None:
             target = self.target
             if target is None:
-                target = self.context.eval(self.speed_expr).value
+                target = self.speed_fn(self.context).value
             actor = self._actor or self.actor
             actor.target_speed = target
             actor.profile = self.profile
@@ -251,8 +225,8 @@ class ChangeSpeedLeaf(_MotionLeaf):
 
     def __init__(self, receiver, args, modifiers, context):
         super().__init__(receiver, args, modifiers, context)
-        self.target = self.constant(args["target"])
-        self.profile = _optional(context, args.get("rate_profile"), "asap")
+        self.target = _magnitude(args["target"])
+        self.profile = constant_value(args.get("rate_profile")) or "asap"
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
@@ -273,14 +247,18 @@ class ChangeLaneLeaf(_MotionLeaf):
 
     started = False
 
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__(receiver, args, modifiers, context)
+        # the checker fixed it to a whole number
+        self.lanes = int(constant_value(args["num_of_lanes"]).value)
+
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         actor = self.actor
         if not self.started:
             self.started = True
             moving = self.context.world.begin_lane_change(
-                actor, int(round(self.value("num_of_lanes"))),
-                self.context.eval(self.args["side"]))
+                actor, self.lanes, self.args["side"](self.context))
             if moving:
                 return RUNNING
             self._release()
@@ -301,7 +279,7 @@ class SetLightsLeaf(_Leaf):
     """Applies a light mode immediately."""
 
     def _tick(self, ctx) -> Status:
-        mode = self.context.eval(self.args["mode"])
+        mode = self.args["mode"](self.context)
         self.context.world.set_lights(self.context.actor(self.actor_name), mode)
         return SUCCESS
 
@@ -344,7 +322,7 @@ class FollowPathLeaf(_MotionLeaf):
 
     def __init__(self, receiver, args, modifiers, context):
         super().__init__(receiver, args, modifiers, context)
-        self.speed = self.constant(args.get("speed"))
+        self.speed = _magnitude(args.get("speed"))
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
@@ -397,72 +375,48 @@ def builtin_registry() -> MethodRegistry:
 # placement
 
 
-def _modifier_args(modifiers) -> dict[str, dict]:
-    """The arguments of each modifier the backend reads, by parameter name.
-
-    A repeated modifier adds its arguments to those of the earlier one.
-    """
-    out: dict[str, dict] = {}
-    for mod in modifiers:
-        signature = MODIFIERS.get(mod.name)
-        if signature is not None:
-            out.setdefault(mod.name, {}).update(
-                (name, arg.value) for name, arg in signature.bind(mod.args))
-    return out
-
-
-def place_actor(context: ExecutionContext, actor: Actor, modifiers) -> bool:
+def place_actor(context: ExecutionContext, actor: Actor,
+                modifiers: Modifiers) -> bool:
     """Apply placement modifiers to one actor; True if a pose was set.
 
-    At most one of three paradigms applies, which the checker ensures: a
-    default spawn on a numbered lane, a pose relative to one already placed
-    anchor, or an absolute Cartesian pose that takes the actor off the road
-    network.
+    The checker chose the paradigm: a default spawn on a numbered lane, a
+    pose relative to one already placed anchor, an absolute Cartesian pose
+    that takes the actor off the road network, or none.
     """
     world = context.world
-    bound = _modifier_args(modifiers)
-    lane_args = bound.get("lane", {})
-    position_args = bound.get("position", {})
-    # the checker ensures that every anchor argument names the same actor
-    anchors = [node for node in (lane_args.get("side_of"),
-                                 position_args.get("behind"),
-                                 position_args.get("ahead_of"))
-               if node is not None]
-
-    did_place = True
-    if "lane" in lane_args:
-        lane_index = int(round(context.eval(lane_args["lane"]).value))
+    lane_args = modifiers.get("lane", {})
+    position_args = modifiers.get("position", {})
+    if modifiers.paradigm == "lane":
+        lane_index = int(constant_value(lane_args["lane"]).value)
         s = world.road.spawn_on_lane(lane_index)
         if s is None:
             raise InitConflict(
                 f"no default spawn point on lane {lane_index} "
                 f"for actor '{actor.name}'")
         world.place_on_lane(actor, lane_index, s)
-    elif anchors:
-        anchor = context.eval(anchors[0])
+    elif modifiers.paradigm == "relative":
+        anchor = context.actor(modifiers.anchor)
         if anchor.lane is None:
             raise InitConflict(
                 f"anchor '{anchor.name}' is not on the road network")
-        side = _optional(context, lane_args.get("side"))
+        side = constant_value(lane_args.get("side"))
         lane_index = anchor.lane + {"right": 1, "left": -1}.get(side, 0)
         sign = 1.0 if "ahead_of" in position_args else -1.0
-        distance = _optional(context, position_args.get("distance"))
-        distance = 0.0 if distance is None else distance.value
+        distance = position_args.get("distance")
+        distance = 0.0 if distance is None else distance(context).value
         world.place_on_lane(actor, lane_index, anchor.s + sign * distance)
-    elif "x" in position_args or "y" in position_args:
+    elif modifiers.paradigm == "absolute":
         def coord(key):
-            node = position_args.get(key)
-            return 0.0 if node is None else context.eval(node).value
+            evaluate = position_args.get(key)
+            return 0.0 if evaluate is None else evaluate(context).value
         world.place_absolute(actor, coord("x"), coord("y"), coord("h"))
-    else:
-        did_place = False
 
-    speed_node = bound.get("speed", {}).get("speed")
-    if speed_node is not None:
-        speed = context.eval(speed_node).value
+    speed_fn = modifiers.get("speed", {}).get("speed")
+    if speed_fn is not None:
+        speed = speed_fn(context).value
         actor.speed = speed
         actor.target_speed = speed
-    return did_place
+    return modifiers.paradigm is not None
 
 
 class ScenarioInitializer:
@@ -472,11 +426,11 @@ class ScenarioInitializer:
         self.context = context
         self.placed: set[str] = set()
 
-    def run(self, plan: list[ast.ActionInvocation]) -> None:
+    def run(self, plan: list[Invocation]) -> None:
         for invocation in plan:
-            actor = self.context.actor(invocation.actor)
+            actor = self.context.actor(invocation.node.actor)
             if place_actor(self.context, actor, invocation.modifiers):
-                self.placed.add(invocation.actor)
+                self.placed.add(actor.name)
         self._place_remaining()
         self._check_overlap()
 
@@ -525,17 +479,20 @@ class ScenarioInitializer:
 class BehaviorTreeBuilder:
     """Lowers a resolved scenario body to a behavior tree.
 
-    The invocations of the scenario's placement plan, those carrying an
+    A wait reads the evaluator of its condition in ``conditions``.  The
+    invocations of the scenario's placement plan, those carrying an
     `at: start` modifier, are left to the initializer.
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
-                 context: ExecutionContext, filename: str = "<string>"):
+                 context: ExecutionContext, conditions: dict[int, Evaluator],
+                 filename: str = "<string>"):
         self.scenario = scenario
         self.registry = registry
         self.context = context
+        self.conditions = conditions
         self.filename = filename
-        self._planned = {id(invocation) for invocation in scenario.plan}
+        self._planned = {id(invocation.node) for invocation in scenario.plan}
 
     def build(self) -> BtNode:
         body = self.scenario.decl.body
@@ -573,32 +530,31 @@ class BehaviorTreeBuilder:
         if isinstance(cond, ast.EventRef):
             return EventWait(cond.name, label=f"wait @{cond.name}",
                              span=node.span)
-        if isinstance(cond, ast.RiseCondition):
-            return EdgeCondition("rise", lambda _: self.context.eval(cond.expr),
-                                 label="wait rise", span=node.span)
-        if isinstance(cond, ast.FallCondition):
-            return EdgeCondition("fall", lambda _: self.context.eval(cond.expr),
-                                 label="wait fall", span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
             # the checker folded the duration to a constant
-            seconds = self.context.constant(cond.duration).value
+            seconds = constant_value(self.conditions[id(cond.duration)]).value
             return Timer(seconds, label="wait elapsed", span=node.span)
-        if isinstance(cond, ast.BoolCondition):
-            return Condition(lambda _: self.context.eval(cond.expr), label="wait",
-                             span=node.span)
+        if isinstance(cond, (ast.RiseCondition, ast.FallCondition,
+                             ast.BoolCondition)):
+            holds, context = self.conditions[id(cond.expr)], self.context
+            predicate = lambda _: holds(context)
+            if isinstance(cond, ast.BoolCondition):
+                return Condition(predicate, label="wait", span=node.span)
+            kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
+            return EdgeCondition(kind, predicate, label=f"wait {kind}",
+                                 span=node.span)
         raise BuildError(f"cannot lower a {type(cond).__name__} wait")
 
     def _invocation(self, node: ast.ActionInvocation) -> BtNode:
         type_name = self.scenario.fields[node.actor]
-        entry = self.registry.lookup(type_name, node.action)
-        if entry is None:
+        factory = self.registry.lookup(type_name, node.action)
+        if factory is None:
             # checked against another table than this registry's
             raise UnsupportedAction(Diagnostic(
                 ERROR, "E007", unsupported_action(node.action, type_name),
                 node.span, self.filename))
-        factory, signature = entry
-        args = {name: arg.value for name, arg in signature.bind(node.args)}
-        leaf = factory(node.actor, args, node.modifiers, self.context)
+        bound = self.scenario.invocations[id(node)]
+        leaf = factory(node.actor, bound.args, bound.modifiers, self.context)
         if leaf.label is None:
             leaf.label = f"{node.actor}.{node.action}"
         if leaf.span is None:
@@ -625,7 +581,6 @@ class CompiledScenario:
     world: World
     context: ExecutionContext
     blackboard: Blackboard
-    plan: list[ast.ActionInvocation]
     initialized: bool = False
     tick_ctx: TickContext = field(init=False)
     next_tick: int = 0
@@ -643,11 +598,12 @@ class CompiledScenario:
 
     def initialize(self) -> None:
         """Place every actor: the start placements, then default spawns."""
-        ScenarioInitializer(self.context).run(self.plan)
+        ScenarioInitializer(self.context).run(self.scenario.plan)
         self.initialized = True
 
     def step_tick(self) -> Status:
-        """One full tick: behaviors first, then world physics."""
+        """One full tick: behaviors first, then world physics; it may raise
+        a ``UnitsError``."""
         now = self.next_tick
         self.next_tick += 1
         self.blackboard.begin_tick(now)
@@ -665,7 +621,8 @@ class CompiledScenario:
         done, calling ``after_tick(tick)`` after each tick that completes.
 
         Returns the outcome ("success", "failure", "fault" or "timeout"),
-        the ticks completed and the fault or None.
+        the ticks completed and the fault or None.  A ``UnitsError`` from an
+        evaluator ends the run as an ``EvalError`` fault.
         """
         ticks = 0
         try:
@@ -681,6 +638,8 @@ class CompiledScenario:
                     return _OUTCOMES[status], ticks, None
         except FAULTS as fault:
             return "fault", ticks, fault
+        except UnitsError as exc:
+            return "fault", ticks, EvalError(str(exc))
         return "timeout", ticks, None
 
 
@@ -710,7 +669,7 @@ def compile_scenario(analysis: Analysis, *,
         road = load_map(road)
 
     world = World(road, dt)
-    context = ExecutionContext(world, analysis.evaluators)
+    context = ExecutionContext(world)
     for name, type_name in scenario.fields.items():
         kind = ACTOR_TYPES[type_name].world
         if kind == "vehicle":
@@ -718,9 +677,9 @@ def compile_scenario(analysis: Analysis, *,
         elif kind == "prop":
             context.actors[name] = world.add_prop(name)
 
-    root = BehaviorTreeBuilder(scenario, registry, context, filename).build()
-    compiled = CompiledScenario(scenario, root, world, context, Blackboard(),
-                                scenario.plan)
+    root = BehaviorTreeBuilder(scenario, registry, context,
+                               analysis.evaluators, filename).build()
+    compiled = CompiledScenario(scenario, root, world, context, Blackboard())
     if initialize:
         compiled.initialize()
     return compiled

@@ -8,20 +8,21 @@ the arguments of actions to their signatures in an action table (a
 backend's, or else the prelude's) and those of modifiers and queries to
 theirs in the prelude, and binds the scenario to a builtin map.  It also
 rejects cyclic ``var`` initializers, reads of actor state where no actor is
-placed yet (``var`` initializers and ``elapsed`` durations), start
-placements that contradict each other, and reads of attributes that no
-``keep`` sets.
+placed yet (``var`` initializers, ``elapsed`` durations and lane
+numbers), start placements that contradict each other, and reads of
+attributes that no ``keep`` sets.
 Diagnostics accumulate in source order; errors never abort the pass, so one
 run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
-evaluator ``fn(env)``.  ``Analysis.evaluators`` maps the ``id`` of every
-argument and wait condition to its evaluator; ``env`` is the runtime's
-execution context (``world`` and ``actors``).  The vars are evaluated once,
-here, and every reference to one is its value.  Literals, var references,
-attribute reads and every operator whose operands are constants are folded,
-so a constant that cannot be computed (``1m / 0``) is a diagnostic; only
-the live world is read at run time.
+evaluator ``fn(env)``.  ``ScenarioInfo.invocations`` keeps each action
+invocation as bound, and ``Analysis.evaluators`` maps the ``id`` of every
+wait condition to its evaluator; ``env`` is the runtime's execution context
+(``world`` and ``actors``).  The vars are evaluated once, here, and every
+reference to one is its value.  Literals, var references, attribute reads
+and every operator whose operands are constants are folded, so a constant
+that cannot be computed (``1m / 0``) is a diagnostic; only the live world
+is read at run time.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class Symbol:
     kind: str  # actor-instance | variable | event
     declared_type: str | None = None
     span: Span | None = None
-    resolved: bool = False
 
 
 class Scope:
@@ -128,6 +128,24 @@ class Scope:
         return None
 
 
+class Modifiers(dict):
+    """The arguments of the modifiers the backend reads, as ``{modifier:
+    {parameter: evaluator}}``, and for an assign_position the ``paradigm``
+    that places its actor ("lane", "relative", "absolute" or None) and the
+    ``anchor`` of a relative placement."""
+
+    paradigm: str | None = None
+    anchor: str | None = None
+
+
+@dataclass(slots=True)
+class Invocation:
+    """An action invocation with its arguments bound by parameter name."""
+    node: ast.ActionInvocation
+    args: dict[str, Evaluator]
+    modifiers: Modifiers
+
+
 @dataclass
 class ScenarioInfo:
     decl: ast.ScenarioDecl
@@ -138,8 +156,10 @@ class ScenarioInfo:
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
     # the value of each var whose initializer could be computed
     var_values: dict[str, object] = field(default_factory=dict)
+    # each action invocation by the id of its node
+    invocations: dict[int, Invocation] = field(default_factory=dict)
     # the invocations with an `at: start` modifier, in tree order
-    plan: list[ast.ActionInvocation] = field(default_factory=list)
+    plan: list[Invocation] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
 
@@ -148,6 +168,7 @@ class Analysis:
     diagnostics: list[Diagnostic]
     program: ast.Program | None = None
     scenarios: list[ScenarioInfo] = field(default_factory=list)
+    # the evaluator of each wait condition by the id of its expression
     evaluators: dict[int, Evaluator | None] = field(default_factory=dict)
 
     @property
@@ -184,7 +205,7 @@ class Analyzer:
         self._names: dict[tuple[str, str], Evaluator] = {}
         self._reads: list[str] | None = None  # vars the initializer reads
         # (what, why) while an expression is computed before any actor is
-        # placed: a var initializer or an elapsed duration
+        # placed: a var initializer, an elapsed duration or a lane number
         self._fixed: tuple[str, str] | None = None
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
@@ -267,9 +288,6 @@ class Analyzer:
         if decl.type_name not in prelude.ACTOR_TYPES:
             self.error("E001", f"undefined type '{decl.type_name}'", decl.span)
             return
-        symbol = info.scope.lookup(decl.name, ("actor-instance",))
-        if symbol is not None:
-            symbol.resolved = True
         info.fields[decl.name] = decl.type_name
         for keep in decl.constraints:
             self._resolve_keep(keep, decl, info)
@@ -316,9 +334,6 @@ class Analyzer:
                 self.error("E001", f"undefined type '{decl.type_name}'",
                            decl.span)
             return
-        symbol = info.scope.lookup(decl.name, ("variable",))
-        if symbol is not None:
-            symbol.resolved = True
         info.variables[decl.name] = decl
         self._reads = []
         self._fixed = ("a var initializer", "vars are evaluated")
@@ -409,10 +424,6 @@ class Analyzer:
             self._resolve_invocation(node, scope)
         elif isinstance(node, ast.WaitStatement):
             self._resolve_condition(node.condition, scope)
-        elif isinstance(node, ast.EmitStatement):
-            symbol = scope.lookup(node.event, ("event",))
-            if symbol is not None:
-                symbol.resolved = True
 
     def _resolve_invocation(self, node: ast.ActionInvocation, scope: Scope) -> None:
         # signature None: the actor or the action is undefined (typed only)
@@ -421,7 +432,6 @@ class Analyzer:
         if actor_sym is None:
             self.error("E001", f"undefined actor '{node.actor}'", node.span)
         else:
-            actor_sym.resolved = True
             type_name = actor_sym.declared_type
             receiver = ActorRef(type_name, node.actor)
             signature = prelude.find_action(type_name, node.action,
@@ -434,26 +444,23 @@ class Analyzer:
                 self.error("E004",
                            f"action '{node.action}' is not defined for actor "
                            f"type '{type_name}' or its ancestors", node.span)
-        typed = [self._resolve_root(arg.value, scope) for arg in node.args]
-        if signature is not None:
-            self._bind(node.action, signature, node.args, typed, node.span)
-        # the bound arguments of the placement modifiers; None on an error
-        placement: dict[str, dict] | None = {}
+        args = self._arguments(node.action, signature, node.args, node.span,
+                               scope)[1]
+        # the bound arguments of the modifiers read; None on an error
+        modifiers: Modifiers | None = Modifiers()
         at_start = False
         for modifier in node.modifiers:
             if modifier.name not in prelude.MODIFIERS:
                 self.error("E004", f"unknown modifier '{modifier.name}'",
                            modifier.span)
-            typed = [self._resolve_root(arg.value, scope)
-                     for arg in modifier.args]
             signature = prelude.MODIFIERS.get(modifier.name)
+            typed, bound = self._arguments(modifier.name, signature,
+                                           modifier.args, modifier.span, scope)
             if signature is not None:
-                bound = self._bind(modifier.name, signature, modifier.args,
-                                   typed, modifier.span)
                 if bound is None:
-                    placement = None
-                elif placement is not None:
-                    placement.setdefault(modifier.name, {}).update(bound)
+                    modifiers = None
+                elif modifiers is not None:
+                    modifiers.setdefault(modifier.name, {}).update(bound)
             if receiver is not None:
                 for arg, (arg_type, _) in zip(modifier.args, typed):
                     if arg.name == "at" and arg_type == AT_START:
@@ -464,35 +471,39 @@ class Analyzer:
                             self.error("E002", "'at: start' places an actor "
                                        "only in assign_position, not in "
                                        f"'{node.action}'", arg.span)
-        if at_start:
-            self._info.plan.append(node)
         if node.action == "assign_position" and receiver is not None:
-            self._check_placement(node, placement, at_start)
+            self._check_placement(node, modifiers, at_start)
+        invocation = self._info.invocations[id(node)] = Invocation(
+            node, args or {}, modifiers or Modifiers())
+        if at_start:
+            self._info.plan.append(invocation)
 
     def _check_placement(self, node: ast.ActionInvocation,
-                         placement: dict[str, dict] | None,
-                         at_start: bool) -> None:
+                         modifiers: Modifiers | None, at_start: bool) -> None:
         """Check that an assign_position places its actor in at most one
         way, relative to exactly one anchor, and, before tick 0, only
         relative to an actor that an earlier start placement places.
 
-        ``placement`` holds the bound arguments of its modifiers, or None
-        if one has an error; the actor then counts as placed.
+        ``modifiers`` holds the bound arguments of its modifiers, or None
+        if one has an error; the actor then counts as placed.  The way and
+        the anchor are recorded in it.
         """
         actor = node.actor
-        if placement is None:
+        if modifiers is None:
             if at_start:
                 self._placed.add(actor)
             return
-        lane = placement.get("lane", {})
-        position = placement.get("position", {})
-        anchors = {typed[0].instance
-                   for typed in (lane.get("side_of"), position.get("behind"),
-                                 position.get("ahead_of")) if typed}
+        lane = modifiers.get("lane", {})
+        position = modifiers.get("position", {})
+        # an actor argument's evaluator is partial(_live_actor, name)
+        anchors = {evaluator.args[0]
+                   for evaluator in (lane.get("side_of"), position.get("behind"),
+                                     position.get("ahead_of")) if evaluator}
         relative = bool(anchors) or "side" in lane
-        places = ("lane" in lane) + relative + ("x" in position
-                                                or "y" in position)
-        if places > 1:
+        places = [paradigm for paradigm, used in (
+            ("lane", "lane" in lane), ("relative", relative),
+            ("absolute", "x" in position or "y" in position)) if used]
+        if len(places) > 1:
             self.error("E002",
                        f"actor '{actor}' mixes start placement paradigms",
                        node.span)
@@ -504,20 +515,41 @@ class Analyzer:
             self.error("E002", f"actor '{actor}' is anchored to "
                        f"'{min(anchors)}', which is not placed yet",
                        node.span)
+        if places:
+            modifiers.paradigm = places[0]
+            modifiers.anchor = min(anchors, default=None)
         if at_start and places:
             self._placed.add(actor)
 
-    def _bind(self, callee: str, signature: prelude.Signature,
-              args: list[ast.Argument], typed: list, span: Span):
-        """Match typed arguments to a signature, reporting each mismatch.
+    def _arguments(self, callee: str, signature: prelude.Signature | None,
+                   args: list[ast.Argument], span: Span, scope: Scope):
+        """The typed arguments of an action or a modifier, and what ``_bind``
+        returns (None with no signature); a ``LANES`` one is fixed before
+        any actor is placed."""
+        if signature is None:
+            return [self.resolve_expr(arg.value, scope) for arg in args], None
+        pairs = signature.bind(args)
+        typed = []
+        for name, arg in pairs:
+            if signature.params.get(name) == prelude.LANES:
+                self._fixed = (f"'{callee}' argument '{name}'",
+                               "its value is fixed")
+            typed.append(self.resolve_expr(arg.value, scope))
+            self._fixed = None
+        return typed, self._bind(callee, signature, pairs, typed, span)
+
+    def _bind(self, callee: str, signature: prelude.Signature, pairs: list,
+              typed: list, span: Span):
+        """Match typed arguments, paired with their parameter names by
+        ``signature.bind``, to the signature, reporting each mismatch.
 
         Names, kinds and words that do not fit are E002, a quantity of the
-        wrong dimension is E003.  Returns the typed arguments by parameter
-        name, or None if one was reported or is of unknown type.
+        wrong dimension is E003.  Returns the evaluators of the arguments by
+        parameter name, or None if one was reported or is of unknown type.
         """
         reported = len(self.diagnostics)
         bound = {}
-        for (name, arg), arg_typed in zip(signature.bind(args), typed):
+        for (name, arg), arg_typed in zip(pairs, typed):
             kind = signature.params.get(name)
             if kind is None:
                 self.error("E002",
@@ -529,34 +561,49 @@ class Analyzer:
                            f"'{callee}' argument '{name}' is given twice",
                            arg.span)
             else:
-                bound[name] = arg_typed
-                self._check_kind(kind, arg_typed[0],
+                bound[name] = arg_typed[1]
+                self._check_kind(kind, arg_typed,
                                  f"'{callee}' argument '{name}'", arg.span)
         for name in signature.required:
             if name not in bound:
                 self.error("E002", f"'{callee}' is missing its '{name}' argument",
                            span)
         if len(self.diagnostics) > reported or any(
-                arg_type is UNKNOWN for arg_type, _ in bound.values()):
+                arg_type is UNKNOWN for arg_type, _ in typed):
             return None
         return bound
 
-    def _check_kind(self, kind: prelude.Kind, arg_type: ExprType, what: str,
+    def _check_kind(self, kind: prelude.Kind, typed, what: str,
                     span: Span) -> None:
+        arg_type, evaluator = typed
         if arg_type is UNKNOWN:
             return
-        if isinstance(kind, Dimension):
+        if isinstance(kind, Dimension) or kind == prelude.LANES:
+            dim = DIMENSIONLESS if kind == prelude.LANES else kind
             if not isinstance(arg_type, QuantityType):
                 self.error("E002",
-                           f"{what} must be a {dimension_name(kind)} quantity",
+                           f"{what} must be a {dimension_name(dim)} quantity",
                            span)
-            elif arg_type.dim not in (kind, DIMENSIONLESS):
+            elif arg_type.dim not in (dim, DIMENSIONLESS):
                 self.error("E003",
                            f"{what} has dimension "
                            f"{dimension_name(arg_type.dim)}, expected "
-                           f"{dimension_name(kind)}", span)
+                           f"{dimension_name(dim)}", span)
+            elif kind == prelude.LANES:
+                # it reads no actor: a constant, or None after an error
+                value = constant_value(evaluator)
+                if value is not None and not (value.value >= 0
+                                              and value.value.is_integer()):
+                    self.error("E002", f"{what} must be {kind}", span)
         elif isinstance(kind, frozenset):
             if not (isinstance(arg_type, EnumWord) and arg_type.word in kind):
+                self.error("E002", f"{what} must be one of "
+                                   f"{', '.join(sorted(kind))}", span)
+        elif isinstance(kind, tuple):
+            if arg_type is not STRING:
+                self.error("E002", f"{what} must be {prelude.STRING}", span)
+            # a string is always a constant: a literal or a keep's value
+            elif constant_value(evaluator) not in kind:
                 self.error("E002", f"{what} must be one of "
                                    f"{', '.join(sorted(kind))}", span)
         elif kind == prelude.ACTOR and isinstance(arg_type, ActorRef):
@@ -574,11 +621,7 @@ class Analyzer:
         return False
 
     def _resolve_condition(self, cond: ast.Node, scope: Scope) -> None:
-        if isinstance(cond, ast.EventRef):
-            symbol = scope.lookup(cond.name, ("event",))
-            if symbol is not None:
-                symbol.resolved = True
-        elif isinstance(cond, (ast.RiseCondition, ast.FallCondition)):
+        if isinstance(cond, (ast.RiseCondition, ast.FallCondition)):
             result = self._resolve_root(cond.expr, scope)[0]
             if result not in (BOOL, UNKNOWN):
                 kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
@@ -602,7 +645,7 @@ class Analyzer:
 
     def _resolve_root(self, expr: ast.Node,
                       scope: Scope) -> tuple[ExprType, Evaluator | None]:
-        """Type and lower an expression that the runtime evaluates itself."""
+        """Type and lower a wait condition, keeping its evaluator."""
         typed = self.resolve_expr(expr, scope)
         self.evaluators[id(expr)] = typed[1]
         return typed
@@ -636,7 +679,6 @@ class Analyzer:
         name = expr.name
         symbol = scope.lookup(name, ("variable", "actor-instance"))
         if symbol is not None:
-            symbol.resolved = True
             if symbol.kind == "variable":
                 result = _VAR_TYPES.get(symbol.declared_type)
                 if result is None:
@@ -772,7 +814,8 @@ class Analyzer:
                 return (QuantityType(SPEED),
                         lambda env: Quantity(actor(env).speed, SPEED))
             if member == "position":
-                return PositionType(receiver.instance), partial(_position, actor)
+                # only an ahead_of receiver, which is not evaluated itself
+                return PositionType(receiver.instance), None
             if prelude.has_attribute(receiver.type_name, member):
                 if self._info is None:
                     return STRING, None
@@ -802,13 +845,14 @@ class Analyzer:
                            f"position query has no method '{expr.method}'",
                            expr.span)
                 return UNKNOWN, None
-            bound = self._bind(expr.method, prelude.AHEAD_OF, expr.args, args,
+            bound = self._bind(expr.method, prelude.AHEAD_OF,
+                               prelude.AHEAD_OF.bind(expr.args), args,
                                expr.span)
             if bound is None or self._reads_actors("call 'ahead_of'",
                                                    expr.span):
                 return UNKNOWN, None
             subject = self._name_evaluator("actor-instance", receiver.instance)
-            other = bound["actor"][1]
+            other = bound["actor"]
             return QuantityType(LENGTH), lambda env: Quantity(
                 env.world.ahead_of(subject(env), other(env)), LENGTH)
         if isinstance(receiver, ActorRef):
@@ -819,14 +863,14 @@ class Analyzer:
                 return UNKNOWN, None
             in_world = self._in_world(receiver, expr.receiver.span)
             bound = self._bind(expr.method, prelude.OBJECT_DISTANCE,
-                               expr.args, args, expr.span)
+                               prelude.OBJECT_DISTANCE.bind(expr.args), args,
+                               expr.span)
             if bound is None or not in_world or self._reads_actors(
                     "call 'object_distance'", expr.span):
                 return UNKNOWN, None
-            direction = bound.get("direction")
-            word = "euclidean" if direction is None else direction[0].word
+            word = constant_value(bound.get("direction")) or "euclidean"
             return QuantityType(LENGTH), partial(
-                _object_distance, receiver_fn, bound["reference"][1], word)
+                _object_distance, receiver_fn, bound["reference"], word)
         self.error("E002", f"cannot call method '{expr.method}' here", expr.span)
         return UNKNOWN, None
 
@@ -834,7 +878,7 @@ class Analyzer:
 # The common evaluators are partials of the functions below, which take the
 # execution context ``env`` last: a partial is about half the size of a
 # closure, and an analysis keeps one evaluator per expression node.  Any
-# evaluator may raise units.UnitsError; the context reports it as EvalError.
+# evaluator may raise units.UnitsError; a run reports it as EvalError.
 
 def _constant(value, env):
     return value
@@ -915,11 +959,6 @@ def _components(reads: dict[str, list[str]]) -> list[list[str]]:
 
 def _apply(fn, lhs: Evaluator, op: str, rhs: Evaluator, env):
     return fn(lhs(env), op, rhs(env))
-
-
-def _position(actor: Evaluator, env):
-    actor(env)
-    raise EvalError("'position' is only usable as an ahead_of receiver")
 
 
 def _object_distance(subject: Evaluator, reference: Evaluator,

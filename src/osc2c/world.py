@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .btree import required_ticks
+from .prelude import LIGHT_MODES
 
 ASAP_ACCEL_LIMIT = 8.0    # m/s^2
 SMOOTH_GAIN = 0.5         # 1/s
@@ -42,9 +43,6 @@ PROP_HALF_LENGTH = 1.0
 PROP_HALF_WIDTH = 1.0
 
 LOW_SUN_ELEVATION = math.radians(15.0)
-
-LIGHT_MODES = ("off", "auto", "drl", "low_beam", "high_beam")
-
 
 class SimFault(RuntimeError):
     """Base class for faults that abort a run."""

@@ -218,6 +218,22 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
     ("", "    hero.assign_position() with:\n      lane(1)\n"
          "      position(x: 10m)\n",
      [("E002", "actor 'hero' mixes start placement paradigms")]),
+    ("", "    hero.assign_position() with:\n      lane(1.6, at: start)\n",
+     [("E002", "'lane' argument 'lane' must be a whole number of at least "
+               "0")]),
+    ("", "    hero.change_lane(num_of_lanes: 0.4, side: left)\n",
+     [("E002", "'change_lane' argument 'num_of_lanes' must be a whole "
+               "number of at least 0")]),
+    ("", "    hero.change_lane(num_of_lanes: -1, side: left)\n",
+     [("E002", "'change_lane' argument 'num_of_lanes' must be a whole "
+               "number of at least 0")]),
+    ("", "    hero.change_lane(num_of_lanes: hero.speed / 1mps, side: left)\n",
+     [("E002", "'change_lane' argument 'num_of_lanes' cannot read "
+               "'hero.speed': its value is fixed before any actor is "
+               "placed")]),
+    ("", '    hero.set_lights(mode: "purple")\n',
+     [("E002", "'set_lights' argument 'mode' must be one of auto, drl, "
+               "high_beam, low_beam, off")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -228,7 +244,9 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "environment-at-start", "drive-at-start", "set-lights-at-start",
         "var-reads-zero-var", "body-reads-zero-var", "elapsed-reads-world",
         "mixed-paradigms", "forward-anchor", "missing-anchor", "two-anchors",
-        "anchor-placed-by-spawn", "mixed-paradigms-while-running"])
+        "anchor-placed-by-spawn", "mixed-paradigms-while-running",
+        "fractional-lane", "fractional-lane-count", "negative-lane-count",
+        "live-lane-count", "unknown-light-mode"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

@@ -1,6 +1,5 @@
 """Runtime tests: lowering, dispatch, evaluation, and actor placement."""
 
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osc2c import ast, prelude
+from osc2c import prelude
 from osc2c.btree import (
     ActionLeaf,
     ArbitrationFault,
@@ -44,8 +43,8 @@ from osc2c.runtime import (
 )
 from osc2c.semantics import check
 from osc2c.units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
-                         SPEED)
-from osc2c.world import RoadMap, SimFault
+                         SPEED, from_literal)
+from osc2c.world import RoadMap, SimFault, UnknownLightMode
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "scenarios" / "cut_in_and_evade.osc"
 
@@ -56,22 +55,6 @@ def wrap(body, members="  a: vehicle\n  b: vehicle\n"):
 
 def compile_body(body, members="  a: vehicle\n  b: vehicle\n", **kw):
     return compile_source(wrap(body, members), "t.osc", **kw)
-
-
-def find_nodes(node, node_type):
-    """Depth-first search of an AST subtree for nodes of one type."""
-    found = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Node):
-            if isinstance(current, node_type):
-                found.append(current)
-            for f in dataclasses.fields(current):
-                stack.append(getattr(current, f.name))
-        elif isinstance(current, (list, tuple)):
-            stack.extend(current)
-    return found
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +104,9 @@ class TestTreeShapes:
             stack.extend(node.children())
             if isinstance(node, ActionLeaf):
                 leaves.append(node)
-        assert len(cs.plan) == 3
-        assert all(inv.action == "assign_position" for inv in cs.plan)
+        assert len(cs.scenario.plan) == 3
+        assert all(inv.node.action == "assign_position"
+                   for inv in cs.scenario.plan)
         labels = {leaf.label for leaf in leaves}
         assert not any("assign_position" in label for label in labels)
 
@@ -193,14 +177,22 @@ class TestDispatch:
         seen = []
 
         def factory(receiver, args, modifiers, context):
-            seen.append({name: context.eval(expr).value
-                         for name, expr in args.items()})
+            seen.append(({name: evaluate(context).value
+                          for name, evaluate in args.items()},
+                         {name: {param: evaluate(context)
+                                 for param, evaluate in bound.items()}
+                          for name, bound in modifiers.items()}))
             return EventEmit("HONK")
 
         registry.register("vehicle", "honk", factory, prelude.Signature(
             {"loud": LENGTH, "pitch": DIMENSIONLESS}, positional=("loud",)))
-        compile_body("    a.honk(5m, pitch: 2)\n", registry=registry)
-        assert seen == [{"loud": 5.0, "pitch": 2.0}]
+        # a repeated modifier adds its arguments to the earlier one's
+        compile_body("    a.honk(5m, pitch: 2) with:\n      speed(10kph)\n"
+                     "      speed(20kph, rate_profile: smooth)\n",
+                     registry=registry)
+        assert seen == [({"loud": 5.0, "pitch": 2.0},
+                         {"speed": {"speed": from_literal(20.0, "kph"),
+                                    "rate_profile": "smooth"}})]
 
     def test_duplicate_registration_rejected(self):
         registry = builtin_registry()
@@ -491,21 +483,13 @@ class TestEvaluation:
 
     def test_self_ahead_of_is_zero(self):
         cs = compile_body("    a.follow_path(distance: a.position.ahead_of(a))\n")
-        call = find_nodes(cs.scenario.decl, ast.MethodCall)[0]
-        value = cs.context.eval(call)
-        assert value.value == 0.0
+        (follow,) = cs.root.children()
+        assert follow.args["distance"](cs.context).value == 0.0
 
     def test_quantity_not_equal_condition(self):
         # `!=` on quantities used to pass check and then fault at tick 0
         cs = compile_body("    wait a.speed != 1kph\n")
         assert cs.step_tick() is SUCCESS
-
-    def test_eval_error_on_unknown_member(self):
-        cs = compile_body("    wait elapsed(0.05s)\n")
-        expr = ast.MemberAccess(span=None, receiver=ast.Identifier(
-            span=None, name="a"), member="altitude")
-        with pytest.raises(EvalError):
-            cs.context.eval(expr)
 
 
 class TestInitializer:
@@ -632,15 +616,18 @@ BACKED_ACTIONS = sorted((type_name, action) for type_name, actions
 READ_MODIFIERS = sorted(name for name, signature in prelude.MODIFIERS.items()
                         if signature is not None)
 QUANTITIES = {SPEED: "10kph", LENGTH: "5m", DURATION: "1s", ANGLE: "1rad",
-              ACCELERATION: "2m / 1s / 1s", DIMENSIONLESS: "1"}
+              ACCELERATION: "2m / 1s / 1s"}
+NUMBERS = ("1", "1.5", "-1")
 STRINGS = ('"high_beam"', '"dusk"')
 ACTORS = ("npc", "env")
-ARGUMENT_VALUES = (*QUANTITIES.values(), *STRINGS, *ACTORS, "hero.position",
-                   *sorted(prelude.ENUM_WORDS))
+ARGUMENT_VALUES = (*QUANTITIES.values(), *NUMBERS, *STRINGS, *ACTORS,
+                   "hero.position", *sorted(prelude.ENUM_WORDS))
 
 
 def fitting_values(kind):
-    if kind == prelude.STRING:
+    if kind == prelude.LANES:
+        return NUMBERS
+    if kind == prelude.STRING or isinstance(kind, tuple):
         return STRINGS
     if kind == prelude.ACTOR:
         return ACTORS
@@ -682,7 +669,8 @@ def argument_programs(draw):
 @settings(max_examples=200, deadline=None)
 @given(source=argument_programs())
 def test_check_clean_arguments_never_fail_to_build_or_tick(source):
-    """A BuildError or EvalError here is an argument fault check missed."""
+    """A BuildError, EvalError, UnitsError or UnknownLightMode here is an
+    argument fault check missed."""
     analysis = check(source)
     if not analysis.ok:
         return
@@ -690,5 +678,6 @@ def test_check_clean_arguments_never_fail_to_build_or_tick(source):
         cs = compile_scenario(analysis)
         for _ in range(3):
             cs.step_tick()
-    except (InitConflict, SpawnCollision, ArbitrationFault, SimFault):
-        pass  # faults of placement and of the world, not of arguments
+    except (InitConflict, SpawnCollision, ArbitrationFault, SimFault) as fault:
+        # faults of placement and of the world, not of arguments
+        assert not isinstance(fault, UnknownLightMode)

@@ -53,12 +53,6 @@ class TestFlagship:
             "model": "vehicle.tesla.model3", "name": "hero"}
         assert info.constraints["npc"]["color"] == "0,128,0"
 
-    def test_all_symbols_resolved(self):
-        info = check(FLAGSHIP).scenarios[0]
-        unresolved = [s.name for s in info.scope.symbols.values()
-                      if not s.resolved]
-        assert unresolved == []
-
 
 class TestDefinitionPass:
     def test_duplicate_field(self):
@@ -247,10 +241,8 @@ class TestConstantFolding:
     def test_folded_value_matches_run_time_arithmetic(self):
         src = wrap("hero.drive() with:\n  speed(-(30kph + 5kph) * 2 / 3)",
                    members="hero: vehicle")
-        analysis = check(src)
-        (arg,) = [a for a in find_all(analysis.program, ast.Argument)
-                  if a.name is None]
-        evaluator = analysis.evaluators[id(arg.value)]
+        (invocation,) = check(src).scenarios[0].invocations.values()
+        evaluator = invocation.modifiers["speed"]["speed"]
         expected = (-(units.from_literal(30.0, "kph")
                       + units.from_literal(5.0, "kph")) * units.Quantity(2.0)
                     / units.Quantity(3.0))
