@@ -3,18 +3,17 @@
 Trees are ticked once per simulation step in depth-first, left-to-right
 order; same-tick event visibility follows that traversal order.  A node
 that returns Success or Failure latches: re-ticking returns the same
-status with no side effects until a parent resets it.  OneOf halts losing
-siblings so they stop mutating the blackboard or world.
+status with no side effects.  OneOf halts losing siblings, and a failing
+Parallel its unfinished children, so they stop mutating the blackboard or
+world.
 
-Timers and timeouts convert durations to whole ticks with
-``required_ticks`` so threshold comparisons never depend on float
-round-off at the boundary.
+Timers convert durations to whole ticks with ``required_ticks`` so
+threshold comparisons never depend on float round-off at the boundary.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +55,6 @@ class Blackboard:
 
     def has(self, name: str) -> bool:
         return name in self.events
-
-    def first_tick(self, name: str) -> int | None:
-        return self.events.get(name)
 
     def claim_motion(self, actor: str, claimant: object, now: int) -> None:
         """Claim an actor's motion for tick `now`.
@@ -133,22 +129,6 @@ class BtNode:
         for child in self.children():
             child.halt()
 
-    def reset(self) -> None:
-        self._status = None
-        self._halted = False
-        self._reset()
-        for child in self.children():
-            child.reset()
-
-    def _reset(self) -> None:
-        pass
-
-    def local_state(self) -> tuple:
-        return ()
-
-    def variant(self) -> str:
-        return type(self).__name__
-
 
 class Sequence(BtNode):
     """Children in order; advances to the next child within the same tick."""
@@ -170,12 +150,6 @@ class Sequence(BtNode):
                 return status
             cursor = self.cursor = cursor + 1
         return SUCCESS
-
-    def _reset(self):
-        self.cursor = 0
-
-    def local_state(self):
-        return (self.cursor,)
 
 
 class Parallel(BtNode):
@@ -270,13 +244,6 @@ class EdgeCondition(BtNode):
         self.prev = current
         return SUCCESS if fired else RUNNING
 
-    def _reset(self):
-        self.armed = False
-        self.prev = False
-
-    def local_state(self):
-        return (self.armed, self.prev)
-
 
 class Timer(BtNode):
     """Success once the latched start is `duration` of simulated time ago."""
@@ -294,12 +261,6 @@ class Timer(BtNode):
         if ctx.now - self.start >= self.ticks:
             return SUCCESS
         return RUNNING
-
-    def _reset(self):
-        self.start = None
-
-    def local_state(self):
-        return (self.start,)
 
 
 class EventWait(BtNode):
@@ -321,62 +282,13 @@ class EventEmit(BtNode):
         return SUCCESS
 
 
-class Timeout(BtNode):
-    """Fails the child if it is still running after `limit` simulated time.
-
-    The deadline is checked before the child ticks, so a child cannot
-    squeeze in a success on the deadline tick itself.
-    """
-
-    def __init__(self, child: BtNode, limit: float, **kw):
-        if limit <= 0:
-            raise ValueError("timeout limit must be positive")
-        super().__init__(**kw)
-        self.child = child
-        self.limit = limit
-        self.start: int | None = None
-
-    def children(self):
-        return (self.child,)
-
-    def _tick(self, ctx) -> Status:
-        if self.start is None:
-            self.start = ctx.now
-        if ctx.now - self.start >= required_ticks(self.limit, ctx.dt):
-            self.child.halt()
-            return FAILURE
-        return self.child.tick(ctx)
-
-    def _reset(self):
-        self.start = None
-
-    def local_state(self):
-        return (self.start,)
-
-
 class ActionLeaf(BtNode):
     """Base for leaves that drive the world; subclasses live in the runtime."""
 
 
-def with_timeout(child: BtNode, limit: float) -> Timeout:
-    return Timeout(child, limit)
-
-
-def snapshot(node: BtNode) -> tuple:
-    """Deterministic structural + state view of a tree, for hashing."""
-    return (node.variant(), node.label,
-            node._status.name if node._status is not None else None,
-            node._halted, node.local_state(),
-            tuple(snapshot(child) for child in node.children()))
-
-
-def state_hash(node: BtNode) -> str:
-    return hashlib.sha1(repr(snapshot(node)).encode()).hexdigest()
-
-
 def dump_tree(node: BtNode, indent: int = 0) -> str:
     """Indented text rendering with node variants and source spans."""
-    parts = [node.variant()]
+    parts = [type(node).__name__]
     if node.label:
         parts.append(f"({node.label})")
     if node.span is not None:

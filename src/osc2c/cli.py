@@ -179,8 +179,9 @@ def _compile(path: str, road: str | None = None, dt: float = 0.05):
     except OSError as exc:
         return _fail_io(str(exc))
     try:
-        return compile_source(source, path, road=road, dt=dt,
-                              initialize=False, report=_print_diagnostics)
+        return compile_source(source, path, registry=builtin_registry(),
+                              road=road, dt=dt, initialize=False,
+                              report=_print_diagnostics)
     except CompileError:  # reported
         return EXIT_DIAGNOSTICS
     except (OSError, ValueError) as exc:  # the road map
@@ -275,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--trace", default=None,
         help="trace output file (default: stdout)")
-    run_parser.add_argument(
-        "--seed-less", action="store_true", dest="seed_less",
-        help="accepted for interface parity; execution has no randomness")
 
     dump_parser = sub.add_parser(
         "dump", help="print the AST or the lowered behavior tree")

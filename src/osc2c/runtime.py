@@ -268,12 +268,6 @@ class ChangeLaneLeaf(_MotionLeaf):
             return SUCCESS
         return RUNNING
 
-    def _reset(self):
-        self.started = False
-
-    def local_state(self):
-        return (self.started,)
-
 
 class SetLightsLeaf(_Leaf):
     """Applies a light mode immediately."""
@@ -338,12 +332,6 @@ class FollowPathLeaf(_MotionLeaf):
             self._release()
             return SUCCESS
         return RUNNING
-
-    def _reset(self):
-        self.goal = None
-
-    def local_state(self):
-        return (self.goal,)
 
 
 # the leaf that executes each prelude action; `walk` has none

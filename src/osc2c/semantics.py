@@ -210,9 +210,10 @@ class Analyzer:
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
         # the scenario whose body is resolved, its keep constraints known,
-        # and the actors its start placements have placed so far
+        # and the paradigm of the latest start placement of each actor its
+        # start placements have placed so far (None after an error)
         self._info: ScenarioInfo | None = None
-        self._placed: set[str] = set()
+        self._placed: dict[str, str | None] = {}
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -280,7 +281,7 @@ class Analyzer:
                 self._info = info
                 self._constants = {name: partial(_constant, value)
                                    for name, value in info.var_values.items()}
-                self._placed = set()
+                self._placed = {}
                 self._resolve_behavior(info.decl.body.root, info.scope)
                 self._info = None
 
@@ -482,7 +483,8 @@ class Analyzer:
                          modifiers: Modifiers | None, at_start: bool) -> None:
         """Check that an assign_position places its actor in at most one
         way, relative to exactly one anchor, and, before tick 0, only
-        relative to an actor that an earlier start placement places.
+        relative to an actor that an earlier start placement puts on the
+        road network.
 
         ``modifiers`` holds the bound arguments of its modifiers, or None
         if one has an error; the actor then counts as placed.  The way and
@@ -491,7 +493,7 @@ class Analyzer:
         actor = node.actor
         if modifiers is None:
             if at_start:
-                self._placed.add(actor)
+                self._placed[actor] = None
             return
         lane = modifiers.get("lane", {})
         position = modifiers.get("position", {})
@@ -511,15 +513,20 @@ class Analyzer:
             self.error("E002", f"actor '{actor}' names two different anchors"
                        if anchors else f"actor '{actor}' has a relative "
                        f"placement without an anchor", node.span)
-        elif at_start and relative and not anchors <= self._placed:
-            self.error("E002", f"actor '{actor}' is anchored to "
-                       f"'{min(anchors)}', which is not placed yet",
-                       node.span)
+        elif at_start and relative:
+            anchor = min(anchors)
+            if anchor not in self._placed:
+                self.error("E002", f"actor '{actor}' is anchored to "
+                           f"'{anchor}', which is not placed yet", node.span)
+            elif self._placed[anchor] == "absolute":
+                self.error("E002", f"actor '{actor}' is anchored to "
+                           f"'{anchor}', which is not on the road network",
+                           node.span)
         if places:
             modifiers.paradigm = places[0]
             modifiers.anchor = min(anchors, default=None)
         if at_start and places:
-            self._placed.add(actor)
+            self._placed[actor] = places[0]
 
     def _arguments(self, callee: str, signature: prelude.Signature | None,
                    args: list[ast.Argument], span: Span, scope: Scope):

@@ -2,7 +2,7 @@
 
 Every quantity literal in a scenario (``35kph``, ``5m``, ``-1.57rad``) is
 normalized to SI base units (m, s, rad) at construction time.  Arithmetic
-enforces dimensional consistency: ``+``/``-`` require equal dimensions,
+(``binary``) enforces dimensional consistency: ``+``/``-`` require equal dimensions,
 ``*``/``/`` combine exponents.  The conversion table is a bit-exact
 contract; see ``UNITS``.
 """
@@ -96,23 +96,8 @@ class Quantity:
         if not math.isfinite(self.value):
             raise UnitsError(f"non-finite quantity value: {self.value!r}")
 
-    def __add__(self, other: "Quantity") -> "Quantity":
-        return binary(self, "+", other)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        return binary(self, "-", other)
-
-    def __mul__(self, other: "Quantity") -> "Quantity":
-        return binary(self, "*", other)
-
-    def __truediv__(self, other: "Quantity") -> "Quantity":
-        return binary(self, "/", other)
-
     def __neg__(self) -> "Quantity":
         return Quantity(-self.value, self.dim)
-
-    def __str__(self) -> str:
-        return f"{self.value:g} [{dimension_name(self.dim)}]"
 
 
 def from_literal(value: float, unit: str) -> Quantity:
@@ -124,13 +109,6 @@ def from_literal(value: float, unit: str) -> Quantity:
     if not math.isfinite(value):
         raise UnitsError(f"non-finite literal value: {value!r}")
     return Quantity(value * factor, dim)
-
-
-def unit_dimension(unit: str) -> Dimension:
-    try:
-        return UNITS[unit][1]
-    except KeyError:
-        raise UnknownUnit(f"unknown unit suffix {unit!r}") from None
 
 
 def binary(lhs: Quantity, op: str, rhs: Quantity) -> Quantity:

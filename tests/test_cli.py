@@ -10,11 +10,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osc2c import ast
-from osc2c.btree import required_ticks
+from osc2c import ast, cli
+from osc2c.btree import FAILURE, ActionLeaf, required_ticks
 from osc2c.cli import _TickEncoder, _number, main
 from osc2c.parser import MAX_DEPTH
-from osc2c.runtime import compile_source
+from osc2c.prelude import Signature
+from osc2c.runtime import builtin_registry, compile_source
 from osc2c.world import LIGHT_MODES, Actor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -310,9 +311,14 @@ class TestRun:
         assert "is not on the road" in capsys.readouterr().err
         assert not trace.exists()
 
-    def test_seed_less_accepted(self, tmp_path):
-        trace = str(tmp_path / "trace.ndjson")
-        assert main(["run", MINIMAL, "--seed-less", "--trace", trace]) == 0
+    def test_seed_less_rejected(self, tmp_path, capsys):
+        # a no-op flag until it was removed
+        trace = tmp_path / "trace.ndjson"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", MINIMAL, "--seed-less", "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-less" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestDump:
@@ -418,6 +424,15 @@ RUN_PROBES = {
                         "    b.assign_position() with:\n"
                         "      lane(1, at: start)\n",
                         "fault", "SpawnCollision"),
+    "anchor-off-network-while-running": (
+        "scenario p:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
+        "    a.assign_position() with:\n      position(x: 10m, y: 0m)\n"
+        "    b.assign_position() with:\n"
+        "      position(distance: 5m, behind: a)\n",
+        "fault", "InitConflict"),
+    "or-wait": ("scenario p:\n  a: vehicle\n  do serial:\n"
+                "    wait a.speed > 1kph or 1m < 2m\n",
+                "success", None),
     "timeout": ("scenario p:\n  do serial:\n    wait @never\n",
                 "timeout", None),
 }
@@ -440,6 +455,50 @@ def test_library_and_cli_runs_agree(name, tmp_path):
     assert (records[-1]["outcome"], records[-1]["ticks"], faults) == (
         outcome, ticks, [] if fault is None else [expected_fault])
     assert code == {"success": 0, "fault": 4, "timeout": 3}[outcome]
+
+
+class GiveUpLeaf(ActionLeaf):
+    """Fails when ticked: a custom leaf may fail, no builtin node does."""
+
+    def _tick(self, ctx):
+        return FAILURE
+
+
+def give_up_registry():
+    """The builtin registry plus `vehicle.give_up()`, whose leaf fails."""
+    registry = builtin_registry()
+    registry.register("vehicle", "give_up",
+                      lambda receiver, args, modifiers, context: GiveUpLeaf(),
+                      Signature())
+    return registry
+
+
+GIVE_UP = ("scenario p:\n  a: vehicle\n  b: vehicle\n  do parallel:\n"
+           "    a.drive() with:\n      speed(10kph)\n"
+           "    one_of:\n      b.drive()\n"
+           "      serial:\n        wait elapsed(0.1s)\n        b.give_up()\n")
+
+
+def test_custom_failing_leaf_fails_the_run(tmp_path, monkeypatch):
+    """A registered leaf that fails ends the run with the outcome failure
+    and exit 4, and halts the running siblings in one_of and parallel."""
+    cs = compile_source(GIVE_UP, registry=give_up_registry())
+    assert cs.run(required_ticks(300.0, cs.dt)) == ("failure", 3, None)
+    drive_a, one_of = cs.root.children()
+    drive_b, _ = one_of.children()
+    assert drive_a.halted and drive_b.halted
+
+    monkeypatch.setattr(cli, "builtin_registry", give_up_registry)
+    path = write(tmp_path, "give_up.osc", GIVE_UP)
+    trace = tmp_path / "trace.ndjson"
+    assert main(["check", path]) == 0
+    assert main(["run", path, "--trace", str(trace)]) == 4
+    records = read_trace(trace)
+    assert [r["record"] for r in records] == ["header"] + ["tick"] * 3 + [
+        "summary"]
+    assert trace.read_text().splitlines()[-1] == (
+        '{"record":"summary","outcome":"failure","ticks":3,'
+        '"events":[{"name":"go_signal","tick":0}]}')
 
 
 def reference_tick_record(cs, now):

@@ -215,6 +215,13 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
     ("", "    hero.assign_position() with:\n"
          "      position(distance: 5m, ahead_of: npc, at: start)\n",
      [("E002", "actor 'hero' is anchored to 'npc', which is not placed yet")]),
+    ("", "    hero.assign_position() with:\n"
+         "      position(x: 10m, y: 0m, at: start)\n"
+         "    npc.assign_position() with:\n"
+         "      lane(side: right, side_of: hero, at: start)\n"
+         "      position(distance: 5m, behind: hero, at: start)\n",
+     [("E002", "actor 'npc' is anchored to 'hero', which is not on the "
+               "road network")]),
     ("", "    hero.assign_position() with:\n      lane(1)\n"
          "      position(x: 10m)\n",
      [("E002", "actor 'hero' mixes start placement paradigms")]),
@@ -244,7 +251,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "environment-at-start", "drive-at-start", "set-lights-at-start",
         "var-reads-zero-var", "body-reads-zero-var", "elapsed-reads-world",
         "mixed-paradigms", "forward-anchor", "missing-anchor", "two-anchors",
-        "anchor-placed-by-spawn", "mixed-paradigms-while-running",
+        "anchor-placed-by-spawn", "anchor-off-network",
+        "mixed-paradigms-while-running",
         "fractional-lane", "fractional-lane-count", "negative-lane-count",
         "live-lane-count", "unknown-light-mode"])
 def test_check_time_fault(members, body, expected, tmp_path):

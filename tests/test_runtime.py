@@ -22,8 +22,8 @@ from osc2c.btree import (
     Sequence,
     Timer,
     dump_tree,
-    state_hash,
 )
+from osc2c.cli import main
 from osc2c.diagnostics import CompileError
 from osc2c.runtime import (
     ChangeLaneLeaf,
@@ -110,11 +110,14 @@ class TestTreeShapes:
         labels = {leaf.label for leaf in leaves}
         assert not any("assign_position" in label for label in labels)
 
-    def test_build_is_deterministic(self, flagship_source):
+    def test_build_is_deterministic(self, flagship_source, tmp_path):
         first = compile_source(flagship_source, "flagship.osc")
         second = compile_source(flagship_source, "flagship.osc")
         assert dump_tree(first.root) == dump_tree(second.root)
-        assert state_hash(first.root) == state_hash(second.root)
+        traces = [tmp_path / "first.ndjson", tmp_path / "second.ndjson"]
+        for trace in traces:
+            assert main(["run", str(FLAGSHIP), "--trace", str(trace)]) == 0
+        assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 class TestDispatch:
@@ -598,7 +601,7 @@ class TestInitializer:
     def test_go_signal_present_at_tick_zero(self):
         cs = compile_body("    wait @go_signal\n", members="  a: vehicle\n")
         assert cs.step_tick() is SUCCESS
-        assert cs.blackboard.first_tick("go_signal") == 0
+        assert cs.blackboard.events["go_signal"] == 0
 
     def test_run_budget_exhaustion_returns_none(self):
         cs = compile_body("    wait elapsed(100s)\n", members="  a: vehicle\n")

@@ -136,6 +136,26 @@ class TestResolutionPass:
         src = wrap("wait rise(hero.speed)", members="hero: vehicle")
         assert codes(check(src)) == ["E002"]
 
+    def test_or_needs_booleans(self):
+        src = wrap("wait hero.speed > 1kph or 1m", members="hero: vehicle")
+        assert messages(check(src)) == [
+            ("E002", 4, "'or' requires boolean operands")]
+
+    def test_anchor_counts_its_latest_start_placement(self):
+        # the initializer places in tree order, so the anchor is on the
+        # road network when its last placement before npc's is a lane
+        def body(*placements):
+            return "".join(f"hero.assign_position() with:\n  {p}\n"
+                           for p in placements) + (
+                "npc.assign_position() with:\n"
+                "  position(distance: 5m, behind: hero, at: start)\n")
+        off, on = "position(x: 10m, y: 0m, at: start)", "lane(1, at: start)"
+        members = "hero: vehicle\nnpc: vehicle"
+        assert codes(check(wrap(body(off, on), members))) == []
+        assert messages(check(wrap(body(on, off), members))) == [
+            ("E002", 9, "actor 'npc' is anchored to 'hero', which is not on "
+                        "the road network")]
+
     def test_events_are_open_world(self):
         assert codes(check(wrap("wait @never_emitted_anywhere"))) == []
 
@@ -243,9 +263,10 @@ class TestConstantFolding:
                    members="hero: vehicle")
         (invocation,) = check(src).scenarios[0].invocations.values()
         evaluator = invocation.modifiers["speed"]["speed"]
-        expected = (-(units.from_literal(30.0, "kph")
-                      + units.from_literal(5.0, "kph")) * units.Quantity(2.0)
-                    / units.Quantity(3.0))
+        total = units.binary(units.from_literal(30.0, "kph"), "+",
+                             units.from_literal(5.0, "kph"))
+        expected = units.binary(units.binary(-total, "*", units.Quantity(2.0)),
+                                "/", units.Quantity(3.0))
         assert evaluator.func.__name__ == "_constant"
         assert evaluator(None) == expected
 
