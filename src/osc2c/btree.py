@@ -7,6 +7,15 @@ status with no side effects.  OneOf halts losing siblings, and a failing
 Parallel its unfinished children, so they stop mutating the blackboard or
 world.
 
+A running node may be quiescent: its ``due`` is the next tick at which
+ticking it can change anything, and the composites skip a child that is
+not due yet, then take the earliest ``due`` among their running children
+as their own.  The nodes that are ticked are visited in the same order as
+when every node is ticked on every tick, and a skipped node would have
+done nothing, so skipping changes no result.  A node is due on every tick
+unless it says otherwise: a Timer is due at its deadline, and a leaf with
+nothing left to do may set ``NEVER``.
+
 Timers convert durations to whole ticks with ``required_ticks`` so
 threshold comparisons never depend on float round-off at the boundary.
 """
@@ -31,18 +40,29 @@ SUCCESS = Status.SUCCESS
 FAILURE = Status.FAILURE
 
 
+# the ``due`` of a node that no later tick can change
+NEVER = math.inf
+
+
 class ArbitrationFault(RuntimeError):
-    """Two leaves commanded one actor's motion in the same tick."""
+    """A leaf claimed an actor's motion while another leaf held it."""
 
 
 class Blackboard:
-    """Latched event store plus per-tick motion arbitration slots."""
+    """Latched event store plus motion claims.
+
+    A commander claims an actor's motion on its first tick and holds the
+    claim until it releases it, when it finishes or is halted.  Another
+    commander that claims the actor in the meantime is a fault, whatever
+    their order in the tree: the holder is still running, even when it is
+    quiescent and not ticked.
+    """
 
     def __init__(self):
         self.events: dict[str, int] = {}  # name -> first-emission tick
         self.emissions: list[tuple[str, bool]] = []  # this tick's emits
-        # actor -> (tick, claimant token) of the last motion claim
-        self._claims: dict[str, tuple[int, object]] = {}
+        # actor -> the claimant token that holds its motion
+        self._claims: dict[str, object] = {}
 
     def begin_tick(self, now: int) -> None:
         self.emissions.clear()
@@ -57,25 +77,23 @@ class Blackboard:
         return name in self.events
 
     def claim_motion(self, actor: str, claimant: object, now: int) -> None:
-        """Claim an actor's motion for tick `now`.
+        """Claim an actor's motion until ``release_motion``; `now` is the
+        tick a conflict is reported in.
 
         `claimant` is a token that identifies the commander by identity.
         The table keeps it, so it must not be the commander itself: a
         commander that holds this blackboard would then close a reference
         cycle, and only a full collection could free the tree.
         """
-        held = self._claims.get(actor)
-        if held is not None and held[0] == now and held[1] is not claimant:
+        if self._claims.setdefault(actor, claimant) is not claimant:
             raise ArbitrationFault(
                 f"motion of actor '{actor}' commanded by two behaviors "
                 f"in tick {now}")
-        self._claims[actor] = (now, claimant)
 
     def release_motion(self, actor: str, claimant: object) -> None:
         """Drop a claim when its holder finishes or is halted, so a successor
         behavior may command the same actor within the same tick."""
-        held = self._claims.get(actor)
-        if held is not None and held[1] is claimant:
+        if self._claims.get(actor) is claimant:
             del self._claims[actor]
 
 
@@ -94,6 +112,9 @@ def required_ticks(duration: float, dt: float) -> int:
 
 
 class BtNode:
+    # the next tick at which ticking this running node can change anything
+    due: float = 0
+
     def __init__(self, label: str | None = None, span: Span | None = None):
         self.label = label
         self.span = span
@@ -145,8 +166,10 @@ class Sequence(BtNode):
         children = self._children
         cursor = self.cursor
         while cursor < len(children):
-            status = children[cursor].tick(ctx)
+            child = children[cursor]
+            status = child.tick(ctx) if child.due <= ctx.now else RUNNING
             if status is not SUCCESS:
+                self.due = child.due
                 return status
             cursor = self.cursor = cursor + 1
         return SUCCESS
@@ -163,21 +186,29 @@ class Parallel(BtNode):
         return self._children
 
     def _tick(self, ctx) -> Status:
+        now = ctx.now
         failed = False
         done = True
+        due = NEVER
         for child in self._children:
             if child._status is SUCCESS:
                 continue
-            status = child.tick(ctx)
-            if status is FAILURE:
-                failed = True
-            elif status is RUNNING:
-                done = False
+            if child.due <= now:
+                status = child.tick(ctx)
+                if status is SUCCESS:
+                    continue
+                if status is FAILURE:
+                    failed = True
+                    continue
+            done = False
+            if child.due < due:
+                due = child.due
         if failed:
             for child in self._children:
                 if child._status is not SUCCESS:
                     child.halt()
             return FAILURE
+        self.due = due
         return SUCCESS if done else RUNNING
 
 
@@ -192,14 +223,17 @@ class OneOf(BtNode):
         return self._children
 
     def _tick(self, ctx) -> Status:
+        now = ctx.now
+        due = NEVER
         for child in self._children:
-            status = child.tick(ctx)
-            if status is SUCCESS:
-                self._halt_others(child)
-                return SUCCESS
-            if status is FAILURE:
-                self._halt_others(child)
-                return FAILURE
+            if child.due <= now:
+                status = child.tick(ctx)
+                if status is not RUNNING:
+                    self._halt_others(child)
+                    return status
+            if child.due < due:
+                due = child.due
+        self.due = due
         return RUNNING
 
     def _halt_others(self, winner: BtNode) -> None:
@@ -252,14 +286,15 @@ class Timer(BtNode):
         super().__init__(**kw)
         self.duration = duration
         self.start: int | None = None
-        self.ticks = 0  # the duration in whole ticks, set with the start
+        self.deadline = 0  # the tick it succeeds in, set with the start
 
     def _tick(self, ctx) -> Status:
         if self.start is None:
             self.start = ctx.now
-            self.ticks = required_ticks(self.duration, ctx.dt)
-        if ctx.now - self.start >= self.ticks:
+            self.deadline = ctx.now + required_ticks(self.duration, ctx.dt)
+        if ctx.now >= self.deadline:
             return SUCCESS
+        self.due = self.deadline
         return RUNNING
 
 

@@ -6,10 +6,11 @@ single-inheritance hierarchy rooted at ``traffic_participant``; attribute
 and action lookup walks the chain.  Each action maps to a ``Signature``:
 its parameters by name with their kinds, the required ones, and the names
 unnamed arguments bind to, in order.  A kind is a ``Dimension`` (a bare
-number stands in for any), ``STRING``, ``ACTOR`` (an actor that exists in
-the world), ``LANES``, a set of enumeration words or a tuple of string
-values.  The checker binds every argument to its signature, so the runtime
-reads arguments by name and trusts their kinds.  ``person`` deliberately
+number stands in for any), a ``NonNegative`` quantity, ``STRING``,
+``ACTOR`` (an actor that exists in the world), ``LANES``, a set of
+enumeration words or a tuple of string values.  The checker binds every
+argument to its signature, so the runtime reads arguments by name and
+trusts their kinds.  ``person`` deliberately
 carries a declared action with no execution backend so the
 unsupported-action path stays exercised end to end.
 """
@@ -26,13 +27,25 @@ ACTOR = "an actor in the world"
 # a lane number or count, which may not read actor state
 LANES = "a whole number of at least 0"
 
+
+@dataclass(frozen=True, slots=True)
+class NonNegative:
+    """A quantity of one dimension that may not be negative.  The checker
+    rejects a negative constant; a value that reads actor state is not
+    checked, and the world stops a negative speed at 0."""
+    dim: Dimension
+
+
+SPEED_AT_LEAST_0 = NonNegative(SPEED)
+LENGTH_AT_LEAST_0 = NonNegative(LENGTH)
+
 PROFILE = frozenset({"asap", "smooth"})
 SIDE = frozenset({"left", "right"})
 DIRECTION = frozenset({"euclidean", "topological"})
 START = frozenset({"start"})
 LIGHT_MODES = ("off", "auto", "drl", "low_beam", "high_beam")
 
-Kind = Dimension | str | frozenset | tuple[str, ...]
+Kind = Dimension | NonNegative | str | frozenset | tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +82,8 @@ ACTOR_TYPES: dict[str, ActorType] = {
                   frozenset({"model", "name", "color"}), {
                       "drive": Signature(),
                       "change_speed": Signature(
-                          {"target": SPEED, "rate_profile": PROFILE},
+                          {"target": SPEED_AT_LEAST_0,
+                           "rate_profile": PROFILE},
                           ("target",)),
                       "change_lane": Signature(
                           {"num_of_lanes": LANES, "side": SIDE},
@@ -78,7 +92,8 @@ ACTOR_TYPES: dict[str, ActorType] = {
                       "assign_orientation": Signature({"h": ANGLE}, ("h",)),
                       "set_lights": Signature({"mode": LIGHT_MODES}, ("mode",)),
                       "follow_path": Signature(
-                          {"distance": LENGTH, "speed": SPEED},
+                          {"distance": LENGTH_AT_LEAST_0,
+                           "speed": SPEED_AT_LEAST_0},
                           ("distance",)),
                   }, "vehicle"),
         ActorType("person", "traffic_participant",
@@ -112,11 +127,11 @@ PHYSICAL_TYPES: dict[str, Dimension] = {
 # The backend reads speed, lane and position; the others are accepted and
 # their arguments only typed, so they have no signature.
 MODIFIERS: dict[str, Signature | None] = {
-    "speed": Signature({"speed": SPEED, "rate_profile": PROFILE,
+    "speed": Signature({"speed": SPEED_AT_LEAST_0, "rate_profile": PROFILE,
                         "at": START}, ("speed",), ("speed",)),
     "lane": Signature({"lane": LANES, "side": SIDE,
                        "side_of": ACTOR, "at": START}, positional=("lane",)),
-    "position": Signature({"distance": LENGTH, "behind": ACTOR,
+    "position": Signature({"distance": LENGTH_AT_LEAST_0, "behind": ACTOR,
                            "ahead_of": ACTOR, "x": LENGTH, "y": LENGTH,
                            "z": LENGTH, "h": ANGLE, "at": START}),
     "change_speed": None, "acceleration": None, "keep_lane": None,

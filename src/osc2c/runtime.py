@@ -23,6 +23,7 @@ from .btree import (
     EventEmit,
     EventWait,
     FAILURE,
+    NEVER,
     OneOf,
     Parallel,
     RUNNING,
@@ -159,10 +160,10 @@ class _Leaf(ActionLeaf):
 class _MotionLeaf(_Leaf):
     """Base for leaves that command an actor's motion.
 
-    Each tick the leaf claims its actor on the blackboard; two concurrently
-    running commanders of one actor raise ArbitrationFault. The claim is
-    released when the leaf finishes or is halted, so a successor behavior
-    may take over within the same tick.
+    The leaf claims its actor on the blackboard on its first tick and holds
+    the claim until it finishes or is halted, so a successor behavior may
+    take over within the same tick; another commander that claims the actor
+    in the meantime raises ArbitrationFault.
     """
 
     _board: Blackboard | None = None
@@ -183,8 +184,9 @@ class _MotionLeaf(_Leaf):
         return self._actor
 
     def _claim(self, ctx) -> None:
-        ctx.blackboard.claim_motion(self.actor_name, self._token, ctx.now)
-        self._board = ctx.blackboard
+        if self._board is None:
+            ctx.blackboard.claim_motion(self.actor_name, self._token, ctx.now)
+            self._board = ctx.blackboard
 
     def _release(self) -> None:
         if self._board is not None:
@@ -197,7 +199,14 @@ class _MotionLeaf(_Leaf):
 
 
 class DriveLeaf(_MotionLeaf):
-    """Holds the lane and tracks a possibly dynamic target speed, forever."""
+    """Holds the lane and tracks a possibly dynamic target speed, forever.
+
+    A drive that ``settles`` has nothing left to do after its first tick:
+    its target is constant or absent, and no leaf but a motion commander,
+    which would conflict with it, writes its actor's target.  It is then
+    never due again.  The tree builder clears ``settles`` for the drives of
+    an actor that another leaf may retarget.
+    """
 
     def __init__(self, receiver, args, modifiers, context):
         super().__init__(receiver, args, modifiers, context)
@@ -205,18 +214,19 @@ class DriveLeaf(_MotionLeaf):
         self.speed_fn = speed.get("speed")
         self.target = _magnitude(self.speed_fn)
         self.profile = constant_value(speed.get("rate_profile")) or "asap"
+        self.settles = self.speed_fn is None or self.target is not None
 
     def _tick(self, ctx) -> Status:
-        # `_claim` and `actor`, inlined: a crowd ticks one drive per vehicle
-        board = self._board = ctx.blackboard
-        board.claim_motion(self.actor_name, self._token, ctx.now)
+        self._claim(ctx)
         if self.speed_fn is not None:
             target = self.target
             if target is None:
                 target = self.speed_fn(self.context).value
-            actor = self._actor or self.actor
+            actor = self.actor
             actor.target_speed = target
             actor.profile = self.profile
+        if self.settles:
+            self.due = NEVER
         return RUNNING
 
 
@@ -469,7 +479,10 @@ class BehaviorTreeBuilder:
 
     A wait reads the evaluator of its condition in ``conditions``.  The
     invocations of the scenario's placement plan, those carrying an
-    `at: start` modifier, are left to the initializer.
+    `at: start` modifier, are left to the initializer.  A drive settles
+    unless a leaf that holds no motion claim may write its actor's target
+    speed: a tick-time `assign_position` with `speed`, or any leaf of a
+    factory other than the builtin ones, which may write any actor.
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
@@ -481,12 +494,21 @@ class BehaviorTreeBuilder:
         self.conditions = conditions
         self.filename = filename
         self._planned = {id(invocation.node) for invocation in scenario.plan}
+        self._drives: list[DriveLeaf] = []
+        # the actors whose target speed a leaf that holds no motion claim
+        # may write; a custom leaf may write any actor's
+        self._retargeted: set[str] = set()
+        self._custom = False
 
     def build(self) -> BtNode:
         body = self.scenario.decl.body
         if body is None:
             return Sequence((), label="serial")
-        return self._composition(body.root)
+        root = self._composition(body.root)
+        for drive in self._drives:
+            if self._custom or drive.actor_name in self._retargeted:
+                drive.settles = False
+        return root
 
     def _composition(self, node: ast.Composition) -> BtNode:
         children = []
@@ -543,6 +565,12 @@ class BehaviorTreeBuilder:
                 node.span, self.filename))
         bound = self.scenario.invocations[id(node)]
         leaf = factory(node.actor, bound.args, bound.modifiers, self.context)
+        if factory not in _LEAVES.values():
+            self._custom = True
+        elif factory is DriveLeaf:
+            self._drives.append(leaf)
+        elif factory is AssignPositionLeaf and "speed" in bound.modifiers:
+            self._retargeted.add(node.actor)
         if leaf.label is None:
             leaf.label = f"{node.actor}.{node.action}"
         if leaf.span is None:
@@ -598,7 +626,8 @@ class CompiledScenario:
         self.tick_ctx.now = now
         if now == 0:
             self.blackboard.emit(GO_SIGNAL, now)
-        status = self.root.tick(self.tick_ctx)
+        root = self.root
+        status = root.tick(self.tick_ctx) if root.due <= now else RUNNING
         self.world.step()
         return status
 

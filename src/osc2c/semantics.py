@@ -585,8 +585,9 @@ class Analyzer:
         arg_type, evaluator = typed
         if arg_type is UNKNOWN:
             return
-        if isinstance(kind, Dimension) or kind == prelude.LANES:
-            dim = DIMENSIONLESS if kind == prelude.LANES else kind
+        dim = (kind.dim if isinstance(kind, prelude.NonNegative) else
+               DIMENSIONLESS if kind == prelude.LANES else kind)
+        if isinstance(dim, Dimension):
             if not isinstance(arg_type, QuantityType):
                 self.error("E002",
                            f"{what} must be a {dimension_name(dim)} quantity",
@@ -602,6 +603,10 @@ class Analyzer:
                 if value is not None and not (value.value >= 0
                                               and value.value.is_integer()):
                     self.error("E002", f"{what} must be {kind}", span)
+            elif isinstance(kind, prelude.NonNegative):
+                value = constant_value(evaluator)
+                if value is not None and value.value < 0:
+                    self.error("E002", f"{what} must not be negative", span)
         elif isinstance(kind, frozenset):
             if not (isinstance(arg_type, EnumWord) and arg_type.word in kind):
                 self.error("E002", f"{what} must be one of "
@@ -637,12 +642,18 @@ class Analyzer:
         elif isinstance(cond, ast.ElapsedCondition):
             # the tree builder reads the duration once
             self._fixed = ("elapsed()", "its duration is fixed")
-            result = self._resolve_root(cond.duration, scope)[0]
+            result, evaluator = self._resolve_root(cond.duration, scope)
             self._fixed = None
             if result is not UNKNOWN and \
                     (not isinstance(result, QuantityType) or result.dim != DURATION):
                 self.error("E003", "elapsed() requires a time duration",
                            cond.span)
+            elif result is not UNKNOWN:
+                # fixed: a constant, or None after an error
+                value = constant_value(evaluator)
+                if value is not None and value.value < 0:
+                    self.error("E002", "elapsed() duration must not be "
+                                       "negative", cond.span)
         elif isinstance(cond, ast.BoolCondition):
             result = self._resolve_root(cond.expr, scope)[0]
             if result not in (BOOL, UNKNOWN):

@@ -1,10 +1,11 @@
 """Behavior-tree semantics: hand-traced oracles and invariant properties."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from osc2c.btree import (
     FAILURE,
+    NEVER,
     RUNNING,
     SUCCESS,
     ArbitrationFault,
@@ -21,6 +22,11 @@ from osc2c.btree import (
     Timer,
     required_ticks,
 )
+from osc2c.runtime import (ChangeSpeedLeaf, CompiledScenario, DriveLeaf,
+                           ExecutionContext)
+from osc2c.semantics import Modifiers, check
+from osc2c.units import SPEED, Quantity
+from osc2c.world import TOWN06, World
 
 
 def run(root, ticks, dt=0.05, stop_on_terminal=False):
@@ -230,10 +236,24 @@ class TestArbitration:
         bb.claim_motion("npc", a, 5)
         bb.claim_motion("npc", a, 5)
 
-    def test_handover_across_ticks(self):
+    def test_held_claim_blocks_a_later_tick(self):
         bb = Blackboard()
-        bb.claim_motion("npc", object(), 5)
-        bb.claim_motion("npc", object(), 6)
+        holder = object()
+        bb.claim_motion("npc", holder, 5)
+        with pytest.raises(ArbitrationFault,
+                           match="commanded by two behaviors in tick 9"):
+            bb.claim_motion("npc", object(), 9)
+        bb.claim_motion("npc", holder, 9)  # still the holder's
+
+    def test_released_claim_hands_over_in_the_same_tick(self):
+        bb = Blackboard()
+        holder, successor = object(), object()
+        bb.claim_motion("npc", holder, 5)
+        bb.release_motion("npc", successor)  # not the holder: no effect
+        with pytest.raises(ArbitrationFault):
+            bb.claim_motion("npc", successor, 6)
+        bb.release_motion("npc", holder)
+        bb.claim_motion("npc", successor, 6)
 
     def test_distinct_actors_independent(self):
         bb = Blackboard()
@@ -333,3 +353,125 @@ class TestProperties:
             assert a.tick(ctx_a) is b.tick(ctx_b)
             assert [(n.status, n.halted) for n in nodes(a)] == \
                 [(n.status, n.halted) for n in nodes(b)]
+
+
+def folded_speed(kph):
+    """A constant speed evaluator, folded by the checker."""
+    analysis = check("scenario s:\n  a: vehicle\n  do serial:\n"
+                     f"    a.change_speed(target: {kph}kph)\n")
+    (invocation,) = analysis.scenarios[0].invocations.values()
+    return invocation.args["target"]
+
+
+SPEEDS = {kph: folded_speed(kph) for kph in (0, 10)}
+# read on every tick: 1 m/s above b's speed
+SPEEDS["live"] = lambda env: Quantity(env.actor("b").speed + 1.0, SPEED)
+
+leaf_specs = st.one_of(
+    st.tuples(st.just("timer"), st.integers(0, 12)),
+    st.tuples(st.just("condition"), st.integers(0, 30)),
+    st.tuples(st.just("edge"), st.sampled_from(["rise", "fall"]),
+              st.lists(st.booleans(), min_size=1, max_size=6)),
+    st.tuples(st.just("wait"), st.sampled_from("XY")),
+    st.tuples(st.just("emit"), st.sampled_from("XY")),
+    st.tuples(st.just("fail"), st.integers(0, 30)),
+    st.tuples(st.just("drive"), st.sampled_from("ab"),
+              st.sampled_from([None, 0, 10, "live"])),
+    st.tuples(st.just("change_speed"), st.sampled_from("ab"),
+              st.sampled_from([0, 10, "live"])),
+)
+tree_specs = st.recursive(
+    leaf_specs,
+    lambda children: st.tuples(st.sampled_from([Sequence, Parallel, OneOf]),
+                               st.lists(children, min_size=1, max_size=4)),
+    max_leaves=12)
+
+
+def build_tree(spec, context):
+    kind, *rest = spec
+    if kind in (Sequence, Parallel, OneOf):
+        return kind([build_tree(child, context) for child in rest[0]])
+    if kind == "timer":
+        return Timer(rest[0] * 0.05)
+    if kind == "condition":
+        return true_from(rest[0])
+    if kind == "edge":
+        edge, samples = rest
+        return EdgeCondition(edge, lambda ctx: samples[ctx.now % len(samples)])
+    if kind == "wait":
+        return EventWait(rest[0])
+    if kind == "emit":
+        return EventEmit(rest[0])
+    if kind == "fail":
+        return FailingLeaf(rest[0])
+    actor, speed = rest
+    if kind == "drive":
+        modifiers = Modifiers()
+        if speed is not None:
+            modifiers["speed"] = {"speed": SPEEDS[speed]}
+        return DriveLeaf(actor, {}, modifiers, context)
+    return ChangeSpeedLeaf(actor, {"target": SPEEDS[speed]}, Modifiers(),
+                           context)
+
+
+def tick_tree(spec, reference, ticks=40):
+    """Run a tree on a two-vehicle world as ``CompiledScenario`` does.
+
+    The reference resets every node's ``due`` before each tick, so every
+    node is ticked as if no node were ever quiescent.
+    """
+    world = World(TOWN06, 0.05)
+    context = ExecutionContext(world)
+    for lane, name in enumerate("ab", start=1):
+        context.actors[name] = world.add_vehicle(name)
+        world.place_on_lane(context.actors[name], lane, 50.0)
+    root = build_tree(spec, context)
+    cs = CompiledScenario(None, root, world, context, Blackboard(),
+                          initialized=True)
+    history = []
+    for now in range(ticks):
+        if reference:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                node.due = 0
+                stack.extend(node.children())
+        try:
+            status = cs.step_tick()
+        except ArbitrationFault as fault:
+            history.append((now, str(fault)))
+            break
+        history.append((now, status, list(cs.blackboard.emissions),
+                        [(a.speed, a.target_speed) for a in
+                         world.actors.values()]))
+        if status is not RUNNING:
+            break
+    return history, dict(cs.blackboard.events)
+
+
+class TestQuiescence:
+    def test_timer_is_due_at_its_deadline(self):
+        calls = []
+
+        class CountingTimer(Timer):
+            def _tick(self, ctx):
+                calls.append(ctx.now)
+                return super()._tick(ctx)
+
+        timer = CountingTimer(0.5)
+        root = Parallel([Sequence([timer]), always_running()])
+        assert run(root, 12) == [RUNNING] * 12
+        assert calls == [0, 10] and timer.status is SUCCESS
+
+    def test_settled_children_make_a_quiescent_parent(self):
+        root = OneOf([Timer(0.5), Sequence([Timer(0.2), Timer(1.0)])])
+        run(root, 5)
+        assert root.due == 10
+        never = Parallel([DriveLeaf("a", {}, Modifiers(), None)])
+        run(never, 1)
+        assert never.due == NEVER
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=tree_specs)
+    def test_skipping_matches_ticking_every_node(self, spec):
+        assert tick_tree(spec, False) == tick_tree(spec, True)

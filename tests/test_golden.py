@@ -44,6 +44,34 @@ def test_scenario_trace_hash(name, tmp_path):
     assert digest == GOLDEN_TRACES[name]
 
 
+# A tick-time assign_position with speed() writes the target speed under a
+# running constant drive, and the drive writes its own back on the next tick.
+PIT = """\
+scenario pit:
+  a: vehicle
+
+  do parallel:
+    a.drive() with:
+      speed(36kph)
+    serial:
+      wait elapsed(1s)
+      a.assign_position() with:
+        lane(2)
+        speed(5kph)
+      wait elapsed(1s)
+"""
+
+
+def test_retargeted_drive_trace_hash(tmp_path):
+    source = tmp_path / "pit.osc"
+    source.write_text(PIT)
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", str(source), "--max-time", "3",
+                 "--trace", str(trace)]) == 3
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
+    assert digest == "2bd47cdba235fef1"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
 def test_scenario_tree_hash(name):
     tree = parse((SCENARIOS / f"{name}.osc").read_text())
@@ -241,6 +269,20 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
     ("", '    hero.set_lights(mode: "purple")\n',
      [("E002", "'set_lights' argument 'mode' must be one of auto, drl, "
                "high_beam, low_beam, off")]),
+    ("", "    hero.change_speed(target: -1kph)\n",
+     [("E002", "'change_speed' argument 'target' must not be negative")]),
+    ("", "    hero.follow_path(distance: 5m, speed: -3kph)\n",
+     [("E002", "'follow_path' argument 'speed' must not be negative")]),
+    ("", "    hero.follow_path(distance: -5m)\n",
+     [("E002", "'follow_path' argument 'distance' must not be negative")]),
+    ("", "    hero.drive() with:\n      speed(-10kph)\n",
+     [("E002", "'speed' argument 'speed' must not be negative")]),
+    ("", "    npc.assign_position() with:\n      lane(1, at: start)\n"
+         "    hero.assign_position() with:\n"
+         "      position(distance: 0m - 5m, behind: npc, at: start)\n",
+     [("E002", "'position' argument 'distance' must not be negative")]),
+    ("", "    wait elapsed(-1s)\n",
+     [("E002", "elapsed() duration must not be negative")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -254,7 +296,10 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "anchor-placed-by-spawn", "anchor-off-network",
         "mixed-paradigms-while-running",
         "fractional-lane", "fractional-lane-count", "negative-lane-count",
-        "live-lane-count", "unknown-light-mode"])
+        "live-lane-count", "unknown-light-mode", "negative-target-speed",
+        "negative-path-speed", "negative-path-distance",
+        "negative-drive-speed", "negative-placement-distance",
+        "negative-elapsed"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

@@ -44,7 +44,7 @@ from osc2c.runtime import (
 from osc2c.semantics import check
 from osc2c.units import (ACCELERATION, ANGLE, DIMENSIONLESS, DURATION, LENGTH,
                          SPEED, from_literal)
-from osc2c.world import RoadMap, SimFault, UnknownLightMode
+from osc2c.world import LaneOutOfBounds, RoadMap, SimFault, UnknownLightMode
 
 FLAGSHIP = Path(__file__).resolve().parent.parent / "scenarios" / "cut_in_and_evade.osc"
 
@@ -430,6 +430,32 @@ ARBITRATION = {
         "        a.drive() with:\n"
         "          speed(20kph)\n"
         "        wait elapsed(0.2s)\n", conflict(4)),
+    # a claim is held while its leaf runs, so a successor that finishes
+    # within the tick it claims in conflicts in either order
+    "one-tick-claim-after-holder": (
+        "    parallel:\n"
+        "      a.drive() with:\n"
+        "        speed(10kph)\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_lane(num_of_lanes: 0, side: left)\n", conflict(4)),
+    "one-tick-claim-before-holder": (
+        "    parallel:\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_lane(num_of_lanes: 0, side: left)\n"
+        "      a.drive() with:\n"
+        "        speed(10kph)\n", conflict(4)),
+    # the holder is halted later in the tick than its successor claims
+    "claim-before-later-halt": (
+        "    parallel:\n"
+        "      serial:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.change_speed(target: 0kph)\n"
+        "      one_of:\n"
+        "        wait elapsed(0.2s)\n"
+        "        a.drive() with:\n"
+        "          speed(20kph)\n", conflict(4)),
 }
 
 
@@ -447,6 +473,106 @@ def test_motion_arbitration(body, outcome):
             assert (tick, status.value) == outcome
             return
     pytest.fail("the scenario neither settled nor faulted")
+
+
+def drive_settles(cs):
+    """Whether each drive of a compiled tree settles, by its actor."""
+    settles, stack = {}, [cs.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if isinstance(node, DriveLeaf):
+            settles[node.actor_name] = node.settles
+    return settles
+
+
+class Brake(ActionLeaf):
+    """A custom leaf that writes its actor's target speed and holds no
+    motion claim."""
+
+    def __init__(self, receiver, args, modifiers, context):
+        super().__init__()
+        self.actor = receiver
+        self.context = context
+
+    def _tick(self, ctx):
+        self.context.actor(self.actor).target_speed = 0.0
+        return SUCCESS
+
+
+RETARGET = ("    parallel:\n"
+            "      a.drive() with:\n        speed(36kph)\n"
+            "      b.drive()\n"
+            "      serial:\n        wait elapsed(0.1s)\n")
+
+
+class TestQuiescence:
+    @pytest.mark.parametrize("body, settles", [
+        ("", {"a": True, "b": True}),
+        ("        a.assign_position() with:\n          lane(2)\n",
+         {"a": True, "b": True}),
+        ("        a.assign_position() with:\n          speed(5kph)\n",
+         {"a": False, "b": True}),
+        ("        b.assign_position() with:\n          lane(2)\n"
+         "          speed(5kph)\n", {"a": True, "b": False}),
+        ("        b.assign_position() with:\n          speed(5kph, at: start)\n",
+         {"a": True, "b": True}),
+    ], ids=["none", "lane-only", "speed", "other-actor", "at-start"])
+    def test_drive_settles_unless_retargeted(self, body, settles):
+        assert drive_settles(compile_body(RETARGET + body)) == settles
+
+    def test_live_speed_never_settles(self):
+        cs = compile_body("    a.drive() with:\n      speed(b.speed + 1kph)\n")
+        assert drive_settles(cs) == {"a": False}
+
+    def test_custom_leaf_retargets_every_actor(self):
+        registry = builtin_registry()
+        registry.register("vehicle", "brake", Brake,
+                          prelude.Signature())
+        cs = compile_body(RETARGET + "        a.brake()\n",
+                          registry=registry)
+        assert drive_settles(cs) == {"a": False, "b": False}
+        a = cs.context.actor("a")
+        for _ in range(3):
+            cs.step_tick()
+        assert a.target_speed == 0.0  # braked in tick 2, after the drive
+        cs.step_tick()
+        assert a.target_speed == 10.0
+
+
+# Faults that only the map shows, as `run` reports them: the placement or
+# lane change asks for a lane the road lacks, or a lane change starts off
+# the lane network.  Town06 has lanes 0 to 4 and spawns on lanes 1 to 4.
+MAP_FAULTS = {
+    "relative-lane-off-the-road": (
+        "    a.assign_position() with:\n      lane(4, at: start)\n"
+        "    b.assign_position() with:\n"
+        "      lane(side: right, side_of: a, at: start)\n"
+        "      position(distance: 8m, behind: a, at: start)\n",
+        0, LaneOutOfBounds, "lane 5 outside [0, 5)"),
+    "no-spawn-on-lane": (
+        "    a.assign_position() with:\n      lane(0, at: start)\n",
+        0, InitConflict, "no default spawn point on lane 0 for actor 'a'"),
+    "lane-change-off-the-road": (
+        "    a.assign_position() with:\n      lane(4, at: start)\n"
+        "    wait elapsed(0.1s)\n"
+        "    a.change_lane(num_of_lanes: 1, side: right)\n",
+        2, LaneOutOfBounds, "lane change to 5 outside [0, 5)"),
+    "lane-change-off-network": (
+        "    a.assign_position() with:\n"
+        "      position(x: 10m, y: 3m, at: start)\n"
+        "    a.change_lane(num_of_lanes: 1, side: left)\n",
+        0, LaneOutOfBounds, "actor 'a' is off the lane network"),
+}
+
+
+@pytest.mark.parametrize("body, ticks, error, message", MAP_FAULTS.values(),
+                         ids=MAP_FAULTS.keys())
+def test_map_fault(body, ticks, error, message):
+    cs = compile_body(body, initialize=False)
+    outcome, completed, fault = cs.run(max_ticks=50)
+    assert (outcome, completed, type(fault), str(fault)) == \
+        ("fault", ticks, error, message)
 
 
 class TestEvaluation:
@@ -628,6 +754,8 @@ ARGUMENT_VALUES = (*QUANTITIES.values(), *NUMBERS, *STRINGS, *ACTORS,
 
 
 def fitting_values(kind):
+    if isinstance(kind, prelude.NonNegative):
+        kind = kind.dim
     if kind == prelude.LANES:
         return NUMBERS
     if kind == prelude.STRING or isinstance(kind, tuple):

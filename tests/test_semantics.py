@@ -259,14 +259,14 @@ class TestConstantFolding:
             ("E002", 2, "non-finite quantity value: inf")]
 
     def test_folded_value_matches_run_time_arithmetic(self):
-        src = wrap("hero.drive() with:\n  speed(-(30kph + 5kph) * 2 / 3)",
+        src = wrap("hero.drive() with:\n  speed(-(30kph + 5kph) * 2 / -3)",
                    members="hero: vehicle")
         (invocation,) = check(src).scenarios[0].invocations.values()
         evaluator = invocation.modifiers["speed"]["speed"]
         total = units.binary(units.from_literal(30.0, "kph"), "+",
                              units.from_literal(5.0, "kph"))
         expected = units.binary(units.binary(-total, "*", units.Quantity(2.0)),
-                                "/", units.Quantity(3.0))
+                                "/", units.Quantity(-3.0))
         assert evaluator.func.__name__ == "_constant"
         assert evaluator(None) == expected
 
@@ -277,6 +277,17 @@ class TestConstantFolding:
     def test_live_operands_are_not_folded(self):
         src = wrap("wait hero.speed / 0 > 1kph", members="hero: vehicle")
         assert codes(check(src)) == []
+
+    def test_only_constant_quantities_must_not_be_negative(self):
+        """A non-negative kind rejects a negative constant; a value read
+        from actor state is left to the run, which stops speeds at 0."""
+        live = wrap("hero.change_speed(target: hero.speed - 5kph)\n"
+                    "hero.follow_path(distance: hero.speed * 1s - 5m, "
+                    "speed: 0kph - hero.speed)", members="hero: vehicle")
+        assert codes(check(live)) == []
+        constant = wrap("hero.change_speed(target: 5kph - 6kph)",
+                        members="hero: vehicle")
+        assert codes(check(constant)) == ["E002"]
 
 
 class TestAttributeReads:
