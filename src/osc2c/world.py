@@ -13,9 +13,13 @@ widths tall, so a lane's actors share a band, and within each band in
 order of centre x from one step to the next.  Each actor is tested only
 against the actors to its right, in its own band and the band above, whose
 centres are near enough in x; the test is `overlaps`, so the pairs are
-exactly those an all-pairs test finds.  An actor changes band only when
-its y changes, at a placement or during a lane change.  The initializer's
-spawn search and start-overlap check use the same broad phase.
+exactly those an all-pairs test finds.  A band and the band above it are
+not swept against each other at all when their nearest actors are too far
+apart in y to touch.  An actor changes band only when its y changes, at a
+placement or during a lane change.  A hit is the pair of declaration ranks
+(`Actor.rank`) of its two actors, and sorting these int pairs gives the
+order of an all-pairs loop.  The initializer's spawn search and
+start-overlap check use the same broad phase.
 
 Everything is scalar float arithmetic at fixed dt; stepping the same
 initial state twice produces bit-identical trajectories.
@@ -145,6 +149,7 @@ class Actor:
     half_width: float = VEHICLE_HALF_WIDTH
     off_network: bool = False
     lane_change: LaneChangeState | None = None
+    rank: int = 0  # declaration order; `World` sets it when it adds the actor
 
 
 @dataclass(slots=True)
@@ -185,6 +190,7 @@ def overlaps(a: Actor, b: Actor) -> bool:
 
 
 _centre_x = attrgetter("x")
+_centre_y = attrgetter("y")
 
 
 class SweepList:
@@ -205,6 +211,16 @@ class SweepList:
     on its own, which can put two such floors 2 apart.  A cell of at least
     1 keeps the quotient of a huge y finite.
 
+    Two adjacent bands are not swept against each other when the least y
+    of the upper band less the greatest y of the lower band is at least
+    ``2 * max_half_width``.  This is exact too.  Division and floor are
+    monotonic, so every y of the upper band is greater than every y of the
+    lower band.  For ``a`` below and ``b`` above, monotonic rounding then
+    makes ``b.y - a.y`` at least that gap, and ``a.half_width +
+    b.half_width`` at most ``2 * max_half_width``, so the boxes cannot
+    overlap.  Lanes further apart than a box width can still fall into
+    adjacent bands (on town06, y -10.5 and -14 fall into bands -6 and -7).
+
     Within and across bands, two boxes can overlap only while the distance
     between their centres in x is below ``a.half_length +
     max_half_length``.  The cut-off takes the same difference of centres
@@ -216,6 +232,9 @@ class SweepList:
     Bands persist from step to step.  Only a change of y moves an actor to
     another band, so whoever changes an actor's y calls `move`; the next
     sweep moves the actors noted since the last one, all at once.
+
+    `pairs` names each hit by the ranks of its two actors, which the
+    actors' world must have set.
     """
 
     def __init__(self) -> None:
@@ -282,14 +301,17 @@ class SweepList:
         moved.clear()
         self._neighbours = None
 
-    def pairs(self) -> list[tuple[Actor, Actor]]:
-        """Re-sort each band by x, then return every overlapping pair.
+    def pairs(self) -> list[tuple[int, int]]:
+        """Re-sort each band by x, then return the ranks ``(i, j)``, i < j,
+        of every overlapping pair.
 
         Actors move little per step, so each band is nearly sorted and its
         re-sort takes about linear time.  Each pair comes once, in no
-        particular order.  The test of a candidate ``b`` right of ``a`` is
-        `overlaps`, inline: ``b.x - a.x`` is ``abs(a.x - b.x)`` there, as
-        rounding is symmetric.
+        particular order.  The test of a candidate ``c`` right of ``a`` is
+        `overlaps`, inline: ``c.x - a.x`` is ``abs(a.x - c.x)`` there, as
+        rounding is symmetric.  Most actors have no neighbour ``b`` within
+        reach in x, so an actor's y and half width are read only once ``b``
+        is near enough to hit.
         """
         if self._moved:
             self._settle()
@@ -301,26 +323,38 @@ class SweepList:
             if n < 2:
                 continue
             members.sort(key=_centre_x)
-            for i, a in enumerate(members):
-                x, y = a.x, a.y
+            b = members[0]
+            for i in range(1, n):
+                a = b
+                b = members[i]
+                x = a.x
+                limit = a.half_length + reach
+                dx = b.x - x
+                if dx >= limit:
+                    continue
+                y, rank = a.y, a.rank
                 half_length, half_width = a.half_length, a.half_width
-                limit = half_length + reach
-                j = i + 1
-                while j < n:
-                    b = members[j]
-                    dx = b.x - x
+                c, j = b, i
+                while True:
+                    if dx < half_length + c.half_length \
+                            and abs(c.y - y) < half_width + c.half_width:
+                        found.append((rank, c.rank) if rank < c.rank
+                                     else (c.rank, rank))
+                    j += 1
+                    if j == n:
+                        break
+                    c = members[j]
+                    dx = c.x - x
                     if dx >= limit:
                         break
-                    if dx < half_length + b.half_length \
-                            and abs(b.y - y) < half_width + b.half_width:
-                        found.append((a, b))
-                    j += 1
         if self._neighbours is None:
             self._neighbours = [(members, bands[band + 1])
                                 for band, members in bands.items()
                                 if band + 1 in bands]
+        apart = 2.0 * self.max_half_width
         for lower, upper in self._neighbours:
-            _across(lower, upper, reach, found)
+            if min(map(_centre_y, upper)) - max(map(_centre_y, lower)) < apart:
+                _across(lower, upper, reach, found)
         return found
 
     def hits(self, actor: Actor) -> bool:
@@ -355,7 +389,8 @@ class SweepList:
 
 def _across(lower: list[Actor], upper: list[Actor], reach: float,
             found: list) -> None:
-    """Add the overlapping pairs of two x-sorted bands to ``found``.
+    """Add the rank pairs of the overlapping actors of two x-sorted bands
+    to ``found``.
 
     Each actor of one band is tested against the actors of the other band
     that lie to its right, up to the cut-off; a pair level in x is taken
@@ -365,7 +400,7 @@ def _across(lower: list[Actor], upper: list[Actor], reach: float,
         m = len(theirs)
         start = 0
         for a in ours:
-            x, y = a.x, a.y
+            x, y, rank = a.x, a.y, a.rank
             half_length, half_width = a.half_length, a.half_width
             while start < m and (theirs[start].x < x if level
                                  else theirs[start].x <= x):
@@ -378,7 +413,8 @@ def _across(lower: list[Actor], upper: list[Actor], reach: float,
                     break
                 if dx < half_length + b.half_length \
                         and abs(b.y - y) < half_width + b.half_width:
-                    found.append((a, b))
+                    found.append((rank, b.rank) if rank < b.rank
+                                 else (b.rank, rank))
 
 
 class World:
@@ -391,7 +427,6 @@ class World:
         self.environment = EnvironmentState()
         self.collisions: list[tuple[str, str]] = []
         self._sweep = SweepList()
-        self._rank: dict[str, int] = {}  # declaration order
 
     # population
 
@@ -406,8 +441,8 @@ class World:
     def _add(self, actor: Actor) -> Actor:
         if actor.name in self.actors:
             raise ValueError(f"duplicate actor name '{actor.name}'")
+        actor.rank = len(self.actors)
         self.actors[actor.name] = actor
-        self._rank[actor.name] = len(self._rank)
         self._sweep.add(actor)
         return actor
 
@@ -470,15 +505,26 @@ class World:
         """
         dt = self.dt
         length = self.road.length
+        limit = ASAP_ACCEL_LIMIT * dt
         for actor in self.actors.values():
             if actor.kind == "static-prop":
                 actor.speed = 0.0  # zero-velocity kinematic lock
                 continue
             if not actor.off_network:
                 speed = actor.speed
-                if speed != actor.target_speed:  # else either profile holds it
-                    speed = speed_controller(speed, actor.target_speed,
-                                             actor.profile, dt)
+                target = actor.target_speed
+                if speed != target:  # else either profile holds it
+                    if actor.profile != "asap":
+                        speed = speed_controller(speed, target,
+                                                 actor.profile, dt)
+                    else:  # `speed_controller`'s asap step, NaN included
+                        gap = target - speed
+                        if gap > limit:
+                            speed += limit
+                        elif gap >= -limit:
+                            speed = target
+                        else:
+                            speed -= limit
                 speed = actor.speed = speed if speed > 0.0 else 0.0
                 s = actor.s = actor.s + speed * dt
                 if not 0.0 <= s <= length:
@@ -524,18 +570,15 @@ class World:
         The pairs come in declaration order, as a loop over all pairs
         (i, j) with i < j would visit them.
         """
-        rank = self._rank
-        keyed = []
-        for a, b in self._sweep.pairs():
-            i, j = rank[a.name], rank[b.name]
-            keyed.append((i, j, a, b) if i < j else (j, i, b, a))
-        keyed.sort()  # each (i, j) occurs once, so actors are never compared
-        return [(a, b) for _, _, a, b in keyed]
+        ranked = list(self.actors.values())  # indexed by rank
+        return [(ranked[i], ranked[j]) for i, j in sorted(self._sweep.pairs())]
 
     def _detect_collisions(self) -> None:
-        self.collisions = [(a.name, b.name) if a.name < b.name
-                           else (b.name, a.name)
-                           for a, b in self.overlapping_pairs()]
+        names = list(self.actors)  # indexed by rank
+        collisions = self.collisions = []
+        for i, j in sorted(self._sweep.pairs()):
+            a, b = names[i], names[j]
+            collisions.append((a, b) if a < b else (b, a))
 
     # spatial queries
 

@@ -9,6 +9,11 @@ pin what `osc2c check` prints when lexing or parsing fails.
 """
 
 import hashlib
+import importlib.util
+import itertools
+import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,9 +21,11 @@ import pytest
 from osc2c import ast
 from osc2c.cli import main
 from osc2c.parser import parse
+from osc2c.runtime import compile_scenario
 from osc2c.semantics import check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 GOLDEN_TRACES = {
     "cut_in_and_evade": "16d21b53dc50d396",
@@ -77,6 +84,43 @@ def test_scenario_tree_hash(name):
     tree = parse((SCENARIOS / f"{name}.osc").read_text())
     digest = hashlib.sha256(ast.dump_json(tree).encode()).hexdigest()[:16]
     assert digest == GOLDEN_TREES[name]
+
+
+def load_perfbench_generator():
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  PERFBENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def all_pairs_collisions(world):
+    boxes = [(a.name, a.x, a.y, a.half_length, a.half_width)
+             for a in world.actors.values()]
+    return [(name_a, name_b) if name_a < name_b else (name_b, name_a)
+            for (name_a, xa, ya, la, wa), (name_b, xb, yb, lb, wb)
+            in itertools.combinations(boxes, 2)
+            if abs(xa - xb) < la + lb and abs(ya - yb) < wa + wb]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_crowd_collisions_and_final_poses(seed, tmp_path):
+    """The benchmark's 256-vehicle crowd: on every tick the collisions are
+    those of an all-pairs box test, in its order, and the final poses hash
+    to the digest pinned in ``perfbench/golden.json``."""
+    gen = load_perfbench_generator()
+    path, map_path = gen.write_crowd(random.Random(seed), str(tmp_path))
+    analysis = check(Path(path).read_text(encoding="utf-8"), path)
+    cs = compile_scenario(analysis, road=map_path, filename=path)
+    for _ in range(60):
+        cs.step_tick()
+        assert cs.world.collisions == all_pairs_collisions(cs.world)
+    poses = [(a.name, a.x, a.y, a.heading, a.lane, a.speed)
+             for a in cs.world.actors.values()]
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    assert hashlib.sha256(repr(poses).encode()).hexdigest()[:16] \
+        == golden["crowd_256_final_poses"][str(seed)]
 
 
 @pytest.mark.parametrize("body, position, message", [
@@ -283,6 +327,14 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
      [("E002", "'position' argument 'distance' must not be negative")]),
     ("", "    wait elapsed(-1s)\n",
      [("E002", "elapsed() duration must not be negative")]),
+    ("", "    wait -(1m < 2m)\n",
+     [("E002", "negation requires a quantity")]),
+    ("", "    wait not hero.speed\n",
+     [("E002", "'not' requires a boolean")]),
+    ("", "    wait (1m < 2m) + 1m > 1m\n",
+     [("E002", "arithmetic requires quantity operands")]),
+    ("", '    wait "a" < "b"\n',
+     [("E002", "incomparable operand types")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -299,7 +351,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "live-lane-count", "unknown-light-mode", "negative-target-speed",
         "negative-path-speed", "negative-path-distance",
         "negative-drive-speed", "negative-placement-distance",
-        "negative-elapsed"])
+        "negative-elapsed", "negate-boolean", "not-quantity",
+        "add-boolean", "order-strings"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

@@ -26,6 +26,7 @@ from osc2c.world import (
 )
 
 DT = 0.05
+SPEEDS = st.floats(-40.0, 40.0) | st.sampled_from((0.0, -0.0, math.nan))
 
 
 def make_world():
@@ -194,6 +195,45 @@ class TestStepping:
             return out
 
         assert trajectory() == trajectory()
+
+    # A case is (speed, target, profile).  A target (sign, ulps) lies one
+    # asap step of ASAP_ACCEL_LIMIT * dt from the speed, moved by ulps.
+    @settings(max_examples=200, deadline=None)
+    @example(cases=[(-1.0, -1.0, "asap"), (-1.0, -1.0, "smooth"),
+                    (-0.0, -0.0, "asap"), (-0.0, 0.0, "smooth"),
+                    (0.0, -0.0, "asap"), (-0.0, 5.0, "asap")], dt=DT)
+    @example(cases=[(0.0, (1.0, 0), "asap"), (0.0, (1.0, 1), "asap"),
+                    (0.0, (1.0, -1), "asap"), (0.8, (-1.0, 0), "asap"),
+                    (0.4, (1.0, 0), "smooth"), (3.0, (-1.0, 1), "asap")],
+             dt=DT)
+    @example(cases=[(4.0, (1.0, 0), "asap"), (8.0, (-1.0, 0), "asap"),
+                    (8.0, (-1.0, -1), "asap"), (math.nan, 1.0, "asap"),
+                    (1.0, math.nan, "asap"), (1.0, math.nan, "smooth")],
+             dt=0.5)
+    @given(cases=st.lists(
+               st.tuples(SPEEDS, SPEEDS | st.tuples(st.sampled_from((-1.0, 1.0)),
+                                                    st.integers(-1, 1)),
+                         st.sampled_from(("asap", "smooth"))),
+               min_size=1, max_size=8),
+           dt=st.sampled_from((DT, 0.5)))
+    def test_step_speed_is_the_controller_step(self, cases, dt):
+        """`World.step` sets each vehicle's speed to `speed_controller`'s
+        step, clamped at 0, bit for bit: also when the speed already equals
+        a negative target, for -0.0 and NaN, and at one asap step."""
+        limit = ASAP_ACCEL_LIMIT * dt
+        world = World(TOWN06, dt)
+        expected = []
+        for index, (speed, target, profile) in enumerate(cases):
+            if isinstance(target, tuple):
+                sign, ulps = target
+                target = nudged(speed + sign * limit, ulps)
+            hero = world.add_vehicle(f"v{index}")
+            world.place_on_lane(hero, 1, 100.0 + 50.0 * index)
+            hero.speed, hero.target_speed, hero.profile = speed, target, profile
+            stepped = speed_controller(speed, target, profile, dt)
+            expected.append((stepped if stepped > 0.0 else 0.0).hex())
+        world.step()
+        assert [a.speed.hex() for a in world.actors.values()] == expected
 
 
 class TestLaneChange:
@@ -542,6 +582,19 @@ def all_pairs_collisions(world):
          specs=[make_spec(lane=0),
                 make_spec(kind="wide", half_width=12.0, place="offset",
                           lane=2, dy=-5.5)],
+         late=make_spec(lane=0), late_step=5, dt=DT)
+# Two props at one x in the adjacent bands -2 and -1 are 2 * max_half_width
+# apart in y, so the broad phase skips the band pair; one ulp closer, they
+# overlap and it must not.
+@example(base=200.0,
+         specs=[make_spec(kind="prop", place="edge",
+                          edge=nudged(-2.0, -1)),
+                make_spec(kind="prop", place="edge", edge=-2.0 ** -51)],
+         late=make_spec(lane=0), late_step=5, dt=DT)
+@example(base=200.0,
+         specs=[make_spec(kind="prop", place="edge",
+                          edge=nudged(-2.0, -1)),
+                make_spec(kind="prop", place="edge", edge=-3 * 2.0 ** -52)],
          late=make_spec(lane=0), late_step=5, dt=DT)
 @given(base=st.builds(lambda power, dx: power + dx,
                       st.sampled_from((128.0, 256.0)),
