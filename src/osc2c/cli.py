@@ -163,7 +163,7 @@ class _TickEncoder:
 def cmd_check(args) -> int:
     try:
         source = _read_source(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_io(str(exc))
     analysis = check(source, args.file,
                      extra_actions=builtin_registry().action_table())
@@ -176,7 +176,7 @@ def _compile(path: str, road: str | None = None, dt: float = 0.05):
     returns an exit code, or the compiled scenario with no actor placed."""
     try:
         source = _read_source(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_io(str(exc))
     try:
         return compile_source(source, path, registry=builtin_registry(),
@@ -238,7 +238,7 @@ def cmd_dump(args) -> int:
 
     try:
         source = _read_source(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_io(str(exc))
     try:
         program = parse(source, args.file)

@@ -3,10 +3,11 @@
 This module turns a resolved scenario into something that runs: a
 MethodRegistry maps (actor type, action) pairs to behavior factories and
 signatures (the builtin one maps each prelude action to its leaf class) and
-gives the checker its action table, an ExecutionContext holds the live
-actors the checker's evaluators read, a BehaviorTreeBuilder lowers the
+gives the checker its action table, a BehaviorTreeBuilder lowers the
 composition tree, a ScenarioInitializer places actors from their
 `at: start` constraints, and CompiledScenario.run is the one tick loop.
+The checker's evaluators take the run's World, which factories, leaves and
+placements hold.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .btree import (
 from .diagnostics import CompileError, Diagnostic, ERROR, collector_paused
 from .prelude import ACTOR_TYPES, ActionTable, Signature, inheritance_chain
 from .semantics import (Analysis, EvalError, Evaluator, Invocation, Modifiers,
-                        ScenarioInfo, check, constant_value,
+                        ScenarioInfo, check, constant_value, live_actor,
                         unsupported_action)
 from .units import UnitsError
 from .world import Actor, RoadMap, SimFault, SweepList, World, load_map
@@ -74,7 +75,7 @@ class MethodRegistry:
 
     Lookup walks the actor type's inheritance chain, so an action registered
     on `traffic_participant` dispatches for `vehicle` receivers. Factories
-    take (receiver name, args, modifiers, context) and return a BtNode.
+    take (receiver name, args, modifiers, world) and return a BtNode.
     """
 
     def __init__(self):
@@ -108,32 +109,7 @@ class MethodRegistry:
 
 
 # ---------------------------------------------------------------------------
-# execution context
-
-
-class ExecutionContext:
-    """Live actor handles: the ``env`` that every evaluator the checker
-    lowered takes."""
-
-    def __init__(self, world: World):
-        self.world = world
-        self.actors: dict[str, Actor] = {}
-
-    def actor(self, name: str) -> Actor:
-        try:
-            return self.actors[name]
-        except KeyError:
-            raise EvalError(f"no live actor named '{name}'") from None
-
-
-# ---------------------------------------------------------------------------
 # action leaves
-
-
-def _magnitude(evaluator: Evaluator | None) -> float | None:
-    """The magnitude of a quantity argument if it is a constant, else None."""
-    value = constant_value(evaluator)
-    return None if value is None else value.value
 
 
 class _Leaf(ActionLeaf):
@@ -141,20 +117,20 @@ class _Leaf(ActionLeaf):
 
     The checker has bound every argument to the action's signature in the
     registry, so a leaf reads its evaluators by name and trusts their kinds:
-    a quantity has the declared dimension or none.
+    a quantity is its magnitude in the SI unit of the declared dimension.
     """
 
     def __init__(self, receiver: str, args: dict[str, Evaluator],
-                 modifiers: Modifiers, context: ExecutionContext):
+                 modifiers: Modifiers, world: World):
         super().__init__()
         self.actor_name = receiver
         self.args = args
         self.modifiers = modifiers
-        self.context = context
+        self.world = world
 
-    def value(self, name: str) -> float:
-        """The magnitude of a quantity argument."""
-        return self.args[name](self.context).value
+    def value(self, name: str):
+        """The value of an argument, read from the live world."""
+        return self.args[name](self.world)
 
 
 class _MotionLeaf(_Leaf):
@@ -169,8 +145,8 @@ class _MotionLeaf(_Leaf):
     _board: Blackboard | None = None
     _actor: Actor | None = None
 
-    def __init__(self, receiver, args, modifiers, context):
-        super().__init__(receiver, args, modifiers, context)
+    def __init__(self, receiver, args, modifiers, world):
+        super().__init__(receiver, args, modifiers, world)
         # the leaf's claimant token on the blackboard, which must not hold
         # the leaf (see Blackboard.claim_motion)
         self._token = object()
@@ -180,7 +156,7 @@ class _MotionLeaf(_Leaf):
         """The receiver's live actor, looked up on the first tick that
         needs it."""
         if self._actor is None:
-            self._actor = self.context.actor(self.actor_name)
+            self._actor = live_actor(self.actor_name, self.world)
         return self._actor
 
     def _claim(self, ctx) -> None:
@@ -208,11 +184,11 @@ class DriveLeaf(_MotionLeaf):
     an actor that another leaf may retarget.
     """
 
-    def __init__(self, receiver, args, modifiers, context):
-        super().__init__(receiver, args, modifiers, context)
+    def __init__(self, receiver, args, modifiers, world):
+        super().__init__(receiver, args, modifiers, world)
         speed = modifiers.get("speed", {})
         self.speed_fn = speed.get("speed")
-        self.target = _magnitude(self.speed_fn)
+        self.target = constant_value(self.speed_fn)
         self.profile = constant_value(speed.get("rate_profile")) or "asap"
         self.settles = self.speed_fn is None or self.target is not None
 
@@ -221,7 +197,7 @@ class DriveLeaf(_MotionLeaf):
         if self.speed_fn is not None:
             target = self.target
             if target is None:
-                target = self.speed_fn(self.context).value
+                target = self.speed_fn(self.world)
             actor = self.actor
             actor.target_speed = target
             actor.profile = self.profile
@@ -233,9 +209,9 @@ class DriveLeaf(_MotionLeaf):
 class ChangeSpeedLeaf(_MotionLeaf):
     """Commands a new target speed; Success once the actor has reached it."""
 
-    def __init__(self, receiver, args, modifiers, context):
-        super().__init__(receiver, args, modifiers, context)
-        self.target = _magnitude(args["target"])
+    def __init__(self, receiver, args, modifiers, world):
+        super().__init__(receiver, args, modifiers, world)
+        self.target = constant_value(args["target"])
         self.profile = constant_value(args.get("rate_profile")) or "asap"
 
     def _tick(self, ctx) -> Status:
@@ -257,18 +233,18 @@ class ChangeLaneLeaf(_MotionLeaf):
 
     started = False
 
-    def __init__(self, receiver, args, modifiers, context):
-        super().__init__(receiver, args, modifiers, context)
+    def __init__(self, receiver, args, modifiers, world):
+        super().__init__(receiver, args, modifiers, world)
         # the checker fixed it to a whole number
-        self.lanes = int(constant_value(args["num_of_lanes"]).value)
+        self.lanes = int(constant_value(args["num_of_lanes"]))
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
         actor = self.actor
         if not self.started:
             self.started = True
-            moving = self.context.world.begin_lane_change(
-                actor, self.lanes, self.args["side"](self.context))
+            moving = self.world.begin_lane_change(actor, self.lanes,
+                                                  self.value("side"))
             if moving:
                 return RUNNING
             self._release()
@@ -283,8 +259,8 @@ class SetLightsLeaf(_Leaf):
     """Applies a light mode immediately."""
 
     def _tick(self, ctx) -> Status:
-        mode = self.args["mode"](self.context)
-        self.context.world.set_lights(self.context.actor(self.actor_name), mode)
+        mode = self.value("mode")
+        self.world.set_lights(live_actor(self.actor_name, self.world), mode)
         return SUCCESS
 
 
@@ -293,7 +269,7 @@ class AssignOrientationLeaf(_Leaf):
 
     def _tick(self, ctx) -> Status:
         heading = self.value("h")
-        self.context.actor(self.actor_name).heading = heading
+        live_actor(self.actor_name, self.world).heading = heading
         return SUCCESS
 
 
@@ -301,7 +277,7 @@ class AssignPositionLeaf(_Leaf):
     """Teleports the actor according to its placement modifiers."""
 
     def _tick(self, ctx) -> Status:
-        place_actor(self.context, self.context.actor(self.actor_name),
+        place_actor(self.world, live_actor(self.actor_name, self.world),
                     self.modifiers)
         return SUCCESS
 
@@ -310,8 +286,7 @@ class CelestialLeaf(_Leaf):
     """Positions the sun; the auto light rule reads it every world step."""
 
     def _tick(self, ctx) -> Status:
-        self.context.world.set_sun(self.value("azimuth"),
-                                   self.value("elevation"))
+        self.world.set_sun(self.value("azimuth"), self.value("elevation"))
         return SUCCESS
 
 
@@ -324,9 +299,9 @@ class FollowPathLeaf(_MotionLeaf):
 
     goal: float | None = None
 
-    def __init__(self, receiver, args, modifiers, context):
-        super().__init__(receiver, args, modifiers, context)
-        self.speed = _magnitude(args.get("speed"))
+    def __init__(self, receiver, args, modifiers, world):
+        super().__init__(receiver, args, modifiers, world)
+        self.speed = constant_value(args.get("speed"))
 
     def _tick(self, ctx) -> Status:
         self._claim(ctx)
@@ -373,19 +348,17 @@ def builtin_registry() -> MethodRegistry:
 # placement
 
 
-def place_actor(context: ExecutionContext, actor: Actor,
-                modifiers: Modifiers) -> bool:
+def place_actor(world: World, actor: Actor, modifiers: Modifiers) -> bool:
     """Apply placement modifiers to one actor; True if a pose was set.
 
     The checker chose the paradigm: a default spawn on a numbered lane, a
     pose relative to one already placed anchor, an absolute Cartesian pose
     that takes the actor off the road network, or none.
     """
-    world = context.world
     lane_args = modifiers.get("lane", {})
     position_args = modifiers.get("position", {})
     if modifiers.paradigm == "lane":
-        lane_index = int(constant_value(lane_args["lane"]).value)
+        lane_index = int(constant_value(lane_args["lane"]))
         s = world.road.spawn_on_lane(lane_index)
         if s is None:
             raise InitConflict(
@@ -393,7 +366,7 @@ def place_actor(context: ExecutionContext, actor: Actor,
                 f"for actor '{actor.name}'")
         world.place_on_lane(actor, lane_index, s)
     elif modifiers.paradigm == "relative":
-        anchor = context.actor(modifiers.anchor)
+        anchor = live_actor(modifiers.anchor, world)
         if anchor.lane is None:
             raise InitConflict(
                 f"anchor '{anchor.name}' is not on the road network")
@@ -401,17 +374,17 @@ def place_actor(context: ExecutionContext, actor: Actor,
         lane_index = anchor.lane + {"right": 1, "left": -1}.get(side, 0)
         sign = 1.0 if "ahead_of" in position_args else -1.0
         distance = position_args.get("distance")
-        distance = 0.0 if distance is None else distance(context).value
+        distance = 0.0 if distance is None else distance(world)
         world.place_on_lane(actor, lane_index, anchor.s + sign * distance)
     elif modifiers.paradigm == "absolute":
         def coord(key):
             evaluate = position_args.get(key)
-            return 0.0 if evaluate is None else evaluate(context).value
+            return 0.0 if evaluate is None else evaluate(world)
         world.place_absolute(actor, coord("x"), coord("y"), coord("h"))
 
     speed_fn = modifiers.get("speed", {}).get("speed")
     if speed_fn is not None:
-        speed = speed_fn(context).value
+        speed = speed_fn(world)
         actor.speed = speed
         actor.target_speed = speed
     return modifiers.paradigm is not None
@@ -420,14 +393,14 @@ def place_actor(context: ExecutionContext, actor: Actor,
 class ScenarioInitializer:
     """Places every actor before the first tick from `at: start` constraints."""
 
-    def __init__(self, context: ExecutionContext):
-        self.context = context
+    def __init__(self, world: World):
+        self.world = world
         self.placed: set[str] = set()
 
     def run(self, plan: list[Invocation]) -> None:
         for invocation in plan:
-            actor = self.context.actor(invocation.node.actor)
-            if place_actor(self.context, actor, invocation.modifiers):
+            actor = live_actor(invocation.node.actor, self.world)
+            if place_actor(self.world, actor, invocation.modifiers):
                 self.placed.add(actor.name)
         self._place_remaining()
         self._check_overlap()
@@ -440,14 +413,14 @@ class ScenarioInitializer:
         for one box size stays blocked for the next actor of that size: each
         size's search resumes where the previous actor of that size landed.
         """
-        world = self.context.world
+        world = self.world
         spawns = world.road.spawns
         obstacles = SweepList()
-        for name, actor in self.context.actors.items():
+        for name, actor in world.actors.items():
             if name in self.placed:
                 obstacles.add(actor)
         resume: dict[tuple[float, float], int] = {}
-        for name, actor in self.context.actors.items():
+        for name, actor in world.actors.items():
             if name in self.placed:
                 continue
             size = (actor.half_length, actor.half_width)
@@ -463,7 +436,7 @@ class ScenarioInitializer:
             self.placed.add(name)
 
     def _check_overlap(self) -> None:
-        pairs = self.context.world.overlapping_pairs()
+        pairs = self.world.overlapping_pairs()
         if pairs:
             a, b = pairs[0]
             raise SpawnCollision(
@@ -486,11 +459,11 @@ class BehaviorTreeBuilder:
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
-                 context: ExecutionContext, conditions: dict[int, Evaluator],
+                 world: World, conditions: dict[int, Evaluator],
                  filename: str = "<string>"):
         self.scenario = scenario
         self.registry = registry
-        self.context = context
+        self.world = world
         self.conditions = conditions
         self.filename = filename
         self._planned = {id(invocation.node) for invocation in scenario.plan}
@@ -542,12 +515,12 @@ class BehaviorTreeBuilder:
                              span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
             # the checker folded the duration to a constant
-            seconds = constant_value(self.conditions[id(cond.duration)]).value
+            seconds = constant_value(self.conditions[id(cond.duration)])
             return Timer(seconds, label="wait elapsed", span=node.span)
         if isinstance(cond, (ast.RiseCondition, ast.FallCondition,
                              ast.BoolCondition)):
-            holds, context = self.conditions[id(cond.expr)], self.context
-            predicate = lambda _: holds(context)
+            holds, world = self.conditions[id(cond.expr)], self.world
+            predicate = lambda _: holds(world)
             if isinstance(cond, ast.BoolCondition):
                 return Condition(predicate, label="wait", span=node.span)
             kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
@@ -564,7 +537,7 @@ class BehaviorTreeBuilder:
                 ERROR, "E007", unsupported_action(node.action, type_name),
                 node.span, self.filename))
         bound = self.scenario.invocations[id(node)]
-        leaf = factory(node.actor, bound.args, bound.modifiers, self.context)
+        leaf = factory(node.actor, bound.args, bound.modifiers, self.world)
         if factory not in _LEAVES.values():
             self._custom = True
         elif factory is DriveLeaf:
@@ -595,7 +568,6 @@ class CompiledScenario:
     scenario: ScenarioInfo
     root: BtNode
     world: World
-    context: ExecutionContext
     blackboard: Blackboard
     initialized: bool = False
     tick_ctx: TickContext = field(init=False)
@@ -614,7 +586,7 @@ class CompiledScenario:
 
     def initialize(self) -> None:
         """Place every actor: the start placements, then default spawns."""
-        ScenarioInitializer(self.context).run(self.scenario.plan)
+        ScenarioInitializer(self.world).run(self.scenario.plan)
         self.initialized = True
 
     def step_tick(self) -> Status:
@@ -686,17 +658,16 @@ def compile_scenario(analysis: Analysis, *,
         road = load_map(road)
 
     world = World(road, dt)
-    context = ExecutionContext(world)
     for name, type_name in scenario.fields.items():
         kind = ACTOR_TYPES[type_name].world
         if kind == "vehicle":
-            context.actors[name] = world.add_vehicle(name)
+            world.add_vehicle(name)
         elif kind == "prop":
-            context.actors[name] = world.add_prop(name)
+            world.add_prop(name)
 
-    root = BehaviorTreeBuilder(scenario, registry, context,
+    root = BehaviorTreeBuilder(scenario, registry, world,
                                analysis.evaluators, filename).build()
-    compiled = CompiledScenario(scenario, root, world, context, Blackboard())
+    compiled = CompiledScenario(scenario, root, world, Blackboard())
     if initialize:
         compiled.initialize()
     return compiled

@@ -15,14 +15,16 @@ Diagnostics accumulate in source order; errors never abort the pass, so one
 run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
-evaluator ``fn(env)``.  ``ScenarioInfo.invocations`` keeps each action
-invocation as bound, and ``Analysis.evaluators`` maps the ``id`` of every
-wait condition to its evaluator; ``env`` is the runtime's execution context
-(``world`` and ``actors``).  The vars are evaluated once, here, and every
-reference to one is its value.  Literals, var references, attribute reads
-and every operator whose operands are constants are folded, so a constant
-that cannot be computed (``1m / 0``) is a diagnostic; only the live world
-is read at run time.
+evaluator ``fn(world)`` that returns a float, a bool or a str.  A quantity
+is its SI magnitude: its dimension is known here, in its ``QuantityType``,
+and is not checked again at run time.  ``ScenarioInfo.invocations`` keeps
+each action invocation as bound, and ``Analysis.evaluators`` maps the ``id``
+of every wait condition to its evaluator; ``world`` is the run's
+``World``, and ``live_actor`` looks an actor up in it.  The vars are
+evaluated once, here, and every reference to one is its value.  Literals,
+var references, attribute reads and every operator whose operands are
+constants are folded, so a constant that cannot be computed (``1m / 0``) is
+a diagnostic; only the live world is read at run time.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .diagnostics import (ERROR, WARNING, CompileError, Diagnostic, Span,
                           collector_paused)
 from .parser import parse
 from .units import (DIMENSIONLESS, DURATION, LENGTH, SPEED, Dimension,
-                    Quantity, dimension_name)
+                    dimension_name)
 
-# a lowered expression: fn(env) -> value; None where the expression has errors
+# a lowered expression: fn(world) -> float | bool | str; None where the
+# expression has errors
 Evaluator = Callable[[Any], Any]
 
 
@@ -85,7 +88,6 @@ STRING = _Singleton("string")
 BOOL = _Singleton("bool")
 UNKNOWN = _Singleton("unknown")
 
-ARITHMETIC = ("+", "-", "*", "/")
 AT_START = EnumWord("start")
 
 # the type of a number, of each unit's literals and of each physical type's
@@ -155,7 +157,7 @@ class ScenarioInfo:
     constraints: dict[str, dict[str, str]] = field(default_factory=dict)
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
     # the value of each var whose initializer could be computed
-    var_values: dict[str, object] = field(default_factory=dict)
+    var_values: dict[str, float] = field(default_factory=dict)
     # each action invocation by the id of its node
     invocations: dict[int, Invocation] = field(default_factory=dict)
     # the invocations with an `at: start` modifier, in tree order
@@ -384,23 +386,22 @@ class Analyzer:
             # a product may only work if the right factor is read as a scalar
             lhs = self.resolve_expr(init.lhs, scope)
             rhs = self.resolve_expr(init.rhs, scope)
-            (lhs_type, lhs_fn), (rhs_type, rhs_fn) = lhs, rhs
-            if (isinstance(lhs_type, QuantityType)
-                    and isinstance(rhs_type, QuantityType)
-                    and units.coercible_product(lhs_type.dim, rhs_type.dim,
-                                                declared)):
+            lhs_type, rhs_type = lhs[0], rhs[0]
+            coerced = (isinstance(lhs_type, QuantityType)
+                       and isinstance(rhs_type, QuantityType)
+                       and units.coercible_product(lhs_type.dim,
+                                                   rhs_type.dim, declared))
+            if coerced:
                 self.report(
                     WARNING, "W001",
                     f"dimensional coercion applied in initializer of "
                     f"'{decl.name}': {dimension_name(rhs_type.dim)} operand "
                     f"reinterpreted as a dimensionless scalar",
                     init.span)
-                evaluator = lambda env: units.coerce_product(
-                    lhs_fn(env), rhs_fn(env), declared)
-                if _is_constant(lhs_fn) and _is_constant(rhs_fn):
-                    _, evaluator = self._folded(UNKNOWN, evaluator, init.span)
-                return evaluator
             result, evaluator = self._binary(init, lhs, rhs)
+            if coerced:
+                # the same product of magnitudes, typed as declared
+                return evaluator
         else:
             result, evaluator = self.resolve_expr(init, scope)
         if result is UNKNOWN:
@@ -497,7 +498,7 @@ class Analyzer:
             return
         lane = modifiers.get("lane", {})
         position = modifiers.get("position", {})
-        # an actor argument's evaluator is partial(_live_actor, name)
+        # an actor argument's evaluator is partial(live_actor, name)
         anchors = {evaluator.args[0]
                    for evaluator in (lane.get("side_of"), position.get("behind"),
                                      position.get("ahead_of")) if evaluator}
@@ -600,12 +601,12 @@ class Analyzer:
             elif kind == prelude.LANES:
                 # it reads no actor: a constant, or None after an error
                 value = constant_value(evaluator)
-                if value is not None and not (value.value >= 0
-                                              and value.value.is_integer()):
+                if value is not None and not (value >= 0
+                                              and value.is_integer()):
                     self.error("E002", f"{what} must be {kind}", span)
             elif isinstance(kind, prelude.NonNegative):
                 value = constant_value(evaluator)
-                if value is not None and value.value < 0:
+                if value is not None and value < 0:
                     self.error("E002", f"{what} must not be negative", span)
         elif isinstance(kind, frozenset):
             if not (isinstance(arg_type, EnumWord) and arg_type.word in kind):
@@ -651,7 +652,7 @@ class Analyzer:
             elif result is not UNKNOWN:
                 # fixed: a constant, or None after an error
                 value = constant_value(evaluator)
-                if value is not None and value.value < 0:
+                if value is not None and value < 0:
                     self.error("E002", "elapsed() duration must not be "
                                        "negative", cond.span)
         elif isinstance(cond, ast.BoolCondition):
@@ -681,7 +682,7 @@ class Analyzer:
             value = units.from_literal(expr.value, expr.unit)
             return _UNIT_TYPES[expr.unit], partial(_constant, value)
         if isinstance(expr, ast.NumberLiteral):
-            return NUMBER, partial(_constant, Quantity(expr.value))
+            return NUMBER, partial(_constant, expr.value)
         if isinstance(expr, ast.MethodCall):
             return self._resolve_call(expr, scope)
         if isinstance(expr, ast.MemberAccess):
@@ -766,7 +767,7 @@ class Analyzer:
         (lhs, lhs_fn), (rhs, rhs_fn) = lhs_typed, rhs_typed
         op = expr.op
         if lhs is UNKNOWN or rhs is UNKNOWN:
-            return (UNKNOWN if op in ARITHMETIC else BOOL), None
+            return (UNKNOWN if op in units.ARITHMETIC else BOOL), None
         if op in ("and", "or"):
             if not (lhs is BOOL and rhs is BOOL):
                 self.error("E002", f"'{op}' requires boolean operands",
@@ -777,7 +778,7 @@ class Analyzer:
                 evaluator = lambda env: lhs_fn(env) and rhs_fn(env)
             else:
                 evaluator = lambda env: lhs_fn(env) or rhs_fn(env)
-        elif op in ARITHMETIC:
+        elif op in units.ARITHMETIC:
             if not (isinstance(lhs, QuantityType)
                     and isinstance(rhs, QuantityType)):
                 self.error("E002", "arithmetic requires quantity operands",
@@ -795,29 +796,29 @@ class Analyzer:
                 result = QuantityType(lhs.dim * rhs.dim)
             else:
                 result = QuantityType(lhs.dim / rhs.dim)
-            evaluator = partial(_apply, units.binary, lhs_fn, op, rhs_fn)
-        # comparisons
-        elif isinstance(lhs, QuantityType) and isinstance(rhs, QuantityType):
-            if lhs.dim != rhs.dim:
+            evaluator = partial(_arithmetic, units.ARITHMETIC[op], lhs_fn,
+                                rhs_fn)
+        else:  # a comparison, of quantities or of strings
+            quantities = (isinstance(lhs, QuantityType)
+                          and isinstance(rhs, QuantityType))
+            if quantities and lhs.dim != rhs.dim:
                 self.error("E003",
                            f"cannot compare {dimension_name(lhs.dim)} with "
                            f"{dimension_name(rhs.dim)}", expr.span)
                 return BOOL, None
+            if not (quantities or lhs is STRING and rhs is STRING
+                    and op in ("==", "!=")):
+                self.error("E002", "incomparable operand types", expr.span)
+                return BOOL, None
             result = BOOL
-            evaluator = partial(_apply, units.compare, lhs_fn, op, rhs_fn)
-        elif lhs is STRING and rhs is STRING and op in ("==", "!="):
-            same = op == "=="
-            result = BOOL
-            evaluator = lambda env: (lhs_fn(env) == rhs_fn(env)) is same
-        else:
-            self.error("E002", "incomparable operand types", expr.span)
-            return BOOL, None
+            evaluator = partial(_compare, units.COMPARISONS[op], lhs_fn,
+                                rhs_fn)
         if _is_constant(lhs_fn) and _is_constant(rhs_fn):
             return self._folded(result, evaluator, expr.span)
         return result, evaluator
 
     def _resolve_member(self, expr: ast.MemberAccess, scope: Scope):
-        receiver, actor = self.resolve_expr(expr.receiver, scope)
+        receiver = self.resolve_expr(expr.receiver, scope)[0]
         if receiver is UNKNOWN:
             return UNKNOWN, None
         member = expr.member
@@ -829,8 +830,8 @@ class Analyzer:
                 if self._reads_actors(f"read '{receiver.instance}.speed'",
                                       expr.span):
                     return UNKNOWN, None
-                return (QuantityType(SPEED),
-                        lambda env: Quantity(actor(env).speed, SPEED))
+                return QuantityType(SPEED), partial(_speed,
+                                                    receiver.instance)
             if member == "position":
                 # only an ahead_of receiver, which is not evaluated itself
                 return PositionType(receiver.instance), None
@@ -870,9 +871,8 @@ class Analyzer:
                                                    expr.span):
                 return UNKNOWN, None
             subject = self._name_evaluator("actor-instance", receiver.instance)
-            other = bound["actor"]
-            return QuantityType(LENGTH), lambda env: Quantity(
-                env.world.ahead_of(subject(env), other(env)), LENGTH)
+            return QuantityType(LENGTH), partial(_ahead_of, subject,
+                                                 bound["actor"])
         if isinstance(receiver, ActorRef):
             if expr.method != "object_distance":
                 self.error("E001",
@@ -894,8 +894,9 @@ class Analyzer:
 
 
 # The common evaluators are partials of the functions below, which take the
-# execution context ``env`` last: a partial is about half the size of a
-# closure, and an analysis keeps one evaluator per expression node.  Any
+# world ``env`` last: a partial is about half the size of a closure, and an
+# analysis keeps one evaluator per expression node.  Every quantity read from
+# the world or computed by arithmetic is checked with ``units.finite``.  Any
 # evaluator may raise units.UnitsError; a run reports it as EvalError.
 
 def _constant(value, env):
@@ -907,14 +908,15 @@ def _variable(name: str, values):
     return values[name]
 
 
-def _live_actor(name: str, env):
-    actor = env.actors.get(name)
+def live_actor(name: str, world):
+    """The actor named ``name`` in the world; EvalError if it has none."""
+    actor = world.actors.get(name)
     if actor is None:
-        raise EvalError(f"unknown name '{name}'")
+        raise EvalError(f"no live actor named '{name}'")
     return actor
 
 
-_NAME_EVALUATORS = {"variable": _variable, "actor-instance": _live_actor,
+_NAME_EVALUATORS = {"variable": _variable, "actor-instance": live_actor,
                     "enum-word": _constant}
 
 
@@ -975,14 +977,29 @@ def _components(reads: dict[str, list[str]]) -> list[list[str]]:
     return found
 
 
-def _apply(fn, lhs: Evaluator, op: str, rhs: Evaluator, env):
-    return fn(lhs(env), op, rhs(env))
+def _arithmetic(fn, lhs: Evaluator, rhs: Evaluator, env):
+    return units.finite(fn(lhs(env), rhs(env)))
+
+
+def _compare(fn, lhs: Evaluator, rhs: Evaluator, env):
+    return fn(lhs(env), rhs(env))
+
+
+def _speed(name: str, env):
+    return units.finite(live_actor(name, env).speed)
+
+
+# The spatial queries are looked up on the world at each call, so a wrapper
+# installed on ``World`` after the check still sees every query.
+
+def _ahead_of(subject: Evaluator, other: Evaluator, env):
+    return units.finite(env.ahead_of(subject(env), other(env)))
 
 
 def _object_distance(subject: Evaluator, reference: Evaluator,
                      direction: str, env):
-    return Quantity(env.world.object_distance(subject(env), reference(env),
-                                              direction), LENGTH)
+    return units.finite(env.object_distance(subject(env), reference(env),
+                                            direction))
 
 
 def analyze(program: ast.Program, filename: str = "<string>",

@@ -1,15 +1,19 @@
-"""Physical quantities with dimensional analysis.
+"""Physical quantities: dimensions, unit conversion and magnitude arithmetic.
 
 Every quantity literal in a scenario (``35kph``, ``5m``, ``-1.57rad``) is
-normalized to SI base units (m, s, rad) at construction time.  Arithmetic
-(``binary``) enforces dimensional consistency: ``+``/``-`` require equal dimensions,
-``*``/``/`` combine exponents.  The conversion table is a bit-exact
-contract; see ``UNITS``.
+normalized to SI base units (m, s, rad), and from then on a quantity is its
+SI magnitude, a plain float.  Its dimension is static: the checker types
+each expression with the ``Dimension`` algebra (``+``/``-`` require equal
+dimensions, ``*``/``/`` combine exponents), so the run-time operators in
+``ARITHMETIC`` and ``COMPARISONS`` work on floats alone.  Two faults remain
+at run time: a division by zero and a non-finite result.  The conversion
+table is a bit-exact contract; see ``UNITS``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -18,10 +22,6 @@ class UnitsError(Exception):
 
 
 class UnknownUnit(UnitsError):
-    pass
-
-
-class DimensionMismatch(UnitsError):
     pass
 
 
@@ -85,70 +85,36 @@ UNITS: dict[str, tuple[float, Dimension]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Quantity:
-    """A finite value in SI base units paired with its dimension."""
-
-    value: float
-    dim: Dimension = DIMENSIONLESS
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise UnitsError(f"non-finite quantity value: {self.value!r}")
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
+def finite(value: float) -> float:
+    """``value`` if it is finite; a quantity may never be infinite or NaN."""
+    if not math.isfinite(value):
+        raise UnitsError(f"non-finite quantity value: {value!r}")
+    return value
 
 
-def from_literal(value: float, unit: str) -> Quantity:
-    """Build an SI-normalized quantity from a ``<value><unit>`` literal."""
+def from_literal(value: float, unit: str) -> float:
+    """The SI magnitude of a ``<value><unit>`` literal."""
     try:
-        factor, dim = UNITS[unit]
+        factor = UNITS[unit][0]
     except KeyError:
         raise UnknownUnit(f"unknown unit suffix {unit!r}") from None
     if not math.isfinite(value):
         raise UnitsError(f"non-finite literal value: {value!r}")
-    return Quantity(value * factor, dim)
+    return finite(value * factor)
 
 
-def binary(lhs: Quantity, op: str, rhs: Quantity) -> Quantity:
-    """Dimension-checked arithmetic on two quantities."""
-    if op in ("+", "-"):
-        if lhs.dim != rhs.dim:
-            raise DimensionMismatch(
-                f"cannot apply {op!r} to {dimension_name(lhs.dim)} and "
-                f"{dimension_name(rhs.dim)}")
-        value = lhs.value + rhs.value if op == "+" else lhs.value - rhs.value
-        return Quantity(value, lhs.dim)
-    if op == "*":
-        return Quantity(lhs.value * rhs.value, lhs.dim * rhs.dim)
-    if op == "/":
-        if rhs.value == 0.0:
-            raise DivisionByZero("division by a zero-valued quantity")
-        return Quantity(lhs.value / rhs.value, lhs.dim / rhs.dim)
-    raise UnitsError(f"unsupported operator {op!r}")
+def _divide(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        raise DivisionByZero("division by a zero-valued quantity")
+    return lhs / rhs
 
 
-def compare(lhs: Quantity, op: str, rhs: Quantity) -> bool:
-    """Dimension-checked relational comparison."""
-    if lhs.dim != rhs.dim:
-        raise DimensionMismatch(
-            f"cannot compare {dimension_name(lhs.dim)} with "
-            f"{dimension_name(rhs.dim)}")
-    a, b = lhs.value, rhs.value
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise UnitsError(f"unsupported comparison {op!r}")
+# The operators on SI magnitudes; the checker has matched the dimensions.
+# An arithmetic result must still be checked with ``finite``.
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _divide}
+COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 def coercible_product(lhs_dim: Dimension, rhs_dim: Dimension,
@@ -158,20 +124,9 @@ def coercible_product(lhs_dim: Dimension, rhs_dim: Dimension,
     A declared-type context like ``var v: speed = v0 * 10kph`` is dimensionally
     a speed squared.  When the left operand already has the declared dimension
     and the right operand is not a plain number, the right side can be read as
-    a dimensionless scale factor equal to its SI value.
+    a dimensionless scale factor equal to its SI value: the product of the two
+    magnitudes, of the declared dimension.
     """
     return (lhs_dim == declared
             and rhs_dim != DIMENSIONLESS
             and lhs_dim * rhs_dim != declared)
-
-
-def coerce_product(lhs: Quantity, rhs: Quantity,
-                   declared: Dimension) -> Quantity:
-    """Scale ``lhs`` by ``rhs`` read as a dimensionless scalar.
-
-    Only valid when ``coercible_product`` holds; always accompanied by a
-    W001 diagnostic at the call site.
-    """
-    if not coercible_product(lhs.dim, rhs.dim, declared):
-        raise UnitsError("coerce_product preconditions not met")
-    return Quantity(lhs.value * rhs.value, declared)

@@ -157,7 +157,7 @@ def test_criterion_06_units():
     for _ in range(1000):
         unit = rng.choice(sorted(factors))
         magnitude = rng.uniform(-1000.0, 1000.0) * 10.0 ** rng.randint(-3, 3)
-        value = units.from_literal(magnitude, unit).value
+        value = units.from_literal(magnitude, unit)
         expected = magnitude * factors[unit]
         if expected == 0.0:
             assert value == 0.0
@@ -166,10 +166,10 @@ def test_criterion_06_units():
 
     compiled = compile_source(Path(FLAGSHIP).read_text(), FLAGSHIP)
     var = compiled.scenario.var_values.get
-    assert var("gap").value == 15.0
-    assert var("safety_gap").value == 12.0
-    assert var("v_npc_fast").value == pytest.approx(15.27446, rel=1e-6)
-    assert var("v_npc_slow").value == pytest.approx(6.94444, rel=1e-6)
+    assert var("gap") == 15.0
+    assert var("safety_gap") == 12.0
+    assert var("v_npc_fast") == pytest.approx(15.27446, rel=1e-6)
+    assert var("v_npc_slow") == pytest.approx(6.94444, rel=1e-6)
 
 
 @verdict("criterion 07 behavior tree semantics oracles")
@@ -240,9 +240,9 @@ def test_criterion_09_two_pass():
     assert analysis.ok and not analysis.diagnostics
     compiled = compile_source(forward, "fwd.osc")
     values = compiled.scenario.var_values
-    base = values["base"].value
+    base = values["base"]
     assert base == pytest.approx(5000.0 / 3600.0, rel=1e-12)
-    assert values["doubled"].value == pytest.approx(
+    assert values["doubled"] == pytest.approx(
         2 * base, rel=1e-12)
 
     # Swapping two independent declarations leaves diagnostics untouched.

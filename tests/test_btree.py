@@ -22,10 +22,8 @@ from osc2c.btree import (
     Timer,
     required_ticks,
 )
-from osc2c.runtime import (ChangeSpeedLeaf, CompiledScenario, DriveLeaf,
-                           ExecutionContext)
+from osc2c.runtime import ChangeSpeedLeaf, CompiledScenario, DriveLeaf
 from osc2c.semantics import Modifiers, check
-from osc2c.units import SPEED, Quantity
 from osc2c.world import TOWN06, World
 
 
@@ -365,7 +363,7 @@ def folded_speed(kph):
 
 SPEEDS = {kph: folded_speed(kph) for kph in (0, 10)}
 # read on every tick: 1 m/s above b's speed
-SPEEDS["live"] = lambda env: Quantity(env.actor("b").speed + 1.0, SPEED)
+SPEEDS["live"] = lambda world: world.actors["b"].speed + 1.0
 
 leaf_specs = st.one_of(
     st.tuples(st.just("timer"), st.integers(0, 12)),
@@ -387,10 +385,10 @@ tree_specs = st.recursive(
     max_leaves=12)
 
 
-def build_tree(spec, context):
+def build_tree(spec, world):
     kind, *rest = spec
     if kind in (Sequence, Parallel, OneOf):
-        return kind([build_tree(child, context) for child in rest[0]])
+        return kind([build_tree(child, world) for child in rest[0]])
     if kind == "timer":
         return Timer(rest[0] * 0.05)
     if kind == "condition":
@@ -409,9 +407,9 @@ def build_tree(spec, context):
         modifiers = Modifiers()
         if speed is not None:
             modifiers["speed"] = {"speed": SPEEDS[speed]}
-        return DriveLeaf(actor, {}, modifiers, context)
+        return DriveLeaf(actor, {}, modifiers, world)
     return ChangeSpeedLeaf(actor, {"target": SPEEDS[speed]}, Modifiers(),
-                           context)
+                           world)
 
 
 def tick_tree(spec, reference, ticks=40):
@@ -421,13 +419,10 @@ def tick_tree(spec, reference, ticks=40):
     node is ticked as if no node were ever quiescent.
     """
     world = World(TOWN06, 0.05)
-    context = ExecutionContext(world)
     for lane, name in enumerate("ab", start=1):
-        context.actors[name] = world.add_vehicle(name)
-        world.place_on_lane(context.actors[name], lane, 50.0)
-    root = build_tree(spec, context)
-    cs = CompiledScenario(None, root, world, context, Blackboard(),
-                          initialized=True)
+        world.place_on_lane(world.add_vehicle(name), lane, 50.0)
+    root = build_tree(spec, world)
+    cs = CompiledScenario(None, root, world, Blackboard(), initialized=True)
     history = []
     for now in range(ticks):
         if reference:

@@ -162,6 +162,25 @@ def test_deepest_accepted_nesting_runs(form, tmp_path, capsys):
     assert "expected shallower nesting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check"], ["run"],
+                                     ["dump", "--what", "ast"],
+                                     ["dump", "--what", "bt"]],
+                         ids=["check", "run", "dump-ast", "dump-bt"])
+def test_non_utf8_source_is_an_io_failure(command, tmp_path, capsys):
+    """A source file that is not UTF-8 exits 2, as an unreadable one does;
+    it used to end in a UnicodeDecodeError traceback."""
+    path = tmp_path / "utf16.osc"
+    path.write_bytes(b"\xff\xfe" + "scenario s:\n".encode("utf-16-le"))
+    trace = tmp_path / "trace.ndjson"
+    argv = [command[0], str(path), *command[1:]]
+    if command == ["run"]:
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("osc2c: 'utf-8' codec can't "
+                                              "decode byte 0xff")
+    assert not trace.exists()
+
+
 class TestRun:
     def test_flagship_trace_contract(self, tmp_path):
         trace = str(tmp_path / "trace.ndjson")
@@ -468,7 +487,7 @@ def give_up_registry():
     """The builtin registry plus `vehicle.give_up()`, whose leaf fails."""
     registry = builtin_registry()
     registry.register("vehicle", "give_up",
-                      lambda receiver, args, modifiers, context: GiveUpLeaf(),
+                      lambda receiver, args, modifiers, world: GiveUpLeaf(),
                       Signature())
     return registry
 

@@ -335,6 +335,16 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
      [("E002", "arithmetic requires quantity operands")]),
     ("", '    wait "a" < "b"\n',
      [("E002", "incomparable operand types")]),
+    ("", "    wait hero.foo > 1m\n",
+     [("E001", "actor type 'vehicle' has no member 'foo'")]),
+    ("  var d: length = 1m\n", "    wait d.speed > 1m\n",
+     [("E002", "cannot access member 'speed' here")]),
+    ("", "    wait hero.position.foo(npc) > 1m\n",
+     [("E001", "position query has no method 'foo'")]),
+    ("", "    wait hero.foo(npc) > 1m\n",
+     [("E001", "actor type 'vehicle' has no method 'foo'")]),
+    ("  var d: length = 1m\n", "    wait d.foo(npc) > 1m\n",
+     [("E002", "cannot call method 'foo' here")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -352,7 +362,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "negative-path-speed", "negative-path-distance",
         "negative-drive-speed", "negative-placement-distance",
         "negative-elapsed", "negate-boolean", "not-quantity",
-        "add-boolean", "order-strings"])
+        "add-boolean", "order-strings", "no-member", "member-of-quantity",
+        "position-no-method", "actor-no-method", "method-of-quantity"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

@@ -147,7 +147,7 @@ class TestDispatch:
                 return SUCCESS
 
         registry.register("traffic_participant", "honk",
-                          lambda receiver, args, modifiers, context: HonkLeaf(),
+                          lambda receiver, args, modifiers, world: HonkLeaf(),
                           prelude.Signature())
         cs = compile_body("    a.honk()\n", registry=registry)
         assert cs.step_tick() is SUCCESS
@@ -179,10 +179,10 @@ class TestDispatch:
         registry = builtin_registry()
         seen = []
 
-        def factory(receiver, args, modifiers, context):
-            seen.append(({name: evaluate(context).value
+        def factory(receiver, args, modifiers, world):
+            seen.append(({name: evaluate(world)
                           for name, evaluate in args.items()},
-                         {name: {param: evaluate(context)
+                         {name: {param: evaluate(world)
                                  for param, evaluate in bound.items()}
                           for name, bound in modifiers.items()}))
             return EventEmit("HONK")
@@ -230,7 +230,7 @@ class TestLeaves:
             "    a.drive() with:\n      speed(36kph)\n")
         for _ in range(5):
             assert cs.step_tick() is RUNNING
-        assert cs.context.actor("a").target_speed == pytest.approx(10.0)
+        assert cs.world.actors["a"].target_speed == pytest.approx(10.0)
 
     def test_drive_reevaluates_dynamic_target(self):
         cs = compile_body(
@@ -238,8 +238,8 @@ class TestLeaves:
             "      b.drive() with:\n"
             "        speed(a.speed)\n"
             "      wait elapsed(100s)\n")
-        a = cs.context.actor("a")
-        b = cs.context.actor("b")
+        a = cs.world.actors["a"]
+        b = cs.world.actors["b"]
         cs.step_tick()
         assert b.target_speed == 0.0
         a.speed = 5.0
@@ -264,8 +264,8 @@ class TestLeaves:
         assert change.target == pytest.approx(10.0)
         assert follow.speed == pytest.approx(20.0)
         cs.step_tick()
-        assert cs.context.actor("a").target_speed == drive_a.target
-        assert cs.context.actor("d").target_speed == follow.speed
+        assert cs.world.actors["a"].target_speed == drive_a.target
+        assert cs.world.actors["d"].target_speed == follow.speed
 
     @pytest.mark.parametrize("body, faults", [
         ("    env.drive() with:\n      speed(5kph)\n", True),
@@ -292,12 +292,12 @@ class TestLeaves:
         cs = compile_body(
             "    a.change_speed(target: 18kph, rate_profile: asap)\n")
         assert cs.run(max_ticks=100)[0] == "success"
-        assert abs(cs.context.actor("a").speed - 5.0) < 0.01
+        assert abs(cs.world.actors["a"].speed - 5.0) < 0.01
 
     def test_change_lane_completes(self):
         cs = compile_body(
             "    a.change_lane(num_of_lanes: 1, side: right)\n")
-        a = cs.context.actor("a")
+        a = cs.world.actors["a"]
         start_lane = a.lane
         assert cs.run(max_ticks=100)[0] == "success"
         assert a.lane == start_lane + 1
@@ -306,7 +306,7 @@ class TestLeaves:
     def test_set_lights_instant(self):
         cs = compile_body('    a.set_lights(mode: "high_beam")\n')
         assert cs.step_tick() is SUCCESS
-        assert cs.context.actor("a").lights == "high_beam"
+        assert cs.world.actors["a"].lights == "high_beam"
 
     def test_celestial_drives_auto_lights(self):
         cs = compile_body(
@@ -315,18 +315,18 @@ class TestLeaves:
             "    wait elapsed(0.2s)\n",
             members="  a: vehicle\n  e: environment\n")
         cs.step_tick()
-        assert cs.context.actor("a").lights == "low_beam"
+        assert cs.world.actors["a"].lights == "low_beam"
 
     def test_assign_orientation(self):
         cs = compile_body("    a.assign_orientation(h: 0.5rad)\n")
         assert cs.step_tick() is SUCCESS
         # the heading holds until a lane change maneuver rewrites it
-        assert cs.context.actor("a").heading == 0.5
+        assert cs.world.actors["a"].heading == 0.5
 
     def test_follow_path_covers_distance(self):
         cs = compile_body(
             "    a.follow_path(distance: 3m, speed: 10kph)\n")
-        a = cs.context.actor("a")
+        a = cs.world.actors["a"]
         start = a.s
         assert cs.run(max_ticks=200)[0] == "success"
         assert a.s >= start + 3.0 - 1e-9
@@ -490,13 +490,13 @@ class Brake(ActionLeaf):
     """A custom leaf that writes its actor's target speed and holds no
     motion claim."""
 
-    def __init__(self, receiver, args, modifiers, context):
+    def __init__(self, receiver, args, modifiers, world):
         super().__init__()
         self.actor = receiver
-        self.context = context
+        self.world = world
 
     def _tick(self, ctx):
-        self.context.actor(self.actor).target_speed = 0.0
+        self.world.actors[self.actor].target_speed = 0.0
         return SUCCESS
 
 
@@ -532,7 +532,7 @@ class TestQuiescence:
         cs = compile_body(RETARGET + "        a.brake()\n",
                           registry=registry)
         assert drive_settles(cs) == {"a": False, "b": False}
-        a = cs.context.actor("a")
+        a = cs.world.actors["a"]
         for _ in range(3):
             cs.step_tick()
         assert a.target_speed == 0.0  # braked in tick 2, after the drive
@@ -579,13 +579,13 @@ class TestEvaluation:
     def test_variables_evaluated_at_start(self, flagship_source):
         cs = compile_source(flagship_source, "flagship.osc")
         var = cs.scenario.var_values.get
-        assert var("v_hero").value == pytest.approx(9.722222222222221, rel=1e-12)
-        assert var("v_npc_fast").value == pytest.approx(15.274459022222221, rel=1e-12)
-        assert var("v_npc_slow").value == pytest.approx(6.944444444444445, rel=1e-12)
-        assert var("v_npc_catchup").value == pytest.approx(27.006172839506172, rel=1e-12)
-        assert var("lag").value == 5.0
-        assert var("gap").value == 15.0
-        assert var("safety_gap").value == 12.0
+        assert var("v_hero") == pytest.approx(9.722222222222221, rel=1e-12)
+        assert var("v_npc_fast") == pytest.approx(15.274459022222221, rel=1e-12)
+        assert var("v_npc_slow") == pytest.approx(6.944444444444445, rel=1e-12)
+        assert var("v_npc_catchup") == pytest.approx(27.006172839506172, rel=1e-12)
+        assert var("lag") == 5.0
+        assert var("gap") == 15.0
+        assert var("safety_gap") == 12.0
 
     def test_forward_variable_reference(self):
         cs = compile_body(
@@ -593,7 +593,7 @@ class TestEvaluation:
             members=("  a: vehicle\n"
                      "  var double: length = base * 2\n"
                      "  var base: length = 3m\n"))
-        assert cs.scenario.var_values["double"].value == 6.0
+        assert cs.scenario.var_values["double"] == 6.0
 
     def test_cyclic_variables_rejected(self):
         with pytest.raises(CompileError,
@@ -613,7 +613,7 @@ class TestEvaluation:
     def test_self_ahead_of_is_zero(self):
         cs = compile_body("    a.follow_path(distance: a.position.ahead_of(a))\n")
         (follow,) = cs.root.children()
-        assert follow.args["distance"](cs.context).value == 0.0
+        assert follow.args["distance"](cs.world) == 0.0
 
     def test_quantity_not_equal_condition(self):
         # `!=` on quantities used to pass check and then fault at tick 0
@@ -624,9 +624,9 @@ class TestEvaluation:
 class TestInitializer:
     def test_flagship_placements(self, flagship_source):
         cs = compile_source(flagship_source, "flagship.osc")
-        hero = cs.context.actor("hero")
-        npc = cs.context.actor("npc")
-        obstacle = cs.context.actor("obstacle")
+        hero = cs.world.actors["hero"]
+        npc = cs.world.actors["npc"]
+        obstacle = cs.world.actors["obstacle"]
         assert (hero.lane, hero.s) == (1, 50.0)
         assert (npc.lane, npc.s) == (2, 45.0)
         assert npc.speed == 0.0 and npc.target_speed == 0.0
@@ -636,8 +636,8 @@ class TestInitializer:
 
     def test_default_spawns_for_unplaced_actors(self):
         cs = compile_body("    wait elapsed(0.05s)\n")
-        a = cs.context.actor("a")
-        b = cs.context.actor("b")
+        a = cs.world.actors["a"]
+        b = cs.world.actors["b"]
         assert (a.lane, a.s) == (1, 50.0)
         assert (b.lane, b.s) == (2, 50.0)
 
@@ -662,7 +662,7 @@ class TestInitializer:
         road = RoadMap("origin", 2, 3.5, 200.0, ((0, 0.0), (1, 50.0)))
         cs = compile_body("    wait elapsed(0.05s)\n", road=road,
                           members="  v0: vehicle\n  v1: vehicle\n")
-        v0, v1 = cs.context.actor("v0"), cs.context.actor("v1")
+        v0, v1 = cs.world.actors["v0"], cs.world.actors["v1"]
         assert (v0.lane, v0.s) == (0, 0.0)
         assert (v1.lane, v1.s) == (1, 50.0)
 
@@ -674,7 +674,7 @@ class TestInitializer:
         road = RoadMap("ulp", 2, 3.5, 400.0, close + ((1, 50.0),))
         cs = compile_body("    wait elapsed(0.05s)\n", road=road,
                           members="  v0: vehicle\n  v1: vehicle\n")
-        v1 = cs.context.actor("v1")
+        v1 = cs.world.actors["v1"]
         assert (v1.lane, v1.s) == (1, 50.0)
 
     def test_default_spawns_are_first_fit_in_map_order(self):
@@ -718,11 +718,11 @@ class TestInitializer:
             expected[name] = first_fit(*half, boxes)
             lane, s = expected[name]
             boxes.append((s, road.lane_center(lane), *half))
-        placed = {name: (cs.context.actor(name).lane, cs.context.actor(name).s)
+        placed = {name: (cs.world.actors[name].lane, cs.world.actors[name].s)
                   for name in expected}
         assert placed == expected
         assert expected["cone"] == spawns[0]
-        assert cs.context.actor("wreck").off_network
+        assert cs.world.actors["wreck"].off_network
 
     def test_go_signal_present_at_tick_zero(self):
         cs = compile_body("    wait @go_signal\n", members="  a: vehicle\n")

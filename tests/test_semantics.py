@@ -1,9 +1,11 @@
 """Semantic analysis tests: both passes, all diagnostic codes, scope rules."""
 
 import dataclasses
+import math
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from osc2c import ast, prelude, units
 from osc2c.parser import parse
@@ -242,7 +244,7 @@ class TestVarCycles:
         analysis = check(wrap("emit X", members=members))
         assert analysis.ok
         cs = compile_scenario(analysis)
-        assert cs.scenario.var_values["v0"].value == count + 1
+        assert cs.scenario.var_values["v0"] == count + 1
 
 
 class TestConstantFolding:
@@ -263,10 +265,8 @@ class TestConstantFolding:
                    members="hero: vehicle")
         (invocation,) = check(src).scenarios[0].invocations.values()
         evaluator = invocation.modifiers["speed"]["speed"]
-        total = units.binary(units.from_literal(30.0, "kph"), "+",
-                             units.from_literal(5.0, "kph"))
-        expected = units.binary(units.binary(-total, "*", units.Quantity(2.0)),
-                                "/", units.Quantity(-3.0))
+        total = units.from_literal(30.0, "kph") + units.from_literal(5.0, "kph")
+        expected = -total * 2.0 / -3.0
         assert evaluator.func.__name__ == "_constant"
         assert evaluator(None) == expected
 
@@ -288,6 +288,170 @@ class TestConstantFolding:
         constant = wrap("hero.change_speed(target: 5kph - 6kph)",
                         members="hero: vehicle")
         assert codes(check(constant)) == ["E002"]
+
+
+# An independent reference for the checker's typing and folding of a var
+# initializer: the Dimension algebra, the W001 coercion rule and Python float
+# operations in the order of evaluation.  A typed node is (kind, dim, value);
+# a comparison of mismatched or incomparable operands is a bool of no value.
+QUANTITY, BOOLEAN, UNKNOWN = "quantity", "bool", "unknown"
+REFERENCE_ARITHMETIC = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+                        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+REFERENCE_COMPARISONS = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+                         ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+                         "==": lambda a, b: a == b, "!=": lambda a, b: a != b}
+TINY = "0." + "0" * 300 + "1"  # two of them multiply to 0.0
+HUGE = "1" + "0" * 300  # two of them multiply to infinity
+MAGNITUDES = ["0", "0", "0.5", "1", "3", "7.25", "1" + "0" * 160, HUGE,
+              HUGE, TINY, TINY]
+
+# most nodes are arithmetic, and a leaf is often of the declared dimension
+OPERATORS = [*REFERENCE_ARITHMETIC] * 3 + [*REFERENCE_COMPARISONS]
+UNITS_OF = {dim: sorted(unit for unit, (_, of) in units.UNITS.items()
+                        if of == dim) or ["mps"]
+            for dim in prelude.PHYSICAL_TYPES.values()}
+
+
+def initializers(type_name: str):
+    """Initializer trees for a var of the given physical type."""
+    leaf_units = UNITS_OF[prelude.PHYSICAL_TYPES[type_name]] + ["m", "s"]
+    return st.recursive(
+        st.one_of(st.tuples(st.just("unit"), st.sampled_from(MAGNITUDES),
+                            st.sampled_from(leaf_units)),
+                  st.tuples(st.just("unit"), st.sampled_from(MAGNITUDES),
+                            st.sampled_from(sorted(units.UNITS))),
+                  st.tuples(st.just("number"), st.sampled_from(MAGNITUDES))),
+        lambda children: st.one_of(
+            st.tuples(st.just("-"), children),
+            st.tuples(st.sampled_from(OPERATORS), children, children)),
+        max_leaves=6)
+
+
+var_decls = st.sampled_from(sorted(prelude.PHYSICAL_TYPES)).flatmap(
+    lambda type_name: st.tuples(st.just(type_name), initializers(type_name)))
+
+
+def source_text(node) -> str:
+    if node[0] == "unit":
+        return node[1] + node[2]
+    if node[0] == "number":
+        return node[1]
+    if len(node) == 2:
+        return f"(-{source_text(node[1])})"
+    return f"({source_text(node[1])} {node[0]} {source_text(node[2])})"
+
+
+def reference_check(node, declared):
+    """The (code, message) diagnostics and the value of ``var v: <declared>
+    = <node>``, or None for the value if it has none."""
+    found = []
+    name = units.dimension_name
+
+    def combine(op, lhs, rhs):
+        (lhs_kind, lhs_dim, a), (rhs_kind, rhs_dim, b) = lhs, rhs
+        arithmetic = op in REFERENCE_ARITHMETIC
+        if UNKNOWN in (lhs_kind, rhs_kind):
+            return (UNKNOWN if arithmetic else BOOLEAN), None, None
+        if arithmetic:
+            if lhs_kind != QUANTITY or rhs_kind != QUANTITY:
+                found.append(("E002", "arithmetic requires quantity operands"))
+                return UNKNOWN, None, None
+            if op in "+-" and lhs_dim != rhs_dim:
+                found.append(("E003", f"cannot apply '{op}' to "
+                              f"{name(lhs_dim)} and {name(rhs_dim)}"))
+                return UNKNOWN, None, None
+            dim = (lhs_dim if op in "+-" else lhs_dim * rhs_dim if op == "*"
+                   else lhs_dim / rhs_dim)
+            if op == "/" and b == 0.0:
+                found.append(("E002", "division by a zero-valued quantity"))
+                return UNKNOWN, None, None
+            value = REFERENCE_ARITHMETIC[op](a, b)
+            if value in (math.inf, -math.inf) or value != value:
+                found.append(("E002", f"non-finite quantity value: {value!r}"))
+                return UNKNOWN, None, None
+            return QUANTITY, dim, value
+        if lhs_kind == QUANTITY and rhs_kind == QUANTITY:
+            if lhs_dim != rhs_dim:
+                found.append(("E003", f"cannot compare {name(lhs_dim)} with "
+                              f"{name(rhs_dim)}"))
+                return BOOLEAN, None, None
+            return BOOLEAN, None, REFERENCE_COMPARISONS[op](a, b)
+        found.append(("E002", "incomparable operand types"))
+        return BOOLEAN, None, None
+
+    def walk(node):
+        if node[0] == "unit":
+            factor, dim = units.UNITS[node[2]]
+            return QUANTITY, dim, float(node[1]) * factor
+        if node[0] == "number":
+            return QUANTITY, units.DIMENSIONLESS, float(node[1])
+        if len(node) == 2:
+            kind, dim, value = walk(node[1])
+            if kind == QUANTITY:
+                return QUANTITY, dim, -value
+            if kind == BOOLEAN:
+                found.append(("E002", "negation requires a quantity"))
+            return UNKNOWN, None, None
+        return combine(node[0], walk(node[1]), walk(node[2]))
+
+    if node[0] == "*":
+        lhs, rhs = walk(node[1]), walk(node[2])
+        # the right factor may be read as a scalar: the same product, typed
+        # as declared; the warning precedes the product's own faults
+        coerced = (lhs[0] == rhs[0] == QUANTITY and lhs[1] == declared
+                   and rhs[1] != units.DIMENSIONLESS
+                   and lhs[1] * rhs[1] != declared)
+        if coerced:
+            found.append(("W001", "dimensional coercion applied in "
+                          f"initializer of 'v': {name(rhs[1])} operand "
+                          "reinterpreted as a dimensionless scalar"))
+        kind, dim, value = combine("*", lhs, rhs)
+        if coerced:
+            return found, value
+    else:
+        kind, dim, value = walk(node)
+    if kind == BOOLEAN:
+        found.append(("E002", "initializer of 'v' is not a quantity"))
+    elif kind == QUANTITY and dim != declared:
+        found.append(("E003", f"initializer of 'v' has dimension "
+                      f"{name(dim)}, expected {name(declared)}"))
+    return found, value if kind == QUANTITY and dim == declared else None
+
+
+class TestDimensionReference:
+    @settings(max_examples=200, deadline=None)
+    @given(var=var_decls)
+    @example(var=("speed", ("*", ("unit", HUGE, "kph"),
+                            ("unit", HUGE, "kph"))))
+    @example(var=("length", ("/", ("unit", "1", "m"),
+                             ("*", ("number", TINY), ("number", TINY)))))
+    @example(var=("length", ("-", ("unit", "0", "m"))))
+    @example(var=("length", ("+", ("<", ("unit", "1", "m"),
+                                   ("unit", "1", "s")), ("unit", "1", "m"))))
+    def test_check_matches_reference(self, var):
+        """The checker's static dimensions and folded values agree with the
+        reference, so no dimension check is needed at run time."""
+        type_name, tree = var
+        src = wrap("emit X", members=f"var v: {type_name} = "
+                   f"{source_text(tree)}")
+        expected, value = reference_check(
+            tree, prelude.PHYSICAL_TYPES[type_name])
+        analysis = check(src)
+        found = [(d.code, d.message) for d in analysis.diagnostics]
+        assert ("E003" in codes(analysis)) == any(
+            code == "E003" for code, _ in expected)
+        faults = ("division by a zero-valued quantity",
+                  "non-finite quantity value: ")
+        assert [f for f in found if f[1].startswith(faults)] == \
+            [f for f in expected if f[1].startswith(faults)]
+        assert found == expected
+        values = analysis.scenarios[0].var_values
+        if value is None:
+            assert "v" not in values
+        else:
+            assert values["v"].hex() == value.hex()
+        again = check(src).scenarios[0].var_values.get("v")
+        assert repr(again) == repr(values.get("v"))
 
 
 class TestAttributeReads:

@@ -1,6 +1,8 @@
-"""Unit conversion and dimensional arithmetic tests.
+"""Unit conversion, dimension algebra and magnitude arithmetic tests.
 
-Derived oracle values are frozen from exact rational arithmetic:
+A quantity is its SI magnitude, a float; its dimension is static and the
+checker works it out with the ``Dimension`` algebra.  Derived oracle values
+are frozen from exact rational arithmetic:
   35 kph            = 35000/3600        = 9.722222222222221  m/s
   12.42 mph         = 12.42 * 0.44704   = 5.5522368          m/s
   35 kph + 12.42 mph                    = 15.274459022222221 m/s
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osc2c import units
+from osc2c.parser import COMPARISONS
+from osc2c.semantics import check
 from osc2c.units import (
     ACCELERATION,
     ANGLE,
@@ -22,12 +26,19 @@ from osc2c.units import (
     LENGTH,
     SPEED,
     Dimension,
-    DimensionMismatch,
     DivisionByZero,
-    Quantity,
     UnitsError,
     UnknownUnit,
 )
+
+ADD, SUB, MUL, DIV = (units.ARITHMETIC[op] for op in "+-*/")
+
+
+def diagnostics(members):
+    """The (code, message) of each diagnostic of a scenario's members."""
+    source = ("scenario s:\n  hero: vehicle\n" + members
+              + "  do serial:\n    wait elapsed(1s)\n")
+    return [(d.code, d.message) for d in check(source).diagnostics]
 
 
 class TestConversionFactors:
@@ -58,85 +69,92 @@ class TestConversionFactors:
 
 class TestFrozenDerivedValues:
     def test_hero_speed(self):
-        q = units.from_literal(35.0, "kph")
-        assert q.dim == SPEED
-        assert q.value == pytest.approx(9.722222222222221, rel=1e-12)
+        assert units.from_literal(35.0, "kph") == pytest.approx(
+            9.722222222222221, rel=1e-12)
 
     def test_mph_offset(self):
-        q = units.from_literal(12.42, "mph")
-        assert q.value == pytest.approx(5.5522368, rel=1e-12)
+        assert units.from_literal(12.42, "mph") == pytest.approx(
+            5.5522368, rel=1e-12)
 
     def test_fast_speed_sum(self):
-        q = units.binary(units.from_literal(35.0, "kph"), "+",
-                         units.from_literal(12.42, "mph"))
-        assert q.dim == SPEED
-        assert q.value == pytest.approx(15.274459022222221, rel=1e-9)
+        total = ADD(units.from_literal(35.0, "kph"),
+                    units.from_literal(12.42, "mph"))
+        assert total == pytest.approx(15.274459022222221, rel=1e-9)
 
     def test_slow_speed_difference(self):
-        q = units.binary(units.from_literal(35.0, "kph"), "-",
+        difference = SUB(units.from_literal(35.0, "kph"),
                          units.from_literal(10.0, "kph"))
-        assert q.value == pytest.approx(6.944444444444445, rel=1e-12)
+        assert difference == pytest.approx(6.944444444444445, rel=1e-12)
 
     def test_length_chain(self):
-        lag = units.from_literal(5.0, "m")
-        gap = units.binary(lag, "*", Quantity(3.0))
-        safety = units.binary(gap, "-", units.from_literal(3.0, "m"))
-        assert gap.value == 15.0
-        assert safety.value == 12.0
-        assert safety.dim == LENGTH
+        gap = MUL(units.from_literal(5.0, "m"), 3.0)
+        safety = SUB(gap, units.from_literal(3.0, "m"))
+        assert gap == 15.0
+        assert safety == 12.0
+        assert diagnostics("  var gap: length = 5m * 3\n"
+                           "  var safety: length = gap - 3m\n") == []
 
 
 class TestDimensionAlgebra:
     def test_add_requires_equal_dims(self):
-        with pytest.raises(DimensionMismatch):
-            units.binary(Quantity(1.0, SPEED), "+", Quantity(1.0, LENGTH))
-        with pytest.raises(DimensionMismatch):
-            units.binary(Quantity(1.0, DURATION), "-", Quantity(1.0, ANGLE))
+        assert diagnostics("  var a: speed = 1kph + 1m\n"
+                           "  var b: time = 1s - 1rad\n") == [
+            ("E003", "cannot apply '+' to speed and length"),
+            ("E003", "cannot apply '-' to time and angle")]
 
     def test_mul_adds_exponents(self):
-        q = units.binary(Quantity(2.0, SPEED), "*", Quantity(3.0, DURATION))
-        assert q.dim == LENGTH
-        assert q.value == 6.0
+        assert SPEED * DURATION == LENGTH
+        assert MUL(2.0, 3.0) == 6.0
+        assert diagnostics("  var d: length = 2mps * 3s\n") == []
 
     def test_div_subtracts_exponents(self):
-        q = units.binary(Quantity(6.0, LENGTH), "/", Quantity(3.0, DURATION))
-        assert q.dim == SPEED
-        assert q.value == 2.0
-        q2 = units.binary(q, "/", Quantity(2.0, DURATION))
-        assert q2.dim == ACCELERATION
+        assert LENGTH / DURATION == SPEED
+        assert SPEED / DURATION == ACCELERATION
+        assert DIV(6.0, 3.0) == 2.0
 
     def test_scalar_product_keeps_dim(self):
-        q = units.binary(Quantity(5.0, LENGTH), "*", Quantity(3.0))
-        assert q.dim == LENGTH
-        assert q.value == 15.0
+        assert LENGTH * DIMENSIONLESS == LENGTH
+        assert MUL(5.0, 3.0) == 15.0
 
     def test_division_by_zero(self):
+        with pytest.raises(DivisionByZero,
+                           match="^division by a zero-valued quantity$"):
+            DIV(1.0, 0.0)
         with pytest.raises(DivisionByZero):
-            units.binary(Quantity(1.0, LENGTH), "/", Quantity(0.0, DURATION))
+            DIV(1.0, -0.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(UnitsError):
-            Quantity(math.nan)
-        with pytest.raises(UnitsError):
-            Quantity(math.inf, SPEED)
-        with pytest.raises(UnitsError):
+        with pytest.raises(UnitsError,
+                           match="^non-finite quantity value: nan$"):
+            units.finite(math.nan)
+        with pytest.raises(UnitsError,
+                           match="^non-finite quantity value: inf$"):
+            units.finite(MUL(1e308, 10.0))
+        with pytest.raises(UnitsError,
+                           match="^non-finite literal value: inf$"):
             units.from_literal(math.inf, "m")
+        with pytest.raises(UnitsError,
+                           match="^non-finite quantity value: inf$"):
+            units.from_literal(1e308, "km")
+        assert units.finite(-0.0) == 0.0
 
-    def test_unsupported_operator(self):
-        with pytest.raises(UnitsError):
-            units.binary(Quantity(1.0), "%", Quantity(2.0))
-        with pytest.raises(UnitsError):
-            units.compare(Quantity(1.0), "<>", Quantity(2.0))
+
+class TestOperatorTables:
+    def test_tables_hold_every_operator(self):
+        assert set(units.ARITHMETIC) == {"+", "-", "*", "/"}
+        assert set(units.COMPARISONS) == set(COMPARISONS)
 
 
 class TestCoercion:
     def test_speed_times_speed_in_speed_context(self):
-        v_hero = units.from_literal(35.0, "kph")
-        scale = units.from_literal(10.0, "kph")
-        assert units.coercible_product(v_hero.dim, scale.dim, SPEED)
-        result = units.coerce_product(v_hero, scale, SPEED)
-        assert result.dim == SPEED
-        assert result.value == pytest.approx(27.006172839506172, rel=1e-9)
+        assert units.coercible_product(SPEED, SPEED, SPEED)
+        # the product of the magnitudes, read as a speed
+        scaled = MUL(units.from_literal(35.0, "kph"),
+                     units.from_literal(10.0, "kph"))
+        assert scaled == pytest.approx(27.006172839506172, rel=1e-9)
+        assert diagnostics("  var v: speed = 35kph * 10kph\n") == [
+            ("W001", "dimensional coercion applied in initializer of 'v': "
+                     "speed operand reinterpreted as a dimensionless scalar")]
 
     def test_plain_number_product_not_coercion(self):
         # length * 3 is dimensionally fine already, no coercion path
@@ -147,27 +165,31 @@ class TestCoercion:
         assert not units.coercible_product(SPEED, DURATION, LENGTH)
 
     def test_precondition_enforced(self):
-        with pytest.raises(UnitsError):
-            units.coerce_product(Quantity(1.0, LENGTH), Quantity(2.0), LENGTH)
+        # a left factor of another dimension is not coerced
+        assert not units.coercible_product(DURATION, SPEED, LENGTH)
+        assert diagnostics("  var d: length = 2s * 3kph\n") == []
+        assert diagnostics("  var d: length = 2s * 3m\n") == [
+            ("E003", "initializer of 'd' has dimension L^1*T^1*A^0, "
+                     "expected length")]
 
 
 class TestCompare:
     def test_basic(self):
-        a = Quantity(1.0, SPEED)
-        b = Quantity(2.0, SPEED)
-        assert units.compare(a, "<", b)
-        assert units.compare(a, "<=", b)
-        assert not units.compare(a, ">", b)
-        assert units.compare(a, "==", Quantity(1.0, SPEED))
+        table = units.COMPARISONS
+        assert table["<"](1.0, 2.0)
+        assert table["<="](1.0, 2.0)
+        assert not table[">"](1.0, 2.0)
+        assert table["=="](1.0, 1.0)
 
     def test_not_equal(self):
-        a = Quantity(1.0, SPEED)
-        assert units.compare(a, "!=", Quantity(2.0, SPEED))
-        assert not units.compare(a, "!=", Quantity(1.0, SPEED))
+        assert units.COMPARISONS["!="](1.0, 2.0)
+        assert not units.COMPARISONS["!="](1.0, 1.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            units.compare(Quantity(1.0, SPEED), "<", Quantity(1.0, LENGTH))
+        source = ("scenario s:\n  hero: vehicle\n  do serial:\n"
+                  "    wait hero.speed < 1m\n")
+        assert [(d.code, d.message) for d in check(source).diagnostics] == [
+            ("E003", "cannot compare speed with length")]
 
 
 finite = st.floats(min_value=-1e9, max_value=1e9,
@@ -179,32 +201,26 @@ unit_names = st.sampled_from(sorted(units.UNITS))
 class TestProperties:
     @given(value=finite, unit=unit_names)
     def test_literal_round_trip(self, value, unit):
-        q = units.from_literal(value, unit)
         factor = units.UNITS[unit][0]
-        assert q.value / factor == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert units.from_literal(value, unit) / factor == pytest.approx(
+            value, rel=1e-12, abs=1e-15)
 
     @given(a=finite, b=finite, unit=unit_names)
     def test_addition_commutes(self, a, b, unit):
         qa = units.from_literal(a, unit)
         qb = units.from_literal(b, unit)
-        total = units.binary(qa, "+", qb)
-        assert total.value == units.binary(qb, "+", qa).value
-        assert total.dim == qa.dim
+        assert ADD(qa, qb) == ADD(qb, qa)
 
     @given(a=finite, b=positive)
     def test_mul_div_inverse(self, a, b):
-        q = Quantity(a, SPEED)
-        scale = Quantity(b, DURATION)
-        back = units.binary(units.binary(q, "*", scale), "/", scale)
-        assert back.dim == SPEED
-        assert back.value == pytest.approx(a, rel=1e-12, abs=1e-15)
+        assert SPEED * DURATION / DURATION == SPEED
+        assert DIV(MUL(a, b), b) == pytest.approx(a, rel=1e-12, abs=1e-15)
 
     @given(a=finite, b=finite)
     def test_comparison_trichotomy(self, a, b):
-        qa = Quantity(a, LENGTH)
-        qb = Quantity(b, LENGTH)
-        assert units.compare(qa, "<", qb) == (not units.compare(qa, ">=", qb))
-        assert units.compare(qa, ">", qb) == (not units.compare(qa, "<=", qb))
+        table = units.COMPARISONS
+        assert table["<"](a, b) == (not table[">="](a, b))
+        assert table[">"](a, b) == (not table["<="](a, b))
 
     @given(la=st.integers(-3, 3), ta=st.integers(-3, 3),
            lb=st.integers(-3, 3), tb=st.integers(-3, 3))
