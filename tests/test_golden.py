@@ -20,6 +20,7 @@ import pytest
 
 from osc2c import ast
 from osc2c.cli import main
+from osc2c.diagnostics import CompileError
 from osc2c.parser import parse
 from osc2c.runtime import compile_scenario
 from osc2c.semantics import check
@@ -374,3 +375,30 @@ def test_check_time_fault(members, body, expected, tmp_path):
     trace = tmp_path / "trace.ndjson"
     assert main(["run", str(source), "--trace", str(trace)]) == 1
     assert not trace.exists()
+
+
+def _frontend_record(source: str, filename: str) -> str:
+    """The syntax tree, or the frontend error, and every check diagnostic
+    of one source, each diagnostic rendered with its full span."""
+    try:
+        tree = ast.dump_json(parse(source, filename))
+    except CompileError as exc:
+        tree = exc.diagnostic.render()
+    diagnostics = [f"{d.render()} {d.span.line}:{d.span.col}-"
+                   f"{d.span.end_line}:{d.span.end_col}"
+                   for d in check(source, filename).diagnostics]
+    return "\n".join([filename, tree, *diagnostics])
+
+
+def test_frontend_digest(tmp_path):
+    """Trees, spans and diagnostics of the shipped scenarios and of the
+    seed-0 crowd and corpus from the benchmark's generator."""
+    gen = load_perfbench_generator()
+    crowd, _ = gen.write_crowd(random.Random(0), str(tmp_path))
+    corpus = [f.path for f in gen.write_corpus(random.Random(0), str(tmp_path))]
+    paths = [*sorted(SCENARIOS.glob("*.osc")), Path(crowd), *map(Path, corpus)]
+    digest = hashlib.sha256()
+    for path in paths:
+        record = _frontend_record(path.read_text(encoding="utf-8"), path.name)
+        digest.update(record.encode())
+    assert digest.hexdigest()[:16] == "4855c80ff59574f7"

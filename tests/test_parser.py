@@ -186,6 +186,29 @@ class TestErrors:
             parse("wait @go\n")
         assert "'import', 'use', or 'scenario'" in str(exc.value)
 
+    @pytest.mark.parametrize("source, message, span", [
+        ("scenario probe:\n  hero: vehicle\n  do serial:\n",
+         "expected indented behavior block, found end of block", (4, 1, 4, 2)),
+        ('scenario "x":\n',
+         "expected scenario name, found string literal", (1, 10, 1, 13)),
+        ("# only a comment\n",
+         "expected a scenario declaration, found end of input", (2, 1, 2, 2)),
+        ("", "expected a scenario declaration, found end of input", (1, 1, 1, 2)),
+        ("scenario s:\n  do serial\n",
+         "expected ':', found end of line", (2, 12, 2, 13)),
+        ("scenario s:\n  hero: vehicle\n    npc: vehicle\n",
+         "expected field declaration, 'var', or 'do', found indented block",
+         (3, 1, 3, 2)),
+    ], ids=["end-of-block", "string-literal", "end-of-input-after-comment",
+            "end-of-empty-input", "end-of-line", "indented-block"])
+    def test_found_token_and_span(self, source, message, span):
+        # the layout and end-of-input tokens' positions, and each description
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        d = exc.value.diagnostic
+        assert d.message == message
+        assert (d.span.line, d.span.col, d.span.end_line, d.span.end_col) == span
+
     def test_diagnostic_format(self):
         with pytest.raises(ParseError) as exc:
             parse("scenario s:\n  do bogus:\n", filename="x.osc")
