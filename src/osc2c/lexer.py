@@ -14,6 +14,17 @@ literals use the ASCII digits 0-9 only.
 Quantity literals (``35kph``, ``-1.57rad`` minus the sign, ``0.5s``) are a
 number immediately followed by a unit suffix; the suffix is validated here
 against the unit table so a bad unit fails with a precise span.
+
+A token is a plain tuple ``(kind, text, line, col, end_col, value, unit)``:
+its ``TokenKind``, its text (a string literal's without the quotes, "" for
+a layout token or EOF), its 1-based line, and its 1-based start and
+exclusive end columns on that line.  ``value`` and ``unit`` are the
+number and the unit suffix of a NUMBER or QUANTITY, and None otherwise.
+Every token lies on one line: INDENT and DEDENT take columns 1-2 of the
+line they open or close a block at, NEWLINE the column after its line's
+last character, and the DEDENTs that close the file and EOF columns 1-2
+of the line after the last.  The lexer builds no ``Span`` for a token;
+the parser builds one for each syntax-tree node from these ints.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
 from .diagnostics import ERROR, CompileError, Diagnostic, Span
 from .units import UNITS
@@ -61,18 +71,6 @@ class TokenKind(enum.Enum):
     OP = "OP"
 
 
-@dataclass(slots=True)
-class Token:
-    kind: TokenKind
-    text: str
-    span: Span
-    value: float | None = None
-    unit: str | None = None
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.text!r}, {self.span.line}:{self.span.col})"
-
-
 class LexError(CompileError):
     pass
 
@@ -81,16 +79,17 @@ def _error(message: str, filename: str, line: int, col: int) -> LexError:
     return LexError(Diagnostic(ERROR, "L001", message, Span.point(line, col), filename))
 
 
-def tokenize(source: str, filename: str = "<string>") -> list[Token]:
-    """Lex source text into a token list ending with EOF.
+def tokenize(source: str, filename: str = "<string>") -> list[tuple]:
+    """Lex source text into a list of token tuples ending with EOF.
 
     Raises LexError (code L001) on bad indentation, unknown characters,
     unknown unit suffixes, literals whose SI value overflows a float, and
     unterminated strings.
     """
     IDENT, KEYWORD, OP = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.OP
+    INDENT, DEDENT = TokenKind.INDENT, TokenKind.DEDENT
     match = _TOKEN.match
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
     append = tokens.append
     indents = [0]
     parens = 0
@@ -102,13 +101,12 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
         pos = len(line) - len(rest)
         if parens == 0:
             width = len(line[:pos].expandtabs(8))
-            span = Span.point(lineno, 1)
             if width > indents[-1]:
                 indents.append(width)
-                append(Token(TokenKind.INDENT, "", span))
+                append((INDENT, "", lineno, 1, 2, None, None))
             while width < indents[-1]:
                 indents.pop()
-                append(Token(TokenKind.DEDENT, "", span))
+                append((DEDENT, "", lineno, 1, 2, None, None))
             if width != indents[-1]:
                 raise _error("unindent does not match any outer indentation level",
                              filename, lineno, 1)
@@ -117,15 +115,15 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
             pos = m.end()
             if group == "name" or group == "word" and m[group][0].isalpha():
                 text = m[group]
-                append(Token(KEYWORD if text in KEYWORDS else IDENT, text,
-                             Span(lineno, pos - len(text) + 1, lineno, pos + 1)))
+                append((KEYWORD if text in KEYWORDS else IDENT, text,
+                        lineno, pos - len(text) + 1, pos + 1, None, None))
             elif group == "op":
                 text = m[group]
                 if text == "(":
                     parens += 1
                 elif text == ")" and parens:
                     parens -= 1
-                append(Token(OP, text, Span(lineno, pos - len(text) + 1, lineno, pos + 1)))
+                append((OP, text, lineno, pos - len(text) + 1, pos + 1, None, None))
             elif group == "number" or group == "unit":
                 start = m.start("number")
                 value, unit, factor = float(m["number"]), m["unit"], 1.0
@@ -141,13 +139,12 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
                 if not math.isfinite(value * factor):
                     raise _error("number literal is out of range",
                                  filename, lineno, start + 1)
-                append(Token(TokenKind.NUMBER if unit is None else TokenKind.QUANTITY,
-                             line[start:pos], Span(lineno, start + 1, lineno, pos + 1),
-                             value, unit))
+                append((TokenKind.NUMBER if unit is None else TokenKind.QUANTITY,
+                        line[start:pos], lineno, start + 1, pos + 1, value, unit))
             elif group == "string":
                 # no escape sequences: a string is everything up to the next quote
-                append(Token(TokenKind.STRING, m[group],
-                             Span(lineno, m.start(group), lineno, pos + 1)))
+                append((TokenKind.STRING, m[group], lineno, m.start(group), pos + 1,
+                        None, None))
             elif group == "comment":
                 break
             else:
@@ -157,9 +154,10 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
                 raise _error(f"unexpected character {line[col - 1]!r}",
                              filename, lineno, col)
         if parens == 0:
-            append(Token(TokenKind.NEWLINE, "", Span.point(lineno, len(line) + 1)))
-    end = Span.point(lineno + 1, 1)
+            end = len(line) + 1
+            append((TokenKind.NEWLINE, "", lineno, end, end + 1, None, None))
+    lineno += 1
     for _ in indents[1:]:
-        append(Token(TokenKind.DEDENT, "", end))
-    append(Token(TokenKind.EOF, "", end))
+        append((DEDENT, "", lineno, 1, 2, None, None))
+    append((TokenKind.EOF, "", lineno, 1, 2, None, None))
     return tokens

@@ -7,13 +7,19 @@ compositions (serial, parallel, one_of), action invocations with optional
 
 All failures raise ParseError (code P001) phrased as
 "expected <thing>, found <token>".
+
+The parser reads the lexer's token tuples ``(kind, text, line, col,
+end_col, value, unit)`` by index.  It builds a ``Span`` only for each
+syntax-tree node it keeps, and for the token a ParseError points at: from
+the ints of the node's first and last tokens, or from a child node's span
+where the node begins or ends with that child.
 """
 
 from __future__ import annotations
 
 from . import ast
 from .diagnostics import ERROR, CompileError, Diagnostic, Span
-from .lexer import Token, TokenKind, tokenize
+from .lexer import TokenKind, tokenize
 
 COMPOSITION_KINDS = ("serial", "parallel", "one_of")
 COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
@@ -43,8 +49,8 @@ class ParseError(CompileError):
     pass
 
 
-def describe(token: Token) -> str:
-    kind = token.kind
+def describe(token: tuple) -> str:
+    kind = token[0]
     if kind is NEWLINE:
         return "end of line"
     if kind is EOF:
@@ -54,18 +60,18 @@ def describe(token: Token) -> str:
     if kind is DEDENT:
         return "end of block"
     if kind is KEYWORD:
-        return f"keyword {token.text!r}"
+        return f"keyword {token[1]!r}"
     if kind is IDENT:
-        return f"identifier {token.text!r}"
+        return f"identifier {token[1]!r}"
     if kind is STRING:
         return "string literal"
     if kind is NUMBER or kind is QUANTITY:
-        return f"literal {token.text!r}"
-    return f"{token.text!r}"
+        return f"literal {token[1]!r}"
+    return f"{token[1]!r}"
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+    def __init__(self, tokens: list[tuple], filename: str):
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
@@ -77,36 +83,40 @@ class Parser:
 
     def at(self, kind: TokenKind, text: str | None = None) -> bool:
         tok = self.tok
-        return tok.kind is kind and (text is None or tok.text == text)
+        return tok[0] is kind and (text is None or tok[1] == text)
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tok
-        if tok.kind is not EOF:
+        if tok[0] is not EOF:
             self.pos += 1
             self.tok = self.tokens[self.pos]
         return tok
 
-    def prev_span(self) -> Span:
-        return self.tokens[max(self.pos - 1, 0)].span
+    def prev(self) -> tuple:
+        return self.tokens[max(self.pos - 1, 0)]
 
-    def fail(self, expected: str, at: Token | None = None) -> ParseError:
+    def fail(self, expected: str, at: tuple | None = None) -> ParseError:
         tok = at or self.tok
         message = f"expected {expected}, found {describe(tok)}"
-        return ParseError(Diagnostic(ERROR, "P001", message, tok.span, self.filename))
+        span = Span(tok[2], tok[3], tok[2], tok[4])
+        return ParseError(Diagnostic(ERROR, "P001", message, span, self.filename))
 
     def expect(self, kind: TokenKind, text: str | None = None,
-               expected: str | None = None) -> Token:
+               expected: str | None = None) -> tuple:
         tok = self.tok
-        if tok.kind is not kind or (text is not None and tok.text != text):
+        if tok[0] is not kind or (text is not None and tok[1] != text):
             raise self.fail(expected or (f"{text!r}" if text else kind.name.lower()))
-        return self.advance()
+        # advance() inlined: nothing expects EOF, so a token follows this one
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
+        return tok
 
     def _enter(self) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise self.fail("shallower nesting (limit exceeded)")
 
-    def _stack(self, height: int, op: Token) -> int:
+    def _stack(self, height: int, op: tuple) -> int:
         """Height of an operator `op` over operands of `height` and `self.height`."""
         height = max(height, self.height) + 1
         if height > MAX_DEPTH:
@@ -117,7 +127,7 @@ class Parser:
     # grammar
 
     def parse_program(self) -> ast.Program:
-        start = self.tok.span
+        start = self.tok
         imports: list[ast.Node] = []
         uses: list[ast.Node] = []
         scenarios: list[ast.Node] = []
@@ -134,34 +144,35 @@ class Parser:
                 raise self.fail("'import', 'use', or 'scenario'")
         if not scenarios:
             raise self.fail("a scenario declaration")
+        end = self.tok
         return ast.Program(imports, uses, scenarios,
-                           span=start.to(self.tok.span))
+                           span=Span(start[2], start[3], end[2], end[4]))
 
     def _import_decl(self) -> ast.ImportDecl:
-        start = self.advance().span
+        start = self.advance()
         path = self.expect(STRING, expected="import path string")
         self._end_line()
-        return ast.ImportDecl(path.text, span=start.to(path.span))
+        return ast.ImportDecl(path[1], span=Span(start[2], start[3], path[2], path[4]))
 
     def _use_decl(self) -> ast.UseDecl:
-        start = self.advance().span
-        parts = [self.expect(IDENT, expected="module name").text]
+        start = self.advance()
+        parts = [self.expect(IDENT, expected="module name")[1]]
         while self.at(OP, "."):
             self.advance()
-            parts.append(self.expect(IDENT, expected="module name").text)
-        end = self.prev_span()
+            parts.append(self.expect(IDENT, expected="module name")[1])
+        end = self.prev()
         self._end_line()
-        return ast.UseDecl(".".join(parts), span=start.to(end))
+        return ast.UseDecl(".".join(parts), span=Span(start[2], start[3], end[2], end[4]))
 
     def _scenario_decl(self) -> ast.ScenarioDecl:
-        start = self.advance().span
+        start = self.advance()
         name = self.expect(IDENT, expected="scenario name")
         self.expect(OP, ":")
         self.expect(NEWLINE, expected="end of line")
         self.expect(INDENT, expected="indented scenario body")
         members: list[ast.Node] = []
         body: ast.DoBlock | None = None
-        while not self.at(DEDENT):
+        while self.tok[0] is not DEDENT:
             if self.at(KEYWORD, "var"):
                 members.append(self._var_decl())
             elif self.at(KEYWORD, "do"):
@@ -172,56 +183,58 @@ class Parser:
                 members.append(self._field_decl())
             else:
                 raise self.fail("field declaration, 'var', or 'do'")
-        end = self.advance().span  # DEDENT
-        return ast.ScenarioDecl(name.text, members, body, span=start.to(end))
+        end = self.advance()  # DEDENT
+        return ast.ScenarioDecl(name[1], members, body,
+                                span=Span(start[2], start[3], end[2], end[4]))
 
     def _field_decl(self) -> ast.FieldDecl:
         name = self.advance()
         self.expect(OP, ":")
         type_name = self.expect(IDENT, expected="type name")
         constraints: list[ast.Node] = []
-        end = type_name.span
+        end = type_name
         if self.at(KEYWORD, "with"):
             self.advance()
             self.expect(OP, ":")
             self.expect(NEWLINE, expected="end of line")
             self.expect(INDENT, expected="indented keep block")
-            while not self.at(DEDENT):
+            while self.tok[0] is not DEDENT:
                 constraints.append(self._keep())
-            end = self.advance().span  # DEDENT
+            end = self.advance()  # DEDENT
         else:
             self._end_line()
-        return ast.FieldDecl(name.text, type_name.text, constraints,
-                             span=name.span.to(end))
+        return ast.FieldDecl(name[1], type_name[1], constraints,
+                             span=Span(name[2], name[3], end[2], end[4]))
 
     def _keep(self) -> ast.KeepConstraint:
-        start = self.expect(KEYWORD, "keep",
-                            expected="'keep' constraint").span
+        start = self.expect(KEYWORD, "keep", expected="'keep' constraint")
         self.expect(OP, "(")
         expr = self._expr()
-        end = self.expect(OP, ")").span
+        end = self.expect(OP, ")")
         self._end_line()
-        return ast.KeepConstraint(expr, span=start.to(end))
+        return ast.KeepConstraint(expr, span=Span(start[2], start[3], end[2], end[4]))
 
     def _var_decl(self) -> ast.VarDecl:
-        start = self.advance().span
+        start = self.advance()
         name = self.expect(IDENT, expected="variable name")
         self.expect(OP, ":")
         type_name = self.expect(IDENT, expected="type name")
         self.expect(OP, "=", expected="'=' initializer")
         init = self._expr()
-        end = self.prev_span()
+        end = self.prev()
         self._end_line()
-        return ast.VarDecl(name.text, type_name.text, init, span=start.to(end))
+        return ast.VarDecl(name[1], type_name[1], init,
+                           span=Span(start[2], start[3], end[2], end[4]))
 
     def _do_block(self) -> ast.DoBlock:
-        start = self.advance().span
+        start = self.advance()
         root = self._composition()
-        return ast.DoBlock(root, span=start.to(root.span))
+        end = root.span
+        return ast.DoBlock(root, span=Span(start[2], start[3], end.end_line, end.end_col))
 
     def _composition(self) -> ast.Composition:
         tok = self.tok
-        if not (tok.kind is KEYWORD and tok.text in COMPOSITION_KINDS):
+        if not (tok[0] is KEYWORD and tok[1] in COMPOSITION_KINDS):
             raise self.fail("'serial', 'parallel', or 'one_of'")
         self._enter()
         self.advance()
@@ -229,57 +242,59 @@ class Parser:
         self.expect(NEWLINE, expected="end of line")
         self.expect(INDENT, expected="indented behavior block")
         children: list[ast.Node] = []
-        while not self.at(DEDENT):
+        while self.tok[0] is not DEDENT:
             children.append(self._behavior())
-        end = self.advance().span  # DEDENT
+        end = self.advance()  # DEDENT
         self.depth -= 1
-        return ast.Composition(tok.text, children, span=tok.span.to(end))
+        return ast.Composition(tok[1], children,
+                               span=Span(tok[2], tok[3], end[2], end[4]))
 
     def _behavior(self) -> ast.Node:
-        tok = self.tok
-        if tok.kind is KEYWORD:
-            if tok.text in COMPOSITION_KINDS:
+        kind, text = self.tok[:2]
+        if kind is KEYWORD:
+            if text in COMPOSITION_KINDS:
                 return self._composition()
-            if tok.text == "wait":
+            if text == "wait":
                 return self._wait()
-            if tok.text == "emit":
+            if text == "emit":
                 return self._emit()
-        if tok.kind is IDENT:
+        if kind is IDENT:
             return self._invocation()
         raise self.fail("behavior statement")
 
     def _wait(self) -> ast.WaitStatement:
-        start = self.advance().span
+        start = self.advance()
         condition = self._condition()
-        end = self.prev_span()
+        end = self.prev()
         self._end_line()
-        return ast.WaitStatement(condition, span=start.to(end))
+        return ast.WaitStatement(condition, span=Span(start[2], start[3], end[2], end[4]))
 
     def _condition(self) -> ast.Node:
         tok = self.tok
-        if tok.kind is OP and tok.text == "@":
+        kind, text = tok[:2]
+        if kind is OP and text == "@":
             self.advance()
             name = self.expect(IDENT, expected="event name")
-            return ast.EventRef(name.text, span=tok.span.to(name.span))
-        if tok.kind is KEYWORD and tok.text in ("rise", "fall", "elapsed"):
+            return ast.EventRef(name[1], span=Span(tok[2], tok[3], name[2], name[4]))
+        if kind is KEYWORD and text in ("rise", "fall", "elapsed"):
             self.advance()
             self.expect(OP, "(")
             inner = self._expr()
-            end = self.expect(OP, ")").span
-            span = tok.span.to(end)
-            if tok.text == "rise":
+            end = self.expect(OP, ")")
+            span = Span(tok[2], tok[3], end[2], end[4])
+            if text == "rise":
                 return ast.RiseCondition(inner, span=span)
-            if tok.text == "fall":
+            if text == "fall":
                 return ast.FallCondition(inner, span=span)
             return ast.ElapsedCondition(inner, span=span)
         expr = self._expr()
         return ast.BoolCondition(expr, span=expr.span)
 
     def _emit(self) -> ast.EmitStatement:
-        start = self.advance().span
+        start = self.advance()
         name = self.expect(IDENT, expected="event name")
         self._end_line()
-        return ast.EmitStatement(name.text, span=start.to(name.span))
+        return ast.EmitStatement(name[1], span=Span(start[2], start[3], name[2], name[4]))
 
     def _invocation(self) -> ast.ActionInvocation:
         actor = self.advance()
@@ -287,28 +302,29 @@ class Parser:
         action = self.expect(IDENT, expected="action name")
         self.expect(OP, "(")
         args = self._args()
-        end = self.expect(OP, ")").span
+        end = self.expect(OP, ")")
         modifiers: list[ast.Node] = []
         if self.at(KEYWORD, "with"):
             self.advance()
             self.expect(OP, ":")
             self.expect(NEWLINE, expected="end of line")
             self.expect(INDENT, expected="indented modifier block")
-            while not self.at(DEDENT):
+            while self.tok[0] is not DEDENT:
                 modifiers.append(self._modifier())
-            end = self.advance().span  # DEDENT
+            end = self.advance()  # DEDENT
         else:
             self._end_line()
-        return ast.ActionInvocation(actor.text, action.text, args, modifiers,
-                                    span=actor.span.to(end))
+        return ast.ActionInvocation(actor[1], action[1], args, modifiers,
+                                    span=Span(actor[2], actor[3], end[2], end[4]))
 
     def _modifier(self) -> ast.ModifierApplication:
         name = self.expect(IDENT, expected="modifier name")
         self.expect(OP, "(")
         args = self._args()
-        end = self.expect(OP, ")").span
+        end = self.expect(OP, ")")
         self._end_line()
-        return ast.ModifierApplication(name.text, args, span=name.span.to(end))
+        return ast.ModifierApplication(name[1], args,
+                                       span=Span(name[2], name[3], end[2], end[4]))
 
     def _args(self) -> list[ast.Node]:
         """Arguments up to ")"; the height becomes the tallest one's, if any."""
@@ -326,21 +342,23 @@ class Parser:
 
     def _arg(self) -> ast.Argument:
         name = None
-        start = self.tok.span
-        if self.tok.kind is IDENT:
+        start = self.tok
+        if start[0] is IDENT:
             after = self.tokens[self.pos + 1]  # the current token is not EOF
-            if after.kind is OP and after.text == ":":
-                name = self.advance().text
+            if after[0] is OP and after[1] == ":":
+                name = self.advance()[1]
                 self.advance()
         value = self._expr()
-        return ast.Argument(name, value, span=start.to(value.span))
+        end = value.span
+        return ast.Argument(name, value,
+                            span=Span(start[2], start[3], end.end_line, end.end_col))
 
     # expressions, loosest to tightest binding; each sets self.height
 
     def _or_expr(self) -> ast.Node:
         node = self._and_expr()
         height = self.height
-        while self.tok.kind is KEYWORD and self.tok.text == "or":
+        while self.tok[0] is KEYWORD and self.tok[1] == "or":
             op = self.advance()
             rhs = self._and_expr()
             height = self._stack(height, op)
@@ -352,7 +370,7 @@ class Parser:
     def _and_expr(self) -> ast.Node:
         node = self._not_expr()
         height = self.height
-        while self.tok.kind is KEYWORD and self.tok.text == "and":
+        while self.tok[0] is KEYWORD and self.tok[1] == "and":
             op = self.advance()
             rhs = self._not_expr()
             height = self._stack(height, op)
@@ -361,51 +379,55 @@ class Parser:
 
     def _not_expr(self) -> ast.Node:
         if self.at(KEYWORD, "not"):
-            start = self.advance().span
+            start = self.advance()
             self._enter()
             operand = self._not_expr()
             self.depth -= 1
-            return ast.Unary("not", operand, span=start.to(operand.span))
+            end = operand.span
+            return ast.Unary("not", operand,
+                             span=Span(start[2], start[3], end.end_line, end.end_col))
         return self._comparison()
 
     def _comparison(self) -> ast.Node:
         node = self._additive()
         tok = self.tok
-        if tok.kind is OP and tok.text in COMPARISONS:
+        if tok[0] is OP and tok[1] in COMPARISONS:
             height = self.height
             self.advance()
             rhs = self._additive()
             self.height = max(height, self.height)
-            node = ast.Binary(tok.text, node, rhs, span=node.span.to(rhs.span))
+            node = ast.Binary(tok[1], node, rhs, span=node.span.to(rhs.span))
         return node
 
     def _additive(self) -> ast.Node:
         node = self._multiplicative()
         height = self.height
-        while self.tok.kind is OP and self.tok.text in ("+", "-"):
+        while self.tok[0] is OP and self.tok[1] in ("+", "-"):
             op = self.advance()
             rhs = self._multiplicative()
             height = self._stack(height, op)
-            node = ast.Binary(op.text, node, rhs, span=node.span.to(rhs.span))
+            node = ast.Binary(op[1], node, rhs, span=node.span.to(rhs.span))
         return node
 
     def _multiplicative(self) -> ast.Node:
         node = self._unary()
         height = self.height
-        while self.tok.kind is OP and self.tok.text in ("*", "/"):
+        while self.tok[0] is OP and self.tok[1] in ("*", "/"):
             op = self.advance()
             rhs = self._unary()
             height = self._stack(height, op)
-            node = ast.Binary(op.text, node, rhs, span=node.span.to(rhs.span))
+            node = ast.Binary(op[1], node, rhs, span=node.span.to(rhs.span))
         return node
 
     def _unary(self) -> ast.Node:
         if self.at(OP, "-"):
-            start = self.advance().span
+            start = self.advance()
             self._enter()
             operand = self._unary()
             self.depth -= 1
-            return ast.Unary("-", operand, span=start.to(operand.span))
+            end = operand.span
+            return ast.Unary("-", operand,
+                             span=Span(start[2], start[3], end.end_line, end.end_col))
         return self._postfix()
 
     def _postfix(self) -> ast.Node:
@@ -414,24 +436,26 @@ class Parser:
         while self.at(OP, "."):
             dot = self.advance()
             member = self.expect(IDENT, expected="member name")
+            start = node.span
             if self.at(OP, "("):
                 self.advance()
                 self._enter()
                 args = self._args()
                 self.depth -= 1
-                end = self.expect(OP, ")").span
-                node = ast.MethodCall(node, member.text, args,
-                                      span=node.span.to(end))
+                end = self.expect(OP, ")")
+                node = ast.MethodCall(node, member[1], args,
+                                      span=Span(start.line, start.col, end[2], end[4]))
             else:
-                node = ast.MemberAccess(node, member.text,
-                                        span=node.span.to(member.span))
+                node = ast.MemberAccess(node, member[1],
+                                        span=Span(start.line, start.col,
+                                                  member[2], member[4]))
             height = self._stack(height, dot)
         return node
 
     def _primary(self) -> ast.Node:
         tok = self.tok
-        kind = tok.kind
-        if kind is OP and tok.text == "(":
+        kind = tok[0]
+        if kind is OP and tok[1] == "(":
             self.advance()
             self._enter()
             node = self._expr()
@@ -441,22 +465,26 @@ class Parser:
         self.height = 0
         if kind is IDENT:
             self.advance()
-            return ast.Identifier(tok.text, span=tok.span)
+            return ast.Identifier(tok[1], span=Span(tok[2], tok[3], tok[2], tok[4]))
         if kind is QUANTITY:
             self.advance()
-            return ast.QuantityLiteral(tok.value, tok.unit, span=tok.span)
+            return ast.QuantityLiteral(tok[5], tok[6],
+                                       span=Span(tok[2], tok[3], tok[2], tok[4]))
         if kind is NUMBER:
             self.advance()
-            return ast.NumberLiteral(tok.value, span=tok.span)
+            return ast.NumberLiteral(tok[5], span=Span(tok[2], tok[3], tok[2], tok[4]))
         if kind is STRING:
             self.advance()
-            return ast.StringLiteral(tok.text, span=tok.span)
+            return ast.StringLiteral(tok[1], span=Span(tok[2], tok[3], tok[2], tok[4]))
         raise self.fail("expression")
 
     def _end_line(self) -> None:
-        if self.at(EOF):
-            return
-        self.expect(NEWLINE, expected="end of line")
+        kind = self.tok[0]
+        if kind is NEWLINE:
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+        elif kind is not EOF:
+            raise self.fail("end of line")
 
 
 def parse(source: str, filename: str = "<string>") -> ast.Program:

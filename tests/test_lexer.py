@@ -2,14 +2,22 @@
 
 import math
 import string
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osc2c.diagnostics import ERROR, Diagnostic, Span
-from osc2c.lexer import KEYWORDS, LexError, Token, TokenKind, tokenize
+from osc2c.lexer import KEYWORDS, LexError, TokenKind, tokenize
 from osc2c.units import UNITS
+
+# The fields of the lexer's token tuples, named for the assertions below.
+Tok = namedtuple("Tok", "kind text line col end_col value unit")
+
+
+def lex(source, filename="<string>"):
+    return [Tok(*t) for t in tokenize(source, filename)]
 
 
 def kinds(tokens):
@@ -23,7 +31,7 @@ def texts(tokens):
 
 class TestBasics:
     def test_simple_line(self):
-        toks = tokenize("var v_hero: speed = 35kph\n")
+        toks = lex("var v_hero: speed = 35kph\n")
         assert texts(toks) == [
             (TokenKind.KEYWORD, "var"),
             (TokenKind.IDENT, "v_hero"),
@@ -37,57 +45,57 @@ class TestBasics:
 
     def test_keywords_lex_as_keywords(self):
         for word in sorted(KEYWORDS):
-            tok = tokenize(word)[0]
+            tok = lex(word)[0]
             assert tok.kind == TokenKind.KEYWORD, word
 
     def test_one_of_is_single_token(self):
-        toks = tokenize("one_of:")
-        assert toks[0] == Token(TokenKind.KEYWORD, "one_of", toks[0].span)
+        toks = lex("one_of:")
+        assert toks[0] == (TokenKind.KEYWORD, "one_of", 1, 1, 7, None, None)
 
     def test_comment_and_blank_lines(self):
-        toks = tokenize("# header\n\n   \nwait @go_signal  # trailing\n")
+        toks = lex("# header\n\n   \nwait @go_signal  # trailing\n")
         assert kinds(toks) == [TokenKind.KEYWORD, TokenKind.OP,
                                TokenKind.IDENT, TokenKind.NEWLINE, TokenKind.EOF]
 
     def test_string_literal(self):
-        toks = tokenize('keep(it.model == "vehicle.tesla.model3")')
+        toks = lex('keep(it.model == "vehicle.tesla.model3")')
         strings = [t for t in toks if t.kind == TokenKind.STRING]
         assert len(strings) == 1
         assert strings[0].text == "vehicle.tesla.model3"
 
     def test_comma_string(self):
-        toks = tokenize('keep(it.color == "0,128,0")')
+        toks = lex('keep(it.color == "0,128,0")')
         strings = [t for t in toks if t.kind == TokenKind.STRING]
         assert strings[0].text == "0,128,0"
 
 
 class TestQuantities:
     def test_quantity_value_and_unit(self):
-        tok = tokenize("35kph")[0]
+        tok = lex("35kph")[0]
         assert tok.kind == TokenKind.QUANTITY
         assert tok.value == 35.0
         assert tok.unit == "kph"
 
     def test_fractional_quantity(self):
-        tok = tokenize("0.5s")[0]
+        tok = lex("0.5s")[0]
         assert tok.value == 0.5
         assert tok.unit == "s"
 
     def test_negative_is_minus_then_quantity(self):
-        toks = tokenize("-1.57rad")
+        toks = lex("-1.57rad")
         assert (toks[0].kind, toks[0].text) == (TokenKind.OP, "-")
         assert toks[1].kind == TokenKind.QUANTITY
         assert toks[1].value == 1.57
         assert toks[1].unit == "rad"
 
     def test_bare_number(self):
-        tok = tokenize("478.93")[0]
+        tok = lex("478.93")[0]
         assert tok.kind == TokenKind.NUMBER
         assert tok.value == 478.93
 
     def test_unknown_unit_suffix(self):
         with pytest.raises(LexError) as exc:
-            tokenize("35parsecs")
+            lex("35parsecs")
         assert "L001" in str(exc.value)
         assert exc.value.diagnostic.span.col == 3
 
@@ -100,7 +108,7 @@ class TestLayout:
             "    wait elapsed(1s)\n"
             "    emit DONE\n"
         )
-        ks = kinds(tokenize(source))
+        ks = kinds(lex(source))
         assert ks.count(TokenKind.INDENT) == 2
         assert ks.count(TokenKind.DEDENT) == 2
 
@@ -112,67 +120,67 @@ class TestLayout:
             "  d\n"
             "e\n"
         )
-        ks = kinds(tokenize(source))
+        ks = kinds(lex(source))
         assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT) == 2
         # d comes after exactly one DEDENT, e after the second
-        names = [(k, t.text) for k, t in zip(ks, tokenize(source))]
+        names = [(k, t.text) for k, t in zip(ks, lex(source))]
         d_idx = next(i for i, (k, s) in enumerate(names) if s == "d")
         assert names[d_idx - 1][0] == TokenKind.DEDENT
 
     def test_tab_expands_to_eight(self):
-        spaces = tokenize("a:\n        b\n")
-        tabs = tokenize("a:\n\tb\n")
+        spaces = lex("a:\n        b\n")
+        tabs = lex("a:\n\tb\n")
         assert kinds(spaces) == kinds(tabs)
 
     def test_bad_dedent(self):
         with pytest.raises(LexError) as exc:
-            tokenize("a:\n    b\n  c\n")
+            lex("a:\n    b\n  c\n")
         assert "unindent" in str(exc.value)
 
     def test_eof_closes_open_blocks(self):
-        toks = tokenize("a:\n  b:\n    c")
+        toks = lex("a:\n  b:\n    c")
         tail = kinds(toks)[-3:]
         assert tail == [TokenKind.DEDENT, TokenKind.DEDENT, TokenKind.EOF]
 
     def test_paren_suppresses_layout(self):
         source = "f(a: 1,\n   b: 2)\n"
-        ks = kinds(tokenize(source))
+        ks = kinds(lex(source))
         assert TokenKind.INDENT not in ks
         assert ks.count(TokenKind.NEWLINE) == 1
 
 
 class TestSpans:
     def test_token_positions(self):
-        toks = tokenize("wait elapsed(0.5s)")
+        toks = lex("wait elapsed(0.5s)")
         wait, elapsed, lparen, qty = toks[0], toks[1], toks[2], toks[3]
-        assert (wait.span.line, wait.span.col, wait.span.end_col) == (1, 1, 5)
-        assert (elapsed.span.col, elapsed.span.end_col) == (6, 13)
-        assert lparen.span.col == 13
-        assert (qty.span.col, qty.span.end_col) == (14, 18)
+        assert (wait.line, wait.col, wait.end_col) == (1, 1, 5)
+        assert (elapsed.col, elapsed.end_col) == (6, 13)
+        assert lparen.col == 13
+        assert (qty.col, qty.end_col) == (14, 18)
 
     def test_multiline_positions(self):
-        toks = tokenize("a\nbb\n")
+        toks = lex("a\nbb\n")
         idents = [t for t in toks if t.kind == TokenKind.IDENT]
-        assert idents[0].span.line == 1
-        assert idents[1].span.line == 2
+        assert idents[0].line == 1
+        assert idents[1].line == 2
 
 
 class TestFailures:
     def test_unexpected_character(self):
         with pytest.raises(LexError) as exc:
-            tokenize("wait $now")
+            lex("wait $now")
         assert "'$'" in str(exc.value)
 
     def test_unterminated_string(self):
         with pytest.raises(LexError) as exc:
-            tokenize('keep(it.name == "hero')
+            lex('keep(it.name == "hero')
         assert "unterminated" in str(exc.value)
 
     def test_literal_out_of_range(self):
         # the checker folds literals, so one that overflows fails here
         for source in ("9" * 400, "9" * 308 + "km"):
             with pytest.raises(LexError) as exc:
-                tokenize(f"wait x < {source}")
+                lex(f"wait x < {source}")
             assert "L001" in str(exc.value)
             assert "out of range" in str(exc.value)
             assert exc.value.diagnostic.span.col == 10
@@ -186,26 +194,26 @@ class TestFailures:
     def test_number_digits_are_ascii(self, source, col, char):
         # "²" used to end in a ValueError from float(), and "1٣m" was 13m
         with pytest.raises(LexError) as exc:
-            tokenize(source)
+            lex(source)
         diagnostic = exc.value.diagnostic
         assert diagnostic.code == "L001"
         assert diagnostic.message == f"unexpected character {char!r}"
         assert (diagnostic.span.line, diagnostic.span.col) == (1, col)
 
     def test_non_ascii_names_and_units(self):
-        toks = tokenize("\u00e9t\u00e9\u00b2 x\u0663")
+        toks = lex("\u00e9t\u00e9\u00b2 x\u0663")
         assert [(t.kind, t.text) for t in toks[:2]] == [
             (TokenKind.IDENT, "\u00e9t\u00e9\u00b2"), (TokenKind.IDENT, "x\u0663")]
         with pytest.raises(LexError) as exc:
-            tokenize("5\u00f1")
+            lex("5\u00f1")
         assert exc.value.diagnostic.message == "unknown unit suffix '\u00f1'"
         with pytest.raises(LexError) as exc:
-            tokenize("a \u00bd")
+            lex("a \u00bd")
         assert exc.value.diagnostic.message == "unexpected character '\u00bd'"
 
     def test_error_rendering(self):
         with pytest.raises(LexError) as exc:
-            tokenize("a ?", filename="bad.osc")
+            lex("a ?", filename="bad.osc")
         assert str(exc.value).startswith("bad.osc:1:3: error[L001]:")
 
 
@@ -217,7 +225,7 @@ class TestProperties:
     def test_lexer_total(self, source):
         # any input either lexes or fails with LexError, never anything else
         try:
-            toks = tokenize(source)
+            toks = lex(source)
         except LexError:
             return
         assert toks[-1].kind == TokenKind.EOF
@@ -233,7 +241,7 @@ class TestProperties:
             d = min(d, level + 1)  # indentation can only deepen one step
             lines.append("  " * d + "x:")
             level = d
-        toks = tokenize("\n".join(lines) + "\n")
+        toks = lex("\n".join(lines) + "\n")
         ks = kinds(toks)
         assert ks.count(TokenKind.INDENT) == ks.count(TokenKind.DEDENT)
 
@@ -258,6 +266,15 @@ def _old_indent_width(line):
 
 
 @dataclass
+class _OldToken:
+    kind: TokenKind
+    text: str
+    span: Span
+    value: float | None = None
+    unit: str | None = None
+
+
+@dataclass
 class _OldScanner:
     source: str
     filename: str
@@ -272,8 +289,8 @@ class _OldScanner:
         end = Span.point(lineno + 1, 1)
         while len(self.indents) > 1:
             self.indents.pop()
-            self.tokens.append(Token(TokenKind.DEDENT, "", end))
-        self.tokens.append(Token(TokenKind.EOF, "", end))
+            self.tokens.append(_OldToken(TokenKind.DEDENT, "", end))
+        self.tokens.append(_OldToken(TokenKind.EOF, "", end))
         return self.tokens
 
     def _scan_line(self, lineno, line):
@@ -286,18 +303,18 @@ class _OldScanner:
             self._layout(lineno, _old_indent_width(line))
         produced = self._scan_tokens(lineno, line, i)
         if self.paren_depth == 0 and produced:
-            self.tokens.append(Token(TokenKind.NEWLINE, "",
+            self.tokens.append(_OldToken(TokenKind.NEWLINE, "",
                                      Span.point(lineno, len(line) + 1)))
 
     def _layout(self, lineno, width):
         span = Span.point(lineno, 1)
         if width > self.indents[-1]:
             self.indents.append(width)
-            self.tokens.append(Token(TokenKind.INDENT, "", span))
+            self.tokens.append(_OldToken(TokenKind.INDENT, "", span))
             return
         while width < self.indents[-1]:
             self.indents.pop()
-            self.tokens.append(Token(TokenKind.DEDENT, "", span))
+            self.tokens.append(_OldToken(TokenKind.DEDENT, "", span))
         if width != self.indents[-1]:
             raise _old_error("unindent does not match any outer indentation level",
                              self.filename, lineno, 1)
@@ -328,7 +345,7 @@ class _OldScanner:
             j += 1
         text = line[i:j]
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        self.tokens.append(Token(kind, text, Span(lineno, i + 1, lineno, j + 1)))
+        self.tokens.append(_OldToken(kind, text, Span(lineno, i + 1, lineno, j + 1)))
         return j
 
     def _number(self, lineno, line, i):
@@ -353,7 +370,7 @@ class _OldScanner:
             raise _old_error("number literal is out of range",
                              self.filename, lineno, i + 1)
         kind = TokenKind.NUMBER if unit is None else TokenKind.QUANTITY
-        self.tokens.append(Token(kind, line[i:k], Span(lineno, i + 1, lineno, k + 1),
+        self.tokens.append(_OldToken(kind, line[i:k], Span(lineno, i + 1, lineno, k + 1),
                                  value=value, unit=unit))
         return k
 
@@ -361,14 +378,14 @@ class _OldScanner:
         j = line.find('"', i + 1)
         if j < 0:
             raise _old_error("unterminated string literal", self.filename, lineno, i + 1)
-        self.tokens.append(Token(TokenKind.STRING, line[i + 1:j],
+        self.tokens.append(_OldToken(TokenKind.STRING, line[i + 1:j],
                                  Span(lineno, i + 1, lineno, j + 2)))
         return j + 1
 
     def _operator(self, lineno, line, i):
         two = line[i:i + 2]
         if two in ("==", "!=", "<=", ">="):
-            self.tokens.append(Token(TokenKind.OP, two,
+            self.tokens.append(_OldToken(TokenKind.OP, two,
                                      Span(lineno, i + 1, lineno, i + 3)))
             return i + 2
         ch = line[i]
@@ -378,13 +395,18 @@ class _OldScanner:
             self.paren_depth += 1
         elif ch == ")":
             self.paren_depth = max(0, self.paren_depth - 1)
-        self.tokens.append(Token(TokenKind.OP, ch, Span(lineno, i + 1, lineno, i + 2)))
+        self.tokens.append(_OldToken(TokenKind.OP, ch, Span(lineno, i + 1, lineno, i + 2)))
         return i + 1
 
 
 def _fields(tokens):
     return [(t.kind, t.text, (t.span.line, t.span.col, t.span.end_line,
                               t.span.end_col), t.value, t.unit) for t in tokens]
+
+
+def _tuple_fields(tokens):
+    return [(kind, text, (line, col, line, end_col), value, unit)
+            for kind, text, line, col, end_col, value, unit in tokens]
 
 
 class _TracingScanner(_OldScanner):
@@ -412,7 +434,7 @@ def _old_outcome(source):
 
 def _new_outcome(source):
     try:
-        return _fields(tokenize(source))
+        return _tuple_fields(tokenize(source))
     except LexError as exc:
         return exc.diagnostic
 
