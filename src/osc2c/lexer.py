@@ -16,15 +16,12 @@ number immediately followed by a unit suffix; the suffix is validated here
 against the unit table so a bad unit fails with a precise span.
 
 A token is a plain tuple ``(kind, text, line, col, end_col, value, unit)``:
-its ``TokenKind``, its text (a string literal's without the quotes, "" for
-a layout token or EOF), its 1-based line, and its 1-based start and
-exclusive end columns on that line.  ``value`` and ``unit`` are the
-number and the unit suffix of a NUMBER or QUANTITY, and None otherwise.
-Every token lies on one line: INDENT and DEDENT take columns 1-2 of the
-line they open or close a block at, NEWLINE the column after its line's
-last character, and the DEDENTs that close the file and EOF columns 1-2
-of the line after the last.  The lexer builds no ``Span`` for a token;
-the parser builds one for each syntax-tree node from these ints.
+its ``TokenKind``; its text, "" for layout and EOF and a string's without
+the quotes; its 1-based line, start column and exclusive end column; and a
+NUMBER's or QUANTITY's value and unit suffix, None for other kinds.  INDENT
+and DEDENT take columns 1-2 of their line and NEWLINE the column after its
+line's end; the DEDENTs that close the file and EOF take columns 1-2 of the
+line after the last.  No ``Span`` is built per token.
 """
 
 from __future__ import annotations

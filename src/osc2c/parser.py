@@ -8,11 +8,9 @@ compositions (serial, parallel, one_of), action invocations with optional
 All failures raise ParseError (code P001) phrased as
 "expected <thing>, found <token>".
 
-The parser reads the lexer's token tuples ``(kind, text, line, col,
-end_col, value, unit)`` by index.  It builds a ``Span`` only for each
-syntax-tree node it keeps, and for the token a ParseError points at: from
-the ints of the node's first and last tokens, or from a child node's span
-where the node begins or ends with that child.
+The parser indexes the lexer's token tuples.  It builds a ``Span`` only for
+each syntax-tree node, from the ints of its first and last tokens or from a
+child node's span, and for the token a ParseError points at.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ class Parser:
                 raise self.fail("'import', 'use', or 'scenario'")
         if not scenarios:
             raise self.fail("a scenario declaration")
-        end = self.tok
+        end = self.tok  # EOF
         return ast.Program(imports, uses, scenarios,
                            span=Span(start[2], start[3], end[2], end[4]))
 
@@ -453,9 +451,8 @@ class Parser:
         return node
 
     def _primary(self) -> ast.Node:
-        tok = self.tok
-        kind = tok[0]
-        if kind is OP and tok[1] == "(":
+        kind, text, line, col, end_col, value, unit = self.tok
+        if kind is OP and text == "(":
             self.advance()
             self._enter()
             node = self._expr()
@@ -464,27 +461,22 @@ class Parser:
             return node
         self.height = 0
         if kind is IDENT:
-            self.advance()
-            return ast.Identifier(tok[1], span=Span(tok[2], tok[3], tok[2], tok[4]))
-        if kind is QUANTITY:
-            self.advance()
-            return ast.QuantityLiteral(tok[5], tok[6],
-                                       span=Span(tok[2], tok[3], tok[2], tok[4]))
-        if kind is NUMBER:
-            self.advance()
-            return ast.NumberLiteral(tok[5], span=Span(tok[2], tok[3], tok[2], tok[4]))
-        if kind is STRING:
-            self.advance()
-            return ast.StringLiteral(tok[1], span=Span(tok[2], tok[3], tok[2], tok[4]))
-        raise self.fail("expression")
+            node = ast.Identifier(text, span=Span(line, col, line, end_col))
+        elif kind is QUANTITY:
+            node = ast.QuantityLiteral(value, unit, span=Span(line, col, line, end_col))
+        elif kind is NUMBER:
+            node = ast.NumberLiteral(value, span=Span(line, col, line, end_col))
+        elif kind is STRING:
+            node = ast.StringLiteral(text, span=Span(line, col, line, end_col))
+        else:
+            raise self.fail("expression")
+        self.advance()
+        return node
 
     def _end_line(self) -> None:
-        kind = self.tok[0]
-        if kind is NEWLINE:
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-        elif kind is not EOF:
-            raise self.fail("end of line")
+        # A statement's parentheses balance, so a NEWLINE ends its line
+        # before EOF can come.
+        self.expect(NEWLINE, expected="end of line")
 
 
 def parse(source: str, filename: str = "<string>") -> ast.Program:

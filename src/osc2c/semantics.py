@@ -672,7 +672,7 @@ class Analyzer:
     def resolve_expr(self, expr: ast.Node,
                      scope: Scope) -> tuple[ExprType, Evaluator | None]:
         """Type an expression and lower it to its evaluator (None on error)."""
-        # most frequent node types first
+        # the eight expression nodes the parser builds, most frequent first
         if isinstance(expr, ast.Identifier):
             return self._resolve_name(expr, scope)
         if isinstance(expr, ast.Binary):
@@ -689,10 +689,7 @@ class Analyzer:
             return self._resolve_member(expr, scope)
         if isinstance(expr, ast.StringLiteral):
             return STRING, partial(_constant, expr.value)
-        if isinstance(expr, ast.Unary):
-            return self._resolve_unary(expr, scope)
-        self.error("E002", "unsupported expression", expr.span)
-        return UNKNOWN, None
+        return self._resolve_unary(expr, scope)  # an ast.Unary
 
     def _resolve_name(self, expr: ast.Identifier, scope: Scope):
         name = expr.name

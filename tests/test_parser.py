@@ -199,8 +199,15 @@ class TestErrors:
         ("scenario s:\n  hero: vehicle\n    npc: vehicle\n",
          "expected field declaration, 'var', or 'do', found indented block",
          (3, 1, 3, 2)),
+        ("scenario s:\n  hero: vehicle extra\n",
+         "expected end of line, found identifier 'extra'", (2, 17, 2, 22)),
+        ("scenario s:\n  do serial:\n    42\n",
+         "expected behavior statement, found literal '42'", (3, 5, 3, 7)),
+        ("scenario s:\n  var x: speed = )\n",
+         "expected expression, found ')'", (2, 18, 2, 19)),
     ], ids=["end-of-block", "string-literal", "end-of-input-after-comment",
-            "end-of-empty-input", "end-of-line", "indented-block"])
+            "end-of-empty-input", "end-of-line", "indented-block",
+            "not-end-of-line", "not-a-behavior", "not-an-expression"])
     def test_found_token_and_span(self, source, message, span):
         # the layout and end-of-input tokens' positions, and each description
         with pytest.raises(ParseError) as exc:
