@@ -176,7 +176,11 @@ def test_trace_number_text(tmp_path):
          "    wait rise(hero.position.ahead_of(npc) > 1m)\n",
      '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
      '"message":"ahead_of requires both actors on the lane network"}'),
-], ids=["query-div-zero", "off-network-ahead-of"])
+    # town06 has four spawn points, so a fifth actor finds them all taken
+    ("  a: vehicle\n  b: vehicle\n  c: vehicle\n", "    wait elapsed(1s)\n",
+     '{"record":"fault","tick":0,"error":"InitConflict",'
+     '"message":"no free default spawn point for actor \'c\'"}'),
+], ids=["query-div-zero", "off-network-ahead-of", "no-free-spawn-point"])
 def test_runtime_fault_record(members, body, record, tmp_path):
     source = tmp_path / "probe.osc"
     source.write_text(MEMBERS + members + "  do serial:\n" + body)
@@ -346,6 +350,19 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
      [("E001", "actor type 'vehicle' has no method 'foo'")]),
     ("  var d: length = 1m\n", "    wait d.foo(npc) > 1m\n",
      [("E002", "cannot call method 'foo' here")]),
+    ("  ghost: spaceship\n", "    wait elapsed(1s)\n",
+     [("E001", "undefined type 'spaceship'")]),
+    ("  var v: furlong = 1m\n", "    wait elapsed(1s)\n",
+     [("E001", "undefined type 'furlong'")]),
+    ("  env: environment with:\n    keep(1m == 1m)\n", "    wait elapsed(1s)\n",
+     [("E002", "keep constraint must have the form it.<attribute> == "
+               "<value>")]),
+    ("  var v: vehicle = 1m\n", "    wait elapsed(1s)\n",
+     [("E002", "'vehicle' is not a physical type")]),
+    ("", "    hero.change_speed(target: 5kph, target: 6kph)\n",
+     [("E002", "'change_speed' argument 'target' is given twice")]),
+    ("", "    wait 1m\n",
+     [("E002", "wait requires a boolean condition")]),
 ], ids=["missing-target", "target-length", "distance-speed", "side-start",
         "profile-left", "mode-length", "missing-elevation", "unnamed-target",
         "behind-length", "lane-side-start", "distance-stray-argument",
@@ -364,7 +381,9 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "negative-drive-speed", "negative-placement-distance",
         "negative-elapsed", "negate-boolean", "not-quantity",
         "add-boolean", "order-strings", "no-member", "member-of-quantity",
-        "position-no-method", "actor-no-method", "method-of-quantity"])
+        "position-no-method", "actor-no-method", "method-of-quantity",
+        "undefined-field-type", "undefined-var-type", "keep-form",
+        "var-of-actor-type", "argument-twice", "wait-not-boolean"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
     word, are now diagnostics."""

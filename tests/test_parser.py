@@ -4,7 +4,7 @@ import pathlib
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from osc2c import ast
 from osc2c.lexer import LexError
@@ -17,6 +17,20 @@ FLAGSHIP = (SCENARIOS / "cut_in_and_evade.osc").read_text()
 
 def flagship():
     return parse(FLAGSHIP, "cut_in_and_evade.osc")
+
+
+def var(expr):
+    """A one-line scenario whose var is initialized by `expr`, which starts
+    at line 2, column 18."""
+    return f"scenario s:\n  var x: speed = {expr}\n"
+
+
+def chain(op, count):
+    """`count` binary operators `op` between operands `a`."""
+    return f" {op} ".join("a" * (count + 1))
+
+
+TOO_DEEP = "expected shallower nesting (limit exceeded), found "
 
 
 class TestDeclarations:
@@ -65,6 +79,100 @@ class TestDeclarations:
         env = next(m for m in scen.members
                    if isinstance(m, ast.FieldDecl) and m.name == "env")
         assert env.constraints == []
+
+
+# The README's operator table as the binding level of each node, with the
+# least level each operand needs: a binary operator of level b takes a left
+# operand of level b and a right one of b + 1, except that a comparison,
+# which does not chain, takes b + 1 on both sides.  `not` sits at the
+# comparisons' level 3 and takes an operand of 3; unary `-` is 6 and takes 6;
+# member reads and calls are 7 and take a receiver of 7; leaves are 8.
+LEVELS = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3,
+          ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+
+
+@st.composite
+def expressions(draw, depth=5):
+    """An expression tree as tuples, binary operators the most common node;
+    ("(", x) is a redundant bracket around x."""
+    if depth == 0 or draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["a", "b", "c", "1", "2m"]))
+    inner = expressions(depth - 1)
+    kind = draw(st.sampled_from(["binary"] * 5 + ["not", "neg", "(", ".", "call"]))
+    if kind == "binary":
+        level = draw(st.integers(1, 5))  # each level as often as any other
+        op = draw(st.sampled_from(sorted(op for op in LEVELS
+                                         if LEVELS[op] == level)))
+        return (op, draw(inner), draw(inner))
+    if kind == ".":
+        return (".", draw(inner), "m")
+    if kind == "call":
+        args = st.lists(st.tuples(st.sampled_from([None, "k"]), inner),
+                        max_size=2)
+        return ("call", draw(inner), "f", draw(args))
+    return (kind, draw(inner))
+
+
+def render(tree):
+    """The tree's text with the fewest brackets, and its binding level."""
+    def at(sub, least):
+        text, level = render(sub)
+        return text if level >= least else f"({text})"
+
+    if isinstance(tree, str):
+        return tree, 8
+    op = tree[0]
+    if op in LEVELS:
+        level = LEVELS[op]
+        left = level + 1 if level == 3 else level
+        return f"{at(tree[1], left)} {op} {at(tree[2], level + 1)}", level
+    if op == "not":
+        return f"not {at(tree[1], 3)}", 3
+    if op == "neg":
+        return f"-{at(tree[1], 6)}", 6
+    if op == "(":
+        return f"({render(tree[1])[0]})", 8
+    receiver = at(tree[1], 7)
+    if op == ".":
+        return f"{receiver}.{tree[2]}", 7
+    args = ", ".join(f"{name}: {render(value)[0]}" if name else render(value)[0]
+                     for name, value in tree[3])
+    return f"{receiver}.{tree[2]}({args})", 7
+
+
+def strip(tree):
+    """The drawn tree without its redundant brackets, in `shape`'s form."""
+    if isinstance(tree, str):
+        return tree
+    op = tree[0]
+    if op == "(":
+        return strip(tree[1])
+    if op == "neg":
+        return ("-", strip(tree[1]))
+    if op == "call":
+        return (op, strip(tree[1]), tree[2],
+                [(name, strip(value)) for name, value in tree[3]])
+    if op == ".":
+        return (op, strip(tree[1]), tree[2])
+    return (op, *map(strip, tree[1:]))
+
+
+def shape(node):
+    """A parsed expression in `strip`'s form, spans aside."""
+    if isinstance(node, ast.Binary):
+        return (node.op, shape(node.lhs), shape(node.rhs))
+    if isinstance(node, ast.Unary):
+        return (node.op, shape(node.operand))
+    if isinstance(node, ast.MemberAccess):
+        return (".", shape(node.receiver), node.member)
+    if isinstance(node, ast.MethodCall):
+        return ("call", shape(node.receiver), node.method,
+                [(arg.name, shape(arg.value)) for arg in node.args])
+    if isinstance(node, ast.Identifier):
+        return node.name
+    if isinstance(node, ast.QuantityLiteral):
+        return f"{node.value:g}{node.unit}"
+    return f"{node.value:g}"
 
 
 class TestBehaviors:
@@ -150,11 +258,14 @@ class TestBehaviors:
         assert arg.value.operand == ast.QuantityLiteral(
             1.57, "rad", span=arg.value.operand.span)
 
-    def test_precedence(self):
-        src = "scenario s:\n  var x: length = 1m + 2m * 3\n"
-        init = parse(src).scenarios[0].members[0].init
-        assert init.op == "+"
-        assert init.rhs.op == "*"
+    @settings(max_examples=200, deadline=None)
+    @given(tree=expressions())
+    def test_precedence(self, tree):
+        # each tree, written with only the brackets the table needs, parses
+        # back to itself
+        text = render(tree)[0]
+        init = parse(var(text)).scenarios[0].members[0].init
+        assert shape(init) == strip(tree), text
 
 
 class TestErrors:
@@ -205,9 +316,34 @@ class TestErrors:
          "expected behavior statement, found literal '42'", (3, 5, 3, 7)),
         ("scenario s:\n  var x: speed = )\n",
          "expected expression, found ')'", (2, 18, 2, 19)),
+        *((var(chain(op, 65)), f"{TOO_DEEP}{op!r}", (2, 276, 2, 277))
+          for op in "+-*/"),
+        (var(chain("or", 65)), f"{TOO_DEEP}keyword 'or'", (2, 340, 2, 342)),
+        (var(chain("and", 65)), f"{TOO_DEEP}keyword 'and'", (2, 404, 2, 407)),
+        (var("a" + ".m" * 65), f"{TOO_DEEP}'.'", (2, 147, 2, 148)),
+        (var("-" * 65 + "a"), f"{TOO_DEEP}identifier 'a'", (2, 83, 2, 84)),
+        (var("(" * 65 + "a" + ")" * 65), f"{TOO_DEEP}identifier 'a'",
+         (2, 83, 2, 84)),
+        ("scenario s:\n  do serial:\n    wait " + "not " * 65 + "a\n",
+         f"{TOO_DEEP}keyword 'not'", (3, 266, 3, 269)),
+        (var("a == b == c"), "expected end of line, found '=='",
+         (2, 25, 2, 27)),
+        (var("a and b > c != d"), "expected end of line, found '!='",
+         (2, 30, 2, 32)),
+        (var("not a == b == c"), "expected end of line, found '=='",
+         (2, 29, 2, 31)),
+        (var("a + not b"), "expected expression, found keyword 'not'",
+         (2, 22, 2, 25)),
+        (var("a == not b"), "expected expression, found keyword 'not'",
+         (2, 23, 2, 26)),
     ], ids=["end-of-block", "string-literal", "end-of-input-after-comment",
             "end-of-empty-input", "end-of-line", "indented-block",
-            "not-end-of-line", "not-a-behavior", "not-an-expression"])
+            "not-end-of-line", "not-a-behavior", "not-an-expression",
+            "plus-chain", "minus-chain", "times-chain", "divide-chain",
+            "or-chain", "and-chain", "member-chain", "negation-nest",
+            "bracket-nest", "not-nest", "chained-comparison",
+            "comparison-after-and", "comparison-after-not", "not-after-plus",
+            "not-after-comparison"])
     def test_found_token_and_span(self, source, message, span):
         # the layout and end-of-input tokens' positions, and each description
         with pytest.raises(ParseError) as exc:
@@ -215,6 +351,11 @@ class TestErrors:
         d = exc.value.diagnostic
         assert d.message == message
         assert (d.span.line, d.span.col, d.span.end_line, d.span.end_col) == span
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "or", "and"])
+    def test_chain_at_the_limit_parses(self, op):
+        init = parse(var(chain(op, 64))).scenarios[0].members[0].init
+        assert init.op == op
 
     def test_diagnostic_format(self):
         with pytest.raises(ParseError) as exc:
