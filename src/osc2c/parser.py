@@ -5,6 +5,10 @@ One scenario holds field and var declarations in any order plus at most one
 compositions (serial, parallel, one_of), action invocations with optional
 ``with:`` modifier blocks, ``wait`` on a condition, and ``emit``.
 
+Expressions are parsed by precedence climbing: ``BINARY`` is the one owner
+of operator precedence, and one loop, ``Parser._expr``, parses every binary
+operator by its level.
+
 All failures raise ParseError (code P001) phrased as
 "expected <thing>, found <token>".
 
@@ -20,7 +24,11 @@ from .diagnostics import ERROR, CompileError, Diagnostic, Span
 from .lexer import TokenKind, tokenize
 
 COMPOSITION_KINDS = ("serial", "parallel", "one_of")
-COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+# The binding level of each binary operator, loosest first; comparisons do
+# not chain.  `not` binds between `and` and the comparisons, and unary `-`
+# tighter than `*`.
+BINARY = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3,
+          ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
 
 INDENT, DEDENT, NEWLINE, EOF = (TokenKind.INDENT, TokenKind.DEDENT,
                                 TokenKind.NEWLINE, TokenKind.EOF)
@@ -30,10 +38,11 @@ NUMBER, QUANTITY = TokenKind.NUMBER, TokenKind.QUANTITY
 
 # The limit on two measures of nesting.  The depth counts the constructs
 # the parser enters by recursion: parentheses, method-call argument lists,
-# unary operators and compositions.  One level of it costs the parser about
-# a dozen Python frames, so the limit fires well before the interpreter's
-# default recursion limit of 1000, with room left for the caller's own
-# frames and for the checker and runtime, which recurse less.  The height
+# unary operators and compositions.  One level of it costs the parser at
+# most four Python frames (an argument list; a bracket three, a composition
+# two, a unary operator one), so the limit fires well before the
+# interpreter's default recursion limit of 1000, with room left for the
+# caller's own frames and for the checker and runtime.  The height
 # counts the operators the parser builds in loops: each binary operator of
 # an `and`, `or`, `+ -` or `* /` chain, each member read and each method
 # call stacks one level on its taller operand.  The parser itself does not
@@ -130,9 +139,7 @@ class Parser:
         uses: list[ast.Node] = []
         scenarios: list[ast.Node] = []
         while not self.at(EOF):
-            if self.at(NEWLINE):
-                self.advance()
-            elif self.at(KEYWORD, "import"):
+            if self.at(KEYWORD, "import"):
                 imports.append(self._import_decl())
             elif self.at(KEYWORD, "use"):
                 uses.append(self._use_decl())
@@ -351,82 +358,49 @@ class Parser:
         return ast.Argument(name, value,
                             span=Span(start[2], start[3], end.end_line, end.end_col))
 
-    # expressions, loosest to tightest binding; each sets self.height
+    # expressions; each method sets self.height
 
-    def _or_expr(self) -> ast.Node:
-        node = self._and_expr()
-        height = self.height
-        while self.tok[0] is KEYWORD and self.tok[1] == "or":
-            op = self.advance()
-            rhs = self._and_expr()
-            height = self._stack(height, op)
-            node = ast.Binary("or", node, rhs, span=node.span.to(rhs.span))
-        return node
+    def _expr(self, level: int = 1) -> ast.Node:
+        """An expression whose binary operators bind at `level` or tighter.
 
-    _expr = _or_expr
-
-    def _and_expr(self) -> ast.Node:
-        node = self._not_expr()
-        height = self.height
-        while self.tok[0] is KEYWORD and self.tok[1] == "and":
-            op = self.advance()
-            rhs = self._not_expr()
-            height = self._stack(height, op)
-            node = ast.Binary("and", node, rhs, span=node.span.to(rhs.span))
-        return node
-
-    def _not_expr(self) -> ast.Node:
-        if self.at(KEYWORD, "not"):
-            start = self.advance()
-            self._enter()
-            operand = self._not_expr()
-            self.depth -= 1
-            end = operand.span
-            return ast.Unary("not", operand,
-                             span=Span(start[2], start[3], end.end_line, end.end_col))
-        return self._comparison()
-
-    def _comparison(self) -> ast.Node:
-        node = self._additive()
+        `not` is read only where comparisons may stand, and unary `-`
+        anywhere; each takes the operand of its own level.  `top` is the
+        tightest level that may come next: after an operator of level b,
+        whose right operand took every tighter one, it is b, and after a
+        comparison, which does not chain, or a `not` operand it is `and`'s."""
         tok = self.tok
-        if tok[0] is OP and tok[1] in COMPARISONS:
-            height = self.height
+        kind, text = tok[0], tok[1]
+        if (kind is OP and text == "-"
+                or kind is KEYWORD and text == "not" and level <= 3):
+            inner, top = (6, 5) if text == "-" else (3, 2)
             self.advance()
-            rhs = self._additive()
-            self.height = max(height, self.height)
-            node = ast.Binary(tok[1], node, rhs, span=node.span.to(rhs.span))
-        return node
-
-    def _additive(self) -> ast.Node:
-        node = self._multiplicative()
-        height = self.height
-        while self.tok[0] is OP and self.tok[1] in ("+", "-"):
-            op = self.advance()
-            rhs = self._multiplicative()
-            height = self._stack(height, op)
-            node = ast.Binary(op[1], node, rhs, span=node.span.to(rhs.span))
-        return node
-
-    def _multiplicative(self) -> ast.Node:
-        node = self._unary()
-        height = self.height
-        while self.tok[0] is OP and self.tok[1] in ("*", "/"):
-            op = self.advance()
-            rhs = self._unary()
-            height = self._stack(height, op)
-            node = ast.Binary(op[1], node, rhs, span=node.span.to(rhs.span))
-        return node
-
-    def _unary(self) -> ast.Node:
-        if self.at(OP, "-"):
-            start = self.advance()
             self._enter()
-            operand = self._unary()
+            operand = self._expr(inner)
             self.depth -= 1
             end = operand.span
-            return ast.Unary("-", operand,
-                             span=Span(start[2], start[3], end.end_line, end.end_col))
-        return self._postfix()
+            node = ast.Unary(text, operand,
+                             span=Span(tok[2], tok[3], end.end_line, end.end_col))
+        else:
+            node = self._postfix()
+            top = 5
+        height = self.height
+        while True:
+            tok = self.tok
+            # a string's text has no quotes, so "and" is not an operator
+            b = BINARY.get(tok[1], 0) if tok[0] is not STRING else 0
+            if not level <= b <= top:
+                break
+            self.advance()
+            rhs = self._expr(b + 1)
+            if b == 3:  # a comparison adds no height
+                height = max(height, self.height)
+                top = 2
+            else:
+                height = self._stack(height, tok)
+                top = b
+            node = ast.Binary(tok[1], node, rhs, span=node.span.to(rhs.span))
+        self.height = height
+        return node
 
     def _postfix(self) -> ast.Node:
         node = self._primary()

@@ -118,7 +118,7 @@ def load_map(spec: str) -> RoadMap:
             if not (0 <= lane < road.lane_count and 0 <= s <= road.length):
                 raise ValueError(f"spawn [{lane}, {s}] is not on the road")
         return road
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad map file {spec!r}: {exc}") from exc
 
 

@@ -330,6 +330,17 @@ class TestRun:
         assert "is not on the road" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_overflowing_map_file(self, tmp_path, capsys):
+        road = write(tmp_path, "strip.json",
+                     '{"name": "strip", "lane_count": 1e400, "lane_width": 4.0,'
+                     ' "length": 100.0, "spawns": [[0, 5]]}')
+        trace = tmp_path / "t.ndjson"
+        assert main(["run", MINIMAL, "--map", road, "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            f"osc2c: bad map file {road!r}: cannot convert float infinity "
+            f"to integer\n")
+        assert not trace.exists()
+
     def test_seed_less_rejected(self, tmp_path, capsys):
         # a no-op flag until it was removed
         trace = tmp_path / "trace.ndjson"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osc2c import units
-from osc2c.parser import COMPARISONS
+from osc2c.parser import BINARY
 from osc2c.semantics import check
 from osc2c.units import (
     ACCELERATION,
@@ -142,7 +142,13 @@ class TestDimensionAlgebra:
 class TestOperatorTables:
     def test_tables_hold_every_operator(self):
         assert set(units.ARITHMETIC) == {"+", "-", "*", "/"}
-        assert set(units.COMPARISONS) == set(COMPARISONS)
+
+        def at(*levels):
+            return {op for op, level in BINARY.items() if level in levels}
+
+        assert at(3) == set(units.COMPARISONS)
+        assert at(4, 5) == set(units.ARITHMETIC)
+        assert set(BINARY) - at(3, 4, 5) == {"and", "or"}
 
 
 class TestCoercion:

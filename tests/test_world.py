@@ -76,8 +76,13 @@ class TestRoadMap:
         ({"spawns": [[5, 10]]}, "spawn [5, 10.0] is not on the road"),
         ({"spawns": [[0, -1]]}, "spawn [0, -1.0] is not on the road"),
         ({"spawns": [[1, 100.5]]}, "spawn [1, 100.5] is not on the road"),
+        ({"lane_count": float("inf")},
+         "cannot convert float infinity to integer"),
+        ({"spawns": [[float("inf"), 10]]},
+         "cannot convert float infinity to integer"),
     ], ids=["no-lanes", "zero-width", "infinite-length", "nan-width",
-            "spawn-lane", "spawn-before-start", "spawn-past-end"])
+            "spawn-lane", "spawn-before-start", "spawn-past-end",
+            "infinite-lane-count", "infinite-spawn-lane"])
     def test_load_rejects_impossible_road(self, tmp_path, fields, problem):
         data = {"name": "oval", "lane_count": 2, "lane_width": 3.0,
                 "length": 100.0, "spawns": [[0, 10], [1, 100]]}
