@@ -5,8 +5,8 @@ positional fields stay readable at construction sites).  Nodes are
 immutable by convention: nothing assigns to a field after construction.
 They are not frozen, since frozen construction costs an
 ``object.__setattr__`` call per field, so they are not hashable either.
-``to_dict`` / ``from_dict`` give a lossless structured form: serializing a
-tree to JSON and reading it back yields an equal tree, spans included.
+``to_dict`` encodes a tree, spans included, as plain dicts and lists for
+``json.dumps``; ``osc2c dump --what ast`` writes it.
 """
 
 from __future__ import annotations
@@ -187,19 +187,6 @@ class Program(Node):
     scenarios: list[Node]
 
 
-NODE_TYPES: dict[str, type[Node]] = {
-    cls.__name__: cls
-    for cls in (
-        NumberLiteral, QuantityLiteral, StringLiteral, Identifier,
-        MemberAccess, MethodCall, Argument, Binary, Unary,
-        EventRef, RiseCondition, FallCondition, ElapsedCondition, BoolCondition,
-        ModifierApplication, ActionInvocation, WaitStatement, EmitStatement,
-        Composition, KeepConstraint, FieldDecl, VarDecl, DoBlock,
-        ScenarioDecl, ImportDecl, UseDecl, Program,
-    )
-}
-
-
 def to_dict(node: Node) -> dict:
     """Encode a tree as plain dicts/lists suitable for json.dumps."""
     span = node.span
@@ -222,27 +209,6 @@ def _encode(value):
     return value
 
 
-def from_dict(data: dict) -> Node:
-    """Inverse of to_dict; from_dict(to_dict(tree)) == tree."""
-    cls = NODE_TYPES[data["node"]]
-    kwargs = {"span": Span(*data["span"])}
-    for f in dataclasses.fields(cls):
-        if f.name != "span":
-            kwargs[f.name] = _decode(data[f.name])
-    return cls(**kwargs)
-
-
-def _decode(value):
-    if isinstance(value, dict) and "node" in value:
-        return from_dict(value)
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
 def dump_json(node: Node) -> str:
     return json.dumps(to_dict(node), indent=2)
 
-
-def load_json(text: str) -> Node:
-    return from_dict(json.loads(text))

@@ -5,7 +5,10 @@ order; same-tick event visibility follows that traversal order.  A node
 that returns Success or Failure latches: re-ticking returns the same
 status with no side effects.  OneOf halts losing siblings, and a failing
 Parallel its unfinished children, so they stop mutating the blackboard or
-world.
+world.  A node is halted only by its halted parent, by a OneOf that then
+returns Success or Failure, or by a Parallel that then returns Failure; each
+of those latches, so nothing ticks a halted node again and ``tick`` does not
+check for one.
 
 A running node may be quiescent: its ``due`` is the next tick at which
 ticking it can change anything, and the composites skip a child that is
@@ -99,7 +102,7 @@ class Blackboard:
 
 @dataclass
 class TickContext:
-    """Minimal context a bare tree needs; the runtime supplies a richer one."""
+    """What a tick reads; ``CompiledScenario`` keeps one and sets ``now``."""
 
     blackboard: Blackboard = field(default_factory=Blackboard)
     now: int = 0
@@ -131,8 +134,6 @@ class BtNode:
 
     def tick(self, ctx) -> Status:
         status = self._status
-        if self._halted:
-            return status if status is not None else RUNNING
         if status is SUCCESS or status is FAILURE:
             return status
         status = self._tick(ctx)
@@ -254,11 +255,9 @@ class Condition(BtNode):
 
 
 class EdgeCondition(BtNode):
-    """Fires on an observed transition; the first sample only arms it."""
+    """Fires on a `kind` "rise" or "fall"; the first sample only arms it."""
 
     def __init__(self, kind: str, predicate, **kw):
-        if kind not in ("rise", "fall"):
-            raise ValueError(f"bad edge kind {kind!r}")
         super().__init__(**kw)
         self.kind = kind
         self.predicate = predicate

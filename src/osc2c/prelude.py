@@ -146,8 +146,6 @@ AHEAD_OF = Signature({"actor": ACTOR}, ("actor",), ("actor",))
 # bare identifiers that act as enumeration words in argument position
 ENUM_WORDS = PROFILE | SIDE | DIRECTION | START
 
-BUILTIN_MAPS = frozenset({"town06"})
-
 
 def inheritance_chain(type_name: str) -> list[str]:
     """Type name followed by its ancestors, most derived first."""

@@ -50,7 +50,7 @@ SPEED_TOLERANCE = 0.01
 
 
 class BuildError(RuntimeError):
-    """The tree builder met a statement it cannot lower."""
+    """A behavior factory cannot lower the invocation it was given."""
 
 
 class InitConflict(RuntimeError):
@@ -501,12 +501,10 @@ class BehaviorTreeBuilder:
         if isinstance(node, ast.EmitStatement):
             return EventEmit(node.event, label=f"emit {node.event}",
                              span=node.span)
-        if isinstance(node, ast.ActionInvocation):
-            if id(node) in self._planned:
-                return None
-            return self._invocation(node)
-        raise BuildError(
-            f"cannot lower a {type(node).__name__} inside a composition")
+        # an action invocation: the parser puts nothing else in a composition
+        if id(node) in self._planned:
+            return None
+        return self._invocation(node)
 
     def _wait(self, node: ast.WaitStatement) -> BtNode:
         cond = node.condition
@@ -517,16 +515,14 @@ class BehaviorTreeBuilder:
             # the checker folded the duration to a constant
             seconds = constant_value(self.conditions[id(cond.duration)])
             return Timer(seconds, label="wait elapsed", span=node.span)
-        if isinstance(cond, (ast.RiseCondition, ast.FallCondition,
-                             ast.BoolCondition)):
-            holds, world = self.conditions[id(cond.expr)], self.world
-            predicate = lambda _: holds(world)
-            if isinstance(cond, ast.BoolCondition):
-                return Condition(predicate, label="wait", span=node.span)
-            kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
-            return EdgeCondition(kind, predicate, label=f"wait {kind}",
-                                 span=node.span)
-        raise BuildError(f"cannot lower a {type(cond).__name__} wait")
+        # a rise, fall or bool condition: the parser makes no other kind
+        holds, world = self.conditions[id(cond.expr)], self.world
+        predicate = lambda _: holds(world)
+        if isinstance(cond, ast.BoolCondition):
+            return Condition(predicate, label="wait", span=node.span)
+        kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
+        return EdgeCondition(kind, predicate, label=f"wait {kind}",
+                             span=node.span)
 
     def _invocation(self, node: ast.ActionInvocation) -> BtNode:
         type_name = self.scenario.fields[node.actor]

@@ -39,6 +39,7 @@ from .diagnostics import (ERROR, WARNING, CompileError, Diagnostic, Span,
 from .parser import parse
 from .units import (DIMENSIONLESS, DURATION, LENGTH, SPEED, Dimension,
                     dimension_name)
+from .world import BUILTIN_MAPS
 
 # a lowered expression: fn(world) -> float | bool | str; None where the
 # expression has errors
@@ -76,17 +77,10 @@ class EnumWord(ExprType):
     word: str
 
 
-class _Singleton(ExprType):
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self):
-        return self.label
-
-
-STRING = _Singleton("string")
-BOOL = _Singleton("bool")
-UNKNOWN = _Singleton("unknown")
+# compared with ``is``
+STRING = ExprType()
+BOOL = ExprType()
+UNKNOWN = ExprType()
 
 AT_START = EnumWord("start")
 
@@ -320,7 +314,7 @@ class Analyzer:
         value = expr.rhs.value
         info.constraints.setdefault(decl.name, {})[attr] = value
         if decl.type_name == "map" and attr == "map_file":
-            if value.lower() not in prelude.BUILTIN_MAPS:
+            if value.lower() not in BUILTIN_MAPS:
                 self.error("E006", f"unknown map '{value}'", expr.rhs.span)
             else:
                 info.map_name = value.lower()

@@ -100,15 +100,16 @@ def load_map(spec: str) -> RoadMap:
         if road is None:
             raise ValueError(f"unknown builtin map '{name}'")
         return road
-    with open(spec, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
+        with open(spec, encoding="utf-8") as handle:
+            data = json.load(handle)
         road = RoadMap(
             name=str(data["name"]),
-            lane_count=int(data["lane_count"]),
+            lane_count=_whole(data["lane_count"], "lane_count"),
             lane_width=float(data["lane_width"]),
             length=float(data["length"]),
-            spawns=tuple((int(lane), float(s)) for lane, s in data["spawns"]),
+            spawns=tuple((_whole(lane, "a spawn lane"), float(s))
+                         for lane, s in data["spawns"]),
         )
         if road.lane_count < 1:
             raise ValueError("lane_count must be at least 1")
@@ -118,8 +119,16 @@ def load_map(spec: str) -> RoadMap:
             if not (0 <= lane < road.lane_count and 0 <= s <= road.length):
                 raise ValueError(f"spawn [{lane}, {s}] is not on the road")
         return road
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ValueError(f"bad map file {spec!r}: {exc}") from exc
+
+
+def _whole(value, what: str) -> int:
+    number = int(value)
+    if number != float(value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return number
 
 
 @dataclass(slots=True)

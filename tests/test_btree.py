@@ -8,6 +8,7 @@ from osc2c.btree import (
     NEVER,
     RUNNING,
     SUCCESS,
+    ActionLeaf,
     ArbitrationFault,
     Blackboard,
     BtNode,
@@ -207,6 +208,10 @@ class TestLatchingAndHalting:
         root = OneOf([loser, true_from(2)])
         run(root, 6)
         assert loser.calls == 3  # ticks 0..2 only, then halted
+
+    def test_action_leaf_without_tick_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            ActionLeaf().tick(TickContext())
 
     def test_halted_subtree_cannot_emit(self):
         emitter = Sequence([Timer(0.5), EventEmit("LATE")])

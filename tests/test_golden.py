@@ -354,6 +354,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
      [("E001", "undefined type 'spaceship'")]),
     ("  var v: furlong = 1m\n", "    wait elapsed(1s)\n",
      [("E001", "undefined type 'furlong'")]),
+    ("  var v: furlong = 1m\n", "    wait v > 1m\n",
+     [("E001", "undefined type 'furlong'")]),
     ("  env: environment with:\n    keep(1m == 1m)\n", "    wait elapsed(1s)\n",
      [("E002", "keep constraint must have the form it.<attribute> == "
                "<value>")]),
@@ -382,7 +384,8 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "negative-elapsed", "negate-boolean", "not-quantity",
         "add-boolean", "order-strings", "no-member", "member-of-quantity",
         "position-no-method", "actor-no-method", "method-of-quantity",
-        "undefined-field-type", "undefined-var-type", "keep-form",
+        "undefined-field-type", "undefined-var-type",
+        "read-of-undefined-var-type", "keep-form",
         "var-of-actor-type", "argument-twice", "wait-not-boolean"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a

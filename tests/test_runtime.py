@@ -222,6 +222,13 @@ class TestDispatch:
         with pytest.raises(CompileError) as exc:
             compile_body("    wait ghost.speed > 1kph\n")
         assert exc.value.diagnostic.code == "E001"
+        with pytest.raises(ValueError, match="cannot compile a program "
+                                             "with semantic errors"):
+            compile_scenario(check(wrap("    wait ghost.speed > 1kph\n")))
+
+    def test_nonpositive_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            compile_body("    wait elapsed(1s)\n", dt=0)
 
 
 class TestLeaves:
@@ -237,15 +244,16 @@ class TestLeaves:
             "    parallel:\n"
             "      b.drive() with:\n"
             "        speed(a.speed)\n"
-            "      wait elapsed(100s)\n")
-        a = cs.world.actors["a"]
-        b = cs.world.actors["b"]
+            "      c.follow_path(distance: 100m, speed: a.speed)\n"
+            "      wait elapsed(100s)\n",
+            members="  a: vehicle\n  b: vehicle\n  c: vehicle\n")
+        a, b, c = (cs.world.actors[name] for name in "abc")
         cs.step_tick()
-        assert b.target_speed == 0.0
+        assert b.target_speed == c.target_speed == 0.0
         a.speed = 5.0
         a.target_speed = 5.0
         cs.step_tick()
-        assert b.target_speed == 5.0
+        assert b.target_speed == c.target_speed == 5.0
 
     def test_constant_arguments_are_read_once(self):
         cs = compile_body(
@@ -398,6 +406,10 @@ ARBITRATION = {
         "      serial:\n"
         "        wait elapsed(1s)\n"
         "        a.change_lane(num_of_lanes: 1, side: left)\n", conflict(20)),
+    # a change of no lanes finishes in the tick it claims, and releases
+    "no-lane-change-then-change-speed": (
+        "    a.change_lane(num_of_lanes: 0, side: right)\n"
+        "    a.change_speed(target: 0kph)\n", (0, "Success")),
     "sequential": (
         "    a.change_speed(target: 18kph)\n"
         "    a.follow_path(distance: 2m)\n"
@@ -728,6 +740,12 @@ class TestInitializer:
         cs = compile_body("    wait @go_signal\n", members="  a: vehicle\n")
         assert cs.step_tick() is SUCCESS
         assert cs.blackboard.events["go_signal"] == 0
+
+    def test_no_do_block_succeeds_in_one_tick(self):
+        cs = compile_source("scenario s:\n  a: vehicle\n")
+        assert cs.status is None
+        assert cs.run(max_ticks=10) == ("success", 1, None)
+        assert cs.status is SUCCESS
 
     def test_run_budget_exhaustion_returns_none(self):
         cs = compile_body("    wait elapsed(100s)\n", members="  a: vehicle\n")

@@ -223,6 +223,14 @@ class TestVarCycles:
         assert messages(check(src)) == [
             ("E002", 3, "initializer of 'a' depends on itself")]
 
+    def test_three_var_cycle_reported_once(self):
+        src = wrap("emit X", members=(
+            "var a: length = b\n"
+            "var b: length = c\n"
+            "var c: length = a + 1m"))
+        assert messages(check(src)) == [
+            ("E002", 2, "initializer of 'a' depends on itself")]
+
     def test_source_order_among_other_diagnostics(self):
         src = wrap("emit X", members=(
             "var x: length = y\n"

@@ -80,9 +80,13 @@ class TestRoadMap:
          "cannot convert float infinity to integer"),
         ({"spawns": [[float("inf"), 10]]},
          "cannot convert float infinity to integer"),
+        ({"lane_count": 2.9}, "lane_count must be a whole number, got 2.9"),
+        ({"spawns": [[1.7, 10]]},
+         "a spawn lane must be a whole number, got 1.7"),
     ], ids=["no-lanes", "zero-width", "infinite-length", "nan-width",
             "spawn-lane", "spawn-before-start", "spawn-past-end",
-            "infinite-lane-count", "infinite-spawn-lane"])
+            "infinite-lane-count", "infinite-spawn-lane",
+            "fractional-lane-count", "fractional-spawn-lane"])
     def test_load_rejects_impossible_road(self, tmp_path, fields, problem):
         data = {"name": "oval", "lane_count": 2, "lane_width": 3.0,
                 "length": 100.0, "spawns": [[0, 10], [1, 100]]}
@@ -157,6 +161,12 @@ class TestStepping:
         hero.speed = hero.target_speed = 7.0
         world.step()
         assert hero.speed == 7.0
+
+    def test_duplicate_actor_name(self):
+        world = make_world()
+        world.add_vehicle("hero")
+        with pytest.raises(ValueError, match="duplicate actor name 'hero'"):
+            world.add_prop("hero")
 
     def test_off_map_fault(self):
         world = make_world()
