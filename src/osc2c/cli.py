@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 error diagnostics, 2 I/O or configuration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -105,59 +106,76 @@ class _TickEncoder:
     "first"}, ...], "collisions": [[a, b], ...]}, with every number rounded
     by `_round6`.  An actor whose pose, lane and lights are unchanged since
     the previous tick reuses its previous text; one that changed re-rounds
-    only the numbers that changed.
+    only the numbers that changed, and only then are the actors' texts
+    joined anew.  Lines wait until `chunk` of them do, or `flush`.
     """
+
+    chunk = 256
 
     def __init__(self, cs: CompiledScenario, stream):
         self._cs = cs
-        self._write = stream.write
-        self._strings: dict[str, str] = {}
-        # actor name -> (key, numbers, their texts, the actor's JSON object)
-        self._actors: dict[str, tuple] = {}
+        self._stream = stream
+        self._lines: list[str] = []
+        self._string = functools.cache(json.dumps)  # names, lights, events
+        # one slot per actor, in the world's order, which is fixed once
+        # compiled: [actor, key, numbers, their texts, its JSON object]
+        self._slots = [[actor, None, (None,) * 4, (None,) * 4, None]
+                       for actor in cs.world.actors.values()]
+        self._actors = None  # the actors' JSON objects, joined; None if stale
 
-    def _string(self, value: str) -> str:
-        text = self._strings.get(value)
-        if text is None:
-            text = self._strings[value] = json.dumps(value)
-        return text
-
-    def _actor(self, actor, key, previous) -> tuple:
-        numbers = (actor.x, actor.y, actor.heading, actor.speed)
-        if previous is None:
-            texts = [_number(v) for v in numbers]
-        else:
-            # An equal non-zero number has the same text; a zero may have
-            # changed sign, and NaN equals nothing.
-            texts = [text if v == old and v else _number(v)
-                     for v, old, text in zip(numbers, previous[1],
-                                             previous[2])]
-        x, y, heading, speed = texts
+    def _refresh(self, slot: list, key) -> None:
+        actor, _, (x0, y0, h0, s0), (xt, yt, ht, st), _ = slot
+        numbers = x, y, h, s = actor.x, actor.y, actor.heading, actor.speed
+        # The same object, or an equal non-zero number, keeps its text; an
+        # equal zero may have changed sign, and NaN equals nothing.
+        xt = xt if x is x0 or x == x0 and x else _number(x)
+        yt = yt if y is y0 or y == y0 and y else _number(y)
+        ht = ht if h is h0 or h == h0 and h else _number(h)
+        st = st if s is s0 or s == s0 and s else _number(s)
         lane = "null" if actor.lane is None else repr(actor.lane)
-        fragment = (f'{{"name":{self._string(actor.name)},"x":{x},"y":{y},'
-                    f'"heading":{heading},"lane":{lane},"speed":{speed},'
-                    f'"lights":{self._string(actor.lights)}}}')
-        return key, numbers, texts, fragment
+        slot[1:] = key, numbers, (xt, yt, ht, st), (
+            f'{{"name":{self._string(actor.name)},"x":{xt},"y":{yt},'
+            f'"heading":{ht},"lane":{lane},"speed":{st},'
+            f'"lights":{self._string(actor.lights)}}}')
+        self._actors = None
+
+    def _tail(self, events: str = "", pairs: str = "") -> str:
+        """A tick line from its "actors" field on."""
+        return (f'"actors":[{self._actors}],"events":[{events}],'
+                f'"collisions":[{pairs}]}}\n')
 
     def write_tick(self, now: int) -> None:
-        cs = self._cs
-        cache = self._actors
-        actors = []
-        for actor in cs.world.actors.values():
+        for slot in self._slots:
+            actor = slot[0]
             key = (_POSE.pack(actor.x, actor.y, actor.heading, actor.speed),
                    actor.lane, actor.lights)
-            entry = cache.get(actor.name)
-            if entry is None or entry[0] != key:
-                entry = cache[actor.name] = self._actor(actor, key, entry)
-            actors.append(entry[3])
-        string = self._string
-        events = ",".join(
-            f'{{"name":{string(name)},"first":{"true" if first else "false"}}}'
-            for name, first in cs.blackboard.emissions)
-        collisions = ",".join(f"[{string(a)},{string(b)}]"
-                              for a, b in cs.world.collisions)
-        self._write(f'{{"record":"tick","tick":{now},'
-                    f'"t":{_number(now * cs.dt)},"actors":[{",".join(actors)}],'
-                    f'"events":[{events}],"collisions":[{collisions}]}}\n')
+            if key != slot[1]:
+                self._refresh(slot, key)
+        if self._actors is None:
+            self._actors = ",".join([slot[4] for slot in self._slots])
+            self._quiet = self._tail()  # on a tick with no event or collision
+        cs = self._cs
+        t = now * cs.dt  # as `_number` writes it, its fixed notation inline
+        t = ("%.6f" % t).rstrip("0") if 1e-4 <= t < 1e9 else _number(t)
+        if t[-1] == ".":
+            t += "0"
+        emissions, collisions = cs.blackboard.emissions, cs.world.collisions
+        tail = self._quiet
+        if emissions or collisions:
+            string = self._string
+            tail = self._tail(",".join(
+                f'{{"name":{string(name)},'
+                f'"first":{"true" if first else "false"}}}'
+                for name, first in emissions), ",".join(
+                f"[{string(a)},{string(b)}]" for a, b in collisions))
+        self._lines.append(f'{{"record":"tick","tick":{now},"t":{t},{tail}')
+        if len(self._lines) == self.chunk:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the lines that wait."""
+        self._stream.write("".join(self._lines))
+        self._lines.clear()
 
 
 def cmd_check(args) -> int:
@@ -210,8 +228,12 @@ def cmd_run(args) -> int:
             "map": cs.world.road.name,
             "dt": _round6(args.dt),
         })
-        outcome, ticks, fault = cs.run(required_ticks(args.max_time, cs.dt),
-                                       _TickEncoder(cs, stream).write_tick)
+        encoder = _TickEncoder(cs, stream)
+        try:
+            outcome, ticks, fault = cs.run(
+                required_ticks(args.max_time, cs.dt), encoder.write_tick)
+        finally:  # every completed tick, also when the run is interrupted
+            encoder.flush()
         if fault is not None:
             _write_record(stream, {
                 "record": "fault", "tick": ticks,

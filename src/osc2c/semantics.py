@@ -210,6 +210,14 @@ class Analyzer:
         # start placements have placed so far (None after an error)
         self._info: ScenarioInfo | None = None
         self._placed: dict[str, str | None] = {}
+        # the actors an absolute placement has taken off the road network
+        # before the statement resolved, in run order; the actors with a
+        # lane or relative placement, or one with an error, anywhere in the
+        # body; and the relative placements made after tick 0 to an actor
+        # of the first set, as (actor, anchor, span)
+        self._off: set[str] = set()
+        self._on: set[str] = set()
+        self._later: list[tuple[str, str, Span]] = []
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -277,9 +285,13 @@ class Analyzer:
                 self._info = info
                 self._constants = {name: partial(_constant, value)
                                    for name, value in info.var_values.items()}
-                self._placed = {}
+                self._placed, self._later = {}, []
+                self._off, self._on = set(), set()
                 self._resolve_behavior(info.decl.body.root, info.scope)
                 self._info = None
+                for actor, anchor, span in self._later:
+                    if anchor not in self._on:
+                        self._off_road(actor, anchor, span)
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
         if decl.type_name not in prelude.ACTOR_TYPES:
@@ -414,8 +426,15 @@ class Analyzer:
 
     def _resolve_behavior(self, node: ast.Node, scope: Scope) -> None:
         if isinstance(node, ast.Composition):
+            # a branch of a parallel or one_of may run before its siblings'
+            # placements, or without them
+            before = self._off
             for child in node.children:
+                if node.kind != "serial":
+                    self._off = set(before)
                 self._resolve_behavior(child, scope)
+            if node.kind != "serial":
+                self._off = before
         elif isinstance(node, ast.ActionInvocation):
             self._resolve_invocation(node, scope)
         elif isinstance(node, ast.WaitStatement):
@@ -479,7 +498,10 @@ class Analyzer:
         """Check that an assign_position places its actor in at most one
         way, relative to exactly one anchor, and, before tick 0, only
         relative to an actor that an earlier start placement puts on the
-        road network.
+        road network.  After tick 0, the anchor must not be one that an
+        absolute placement run before has taken off the road network and
+        that no placement in the body puts back on it; `resolution_pass`
+        checks that once the body is resolved.
 
         ``modifiers`` holds the bound arguments of its modifiers, or None
         if one has an error; the actor then counts as placed.  The way and
@@ -487,6 +509,7 @@ class Analyzer:
         """
         actor = node.actor
         if modifiers is None:
+            self._on.add(actor)
             if at_start:
                 self._placed[actor] = None
             return
@@ -514,14 +537,19 @@ class Analyzer:
                 self.error("E002", f"actor '{actor}' is anchored to "
                            f"'{anchor}', which is not placed yet", node.span)
             elif self._placed[anchor] == "absolute":
-                self.error("E002", f"actor '{actor}' is anchored to "
-                           f"'{anchor}', which is not on the road network",
-                           node.span)
+                self._off_road(actor, anchor, node.span)
+        elif relative and min(anchors) in self._off:
+            self._later.append((actor, min(anchors), node.span))
         if places:
+            (self._off if places[0] == "absolute" else self._on).add(actor)
             modifiers.paradigm = places[0]
             modifiers.anchor = min(anchors, default=None)
         if at_start and places:
             self._placed[actor] = places[0]
+
+    def _off_road(self, actor: str, anchor: str, span: Span) -> None:
+        self.error("E002", f"actor '{actor}' is anchored to '{anchor}', "
+                   f"which is not on the road network", span)
 
     def _arguments(self, callee: str, signature: prelude.Signature | None,
                    args: list[ast.Argument], span: Span, scope: Scope):

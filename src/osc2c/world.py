@@ -103,12 +103,15 @@ def load_map(spec: str) -> RoadMap:
     try:
         with open(spec, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data["name"], str):
+            raise ValueError(f"name must be a string, got {data['name']!r}")
         road = RoadMap(
-            name=str(data["name"]),
+            name=data["name"],
             lane_count=_whole(data["lane_count"], "lane_count"),
-            lane_width=float(data["lane_width"]),
-            length=float(data["length"]),
-            spawns=tuple((_whole(lane, "a spawn lane"), float(s))
+            lane_width=_real(data["lane_width"], "lane_width"),
+            length=_real(data["length"], "length"),
+            spawns=tuple((_whole(lane, "a spawn lane"),
+                          _real(s, "a spawn station"))
                          for lane, s in data["spawns"]),
         )
         if road.lane_count < 1:
@@ -124,8 +127,15 @@ def load_map(spec: str) -> RoadMap:
         raise ValueError(f"bad map file {spec!r}: {exc}") from exc
 
 
+def _real(value, what: str) -> float:
+    """A JSON number of a map file; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, what: str) -> int:
-    number = int(value)
+    number = int(_real(value, what))
     if number != float(value):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return number
@@ -251,7 +261,10 @@ class SweepList:
         self._band_of: dict[int, int] = {}  # id(actor) -> its band
         # id(actor) -> (actor, the band whose list still holds it)
         self._moved: dict[int, tuple[Actor, int]] = {}
-        # each band with the band above it; None once a band came or went
+        # the bands that hold two actors or more, and each band with the
+        # band above it; `_neighbours` is None once an actor came or changed
+        # band, until `pairs` lists both anew
+        self._crowded: list[list[Actor]] = []
         self._neighbours: list[tuple[list[Actor], list[Actor]]] | None = []
         self.max_half_length = 0.0
         self.max_half_width = 0.0
@@ -280,11 +293,8 @@ class SweepList:
 
     def _insert(self, actor: Actor) -> None:
         band = self._band_of[id(actor)] = self._band(actor)
-        members = self.bands.get(band)
-        if members is None:
-            members = self.bands[band] = []
-            self._neighbours = None
-        bisect.insort(members, actor, key=_centre_x)
+        bisect.insort(self.bands.setdefault(band, []), actor, key=_centre_x)
+        self._neighbours = None
 
     def move(self, actor: Actor) -> None:
         """Note a listed actor whose y may have changed."""
@@ -314,23 +324,30 @@ class SweepList:
         """Re-sort each band by x, then return the ranks ``(i, j)``, i < j,
         of every overlapping pair.
 
-        Actors move little per step, so each band is nearly sorted and its
-        re-sort takes about linear time.  Each pair comes once, in no
-        particular order.  The test of a candidate ``c`` right of ``a`` is
-        `overlaps`, inline: ``c.x - a.x`` is ``abs(a.x - c.x)`` there, as
-        rounding is symmetric.  Most actors have no neighbour ``b`` within
-        reach in x, so an actor's y and half width are read only once ``b``
-        is near enough to hit.
+        When no band holds two actors and no two bands are adjacent, no pair
+        can overlap, and it returns at once.  Actors move little per step,
+        so each band is nearly sorted and its re-sort takes about linear
+        time.  Each pair comes once, in no particular order.  The test of a
+        candidate ``c`` right of ``a`` is `overlaps`, inline: ``c.x - a.x``
+        is ``abs(a.x - c.x)`` there, as rounding is symmetric.  Most actors
+        have no neighbour ``b`` within reach in x, so an actor's y and half
+        width are read only once ``b`` is near enough to hit.
         """
         if self._moved:
             self._settle()
         bands = self.bands
+        if self._neighbours is None:
+            self._crowded = [members for members in bands.values()
+                             if len(members) > 1]
+            self._neighbours = [(members, bands[band + 1])
+                                for band, members in bands.items()
+                                if band + 1 in bands]
+        if not (self._crowded or self._neighbours):
+            return []
         reach = self.max_half_length
         found = []
-        for members in bands.values():
+        for members in self._crowded:
             n = len(members)
-            if n < 2:
-                continue
             members.sort(key=_centre_x)
             b = members[0]
             for i in range(1, n):
@@ -356,10 +373,6 @@ class SweepList:
                     dx = c.x - x
                     if dx >= limit:
                         break
-        if self._neighbours is None:
-            self._neighbours = [(members, bands[band + 1])
-                                for band, members in bands.items()
-                                if band + 1 in bands]
         apart = 2.0 * self.max_half_width
         for lower, upper in self._neighbours:
             if min(map(_centre_y, upper)) - max(map(_centre_y, lower)) < apart:
@@ -583,11 +596,13 @@ class World:
         return [(ranked[i], ranked[j]) for i, j in sorted(self._sweep.pairs())]
 
     def _detect_collisions(self) -> None:
-        names = list(self.actors)  # indexed by rank
+        hits = self._sweep.pairs()
         collisions = self.collisions = []
-        for i, j in sorted(self._sweep.pairs()):
-            a, b = names[i], names[j]
-            collisions.append((a, b) if a < b else (b, a))
+        if hits:
+            names = list(self.actors)  # indexed by rank
+            for i, j in sorted(hits):
+                a, b = names[i], names[j]
+                collisions.append((a, b) if a < b else (b, a))
 
     # spatial queries
 

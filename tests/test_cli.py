@@ -351,8 +351,25 @@ class TestRun:
         ('{"name": "strip", "lane_count": ',
          "Expecting value: line 1 column 33 (char 32)"),
         ("[" * 200_000, "maximum recursion depth exceeded"),
+        # values of the wrong JSON type used to be coerced
+        ('{"name": ["a"], "lane_count": 2, "lane_width": 4.0,'
+         ' "length": 100.0, "spawns": [[1, 5]]}',
+         "name must be a string, got ['a']"),
+        ('{"name": "strip", "lane_count": "2", "lane_width": 4.0,'
+         ' "length": 100.0, "spawns": [[1, 5]]}',
+         "lane_count must be a number, got '2'"),
+        ('{"name": "strip", "lane_count": 2, "lane_width": "3.5",'
+         ' "length": 100.0, "spawns": [[1, 5]]}',
+         "lane_width must be a number, got '3.5'"),
+        ('{"name": "strip", "lane_count": 2, "lane_width": 4.0,'
+         ' "length": 100.0, "spawns": [[true, 5]]}',
+         "a spawn lane must be a number, got True"),
+        ('{"name": "strip", "lane_count": 2, "lane_width": 4.0,'
+         ' "length": 100.0, "spawns": [[1, null]]}',
+         "a spawn station must be a number, got None"),
     ], ids=["fractional-lane-count", "fractional-spawn-lane",
-            "malformed", "deeply-nested"])
+            "malformed", "deeply-nested", "list-name", "string-lane-count",
+            "string-lane-width", "boolean-spawn-lane", "null-spawn-station"])
     def test_bad_map_file(self, tmp_path, capsys, text, problem):
         road = write(tmp_path, "strip.json", text)
         trace = tmp_path / "t.ndjson"
@@ -470,11 +487,14 @@ RUN_PROBES = {
                         "    b.assign_position() with:\n"
                         "      lane(1, at: start)\n",
                         "fault", "SpawnCollision"),
+    # a's later lane placement leaves it to the run to find a off the
+    # road network; with no such placement it is a check-time E002
     "anchor-off-network-while-running": (
         "scenario p:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
         "    a.assign_position() with:\n      position(x: 10m, y: 0m)\n"
         "    b.assign_position() with:\n"
-        "      position(distance: 5m, behind: a)\n",
+        "      position(distance: 5m, behind: a)\n"
+        "    a.assign_position() with:\n      lane(1)\n",
         "fault", "InitConflict"),
     "or-wait": ("scenario p:\n  a: vehicle\n  do serial:\n"
                 "    wait a.speed > 1kph or 1m < 2m\n",
@@ -545,6 +565,57 @@ def test_custom_failing_leaf_fails_the_run(tmp_path, monkeypatch):
     assert trace.read_text().splitlines()[-1] == (
         '{"record":"summary","outcome":"failure","ticks":3,'
         '"events":[{"name":"go_signal","tick":0}]}')
+
+
+def test_trace_longer_than_a_chunk_ends_in_a_fault(tmp_path):
+    """Tick lines, written a chunk at a time, come in order, each one valid
+    JSON, and the fault record follows the last of them."""
+    path = write(tmp_path, "off_map.osc",
+                 "scenario p:\n  a: vehicle\n  do serial:\n"
+                 "    a.drive() with:\n      speed(120kph)\n")
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", path, "--trace", str(trace)]) == 4
+    records = read_trace(trace)
+    ticks = len(records) - 3
+    assert ticks > _TickEncoder.chunk and ticks % _TickEncoder.chunk
+    assert [r["record"] for r in records] == (
+        ["header"] + ["tick"] * ticks + ["fault", "summary"])
+    assert [r["tick"] for r in records[1:-2]] == list(range(ticks))
+    assert records[-2] == {"record": "fault", "tick": ticks,
+                           "error": "OffMapFault",
+                           "message": "actor 'a' left the road at s=601.39"}
+    assert records[-1]["ticks"] == ticks
+
+
+class InterruptLeaf(ActionLeaf):
+    """Raises KeyboardInterrupt when ticked, as Ctrl-C can mid-tick."""
+
+    def _tick(self, ctx):
+        raise KeyboardInterrupt(ctx.now)
+
+
+def test_interrupted_run_keeps_every_completed_tick(tmp_path, monkeypatch):
+    """The trace of a run interrupted in tick k holds the header and the
+    lines of ticks 0 to k - 1, the held ones included."""
+    def registry():
+        registry = builtin_registry()
+        registry.register("vehicle", "interrupt",
+                          lambda receiver, args, modifiers, world:
+                          InterruptLeaf(), Signature())
+        return registry
+
+    monkeypatch.setattr(cli, "builtin_registry", registry)
+    path = write(tmp_path, "interrupt.osc",
+                 "scenario p:\n  a: vehicle\n  do serial:\n"
+                 "    wait elapsed(15s)\n    a.interrupt()\n")
+    trace = tmp_path / "trace.ndjson"
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        main(["run", path, "--trace", str(trace)])
+    k = interrupt.value.args[0]
+    assert k > _TickEncoder.chunk
+    records = read_trace(trace)
+    assert [r["record"] for r in records] == ["header"] + ["tick"] * k
+    assert [r["tick"] for r in records[1:]] == list(range(k))
 
 
 def reference_tick_record(cs, now):
@@ -640,6 +711,7 @@ def test_tick_lines_match_json_dumps(inputs, dt, start):
         world.collisions = collisions
         before = stream.tell()
         encoder.write_tick(start + offset)
+        encoder.flush()
         line = stream.getvalue()[before:]
         assert line == json.dumps(reference_tick_record(cs, start + offset),
                                   separators=(",", ":")) + "\n"

@@ -52,6 +52,14 @@ def test_scenario_trace_hash(name, tmp_path):
     assert digest == GOLDEN_TRACES[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_scenario_stdout_hash(name, capsysbinary):
+    """`run` without --trace writes the same bytes to stdout."""
+    assert main(["run", str(SCENARIOS / f"{name}.osc")]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()[:16]
+    assert digest == GOLDEN_TRACES[name]
+
+
 # A tick-time assign_position with speed() writes the target speed under a
 # running constant drive, and the drive writes its own back on the next tick.
 PIT = """\
@@ -299,6 +307,12 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
          "      position(distance: 5m, behind: hero, at: start)\n",
      [("E002", "actor 'npc' is anchored to 'hero', which is not on the "
                "road network")]),
+    ("", "    hero.assign_position() with:\n"
+         "      position(x: 10m, y: 0m)\n"
+         "    npc.assign_position() with:\n"
+         "      position(distance: 5m, behind: hero)\n",
+     [("E002", "actor 'npc' is anchored to 'hero', which is not on the "
+               "road network")]),
     ("", "    hero.assign_position() with:\n      lane(1)\n"
          "      position(x: 10m)\n",
      [("E002", "actor 'hero' mixes start placement paradigms")]),
@@ -376,6 +390,7 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "var-reads-zero-var", "body-reads-zero-var", "elapsed-reads-world",
         "mixed-paradigms", "forward-anchor", "missing-anchor", "two-anchors",
         "anchor-placed-by-spawn", "anchor-off-network",
+        "anchor-off-network-while-running",
         "mixed-paradigms-while-running",
         "fractional-lane", "fractional-lane-count", "negative-lane-count",
         "live-lane-count", "unknown-light-mode", "negative-target-speed",

@@ -158,6 +158,37 @@ class TestResolutionPass:
             ("E002", 9, "actor 'npc' is anchored to 'hero', which is not on "
                         "the road network")]
 
+    def test_anchor_placed_only_absolutely_after_tick_0(self):
+        # knowable at check once the whole body is resolved: an earlier
+        # placement takes the anchor off the road network, and no lane or
+        # relative placement anywhere puts it back
+        def body(*placements):
+            return "".join(f"hero.assign_position() with:\n  {p}\n"
+                           for p in placements) + (
+                "npc.assign_position() with:\n"
+                "  position(distance: 5m, behind: hero)\n")
+        off, on = "position(x: 10m, y: 0m)", "lane(1)"
+        members = "hero: vehicle\nnpc: vehicle"
+        analysis = check(wrap(body(off), members))
+        assert messages(analysis) == [
+            ("E002", 7, "actor 'npc' is anchored to 'hero', which is not on "
+                        "the road network")]
+        invocation = analysis.program.scenarios[0].body.root.children[-1]
+        assert analysis.diagnostics[0].span == invocation.span
+        # whether the anchor is on the network then is known only at run time
+        assert codes(check(wrap(body(off, on), members))) == []
+        assert codes(check(wrap(body(), members))) == []
+        # in a serial, hero leaves the network only once npc is placed
+        reverse = body() + f"hero.assign_position() with:\n  {off}\n"
+        assert codes(check(wrap(reverse, members))) == []
+        # a parallel may place npc first, and a one_of may skip hero's move
+        for kind in ("parallel", "one_of"):
+            branches = (f"{kind}:\n  serial:\n    wait elapsed(1s)\n"
+                        f"    hero.assign_position() with:\n      {off}\n"
+                        "  npc.assign_position() with:\n"
+                        "    position(distance: 5m, behind: hero)\n")
+            assert codes(check(wrap(branches, members))) == []
+
     def test_events_are_open_world(self):
         assert codes(check(wrap("wait @never_emitted_anywhere"))) == []
 
