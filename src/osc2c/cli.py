@@ -1,7 +1,8 @@
 """Command line entry point: check a scenario, run it, or dump its stages.
 
-Exit codes: 0 success, 1 error diagnostics, 2 I/O or configuration failure,
-3 simulated-time budget exhausted, 4 root Failure or a runtime fault.
+Exit codes: 0 success, 1 error diagnostics, 2 I/O or configuration failure
+(a trace or a dump that cannot be written included), 3 simulated-time budget
+exhausted, 4 root Failure or a runtime fault.
 """
 
 from __future__ import annotations
@@ -311,7 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"check": cmd_check, "run": cmd_run, "dump": cmd_dump}
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:  # a trace or a dump that cannot be written
+        if getattr(args, "trace", None) is None:
+            # stdout: the interpreter's last flush of it would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return _fail_io(f"cannot write the output: {exc}")
 
 
 if __name__ == "__main__":

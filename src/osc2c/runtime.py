@@ -450,21 +450,19 @@ class ScenarioInitializer:
 class BehaviorTreeBuilder:
     """Lowers a resolved scenario body to a behavior tree.
 
-    A wait reads the evaluator of its condition in ``conditions``.  The
-    invocations of the scenario's placement plan, those carrying an
-    `at: start` modifier, are left to the initializer.  A drive settles
-    unless a leaf that holds no motion claim may write its actor's target
-    speed: a tick-time `assign_position` with `speed`, or any leaf of a
-    factory other than the builtin ones, which may write any actor.
+    A wait reads the evaluator of its condition in the scenario's
+    ``conditions``.  The invocations of the scenario's placement plan, those
+    carrying an `at: start` modifier, are left to the initializer.  A drive
+    settles unless a leaf that holds no motion claim may write its actor's
+    target speed: a tick-time `assign_position` with `speed`, or any leaf of
+    a factory other than the builtin ones, which may write any actor.
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
-                 world: World, conditions: dict[int, Evaluator],
-                 filename: str = "<string>"):
+                 world: World, filename: str = "<string>"):
         self.scenario = scenario
         self.registry = registry
         self.world = world
-        self.conditions = conditions
         self.filename = filename
         self._planned = {id(invocation.node) for invocation in scenario.plan}
         self._drives: list[DriveLeaf] = []
@@ -513,10 +511,11 @@ class BehaviorTreeBuilder:
                              span=node.span)
         if isinstance(cond, ast.ElapsedCondition):
             # the checker folded the duration to a constant
-            seconds = constant_value(self.conditions[id(cond.duration)])
+            seconds = constant_value(
+                self.scenario.conditions[id(cond.duration)])
             return Timer(seconds, label="wait elapsed", span=node.span)
         # a rise, fall or bool condition: the parser makes no other kind
-        holds, world = self.conditions[id(cond.expr)], self.world
+        holds, world = self.scenario.conditions[id(cond.expr)], self.world
         predicate = lambda _: holds(world)
         if isinstance(cond, ast.BoolCondition):
             return Condition(predicate, label="wait", span=node.span)
@@ -661,8 +660,7 @@ def compile_scenario(analysis: Analysis, *,
         elif kind == "prop":
             world.add_prop(name)
 
-    root = BehaviorTreeBuilder(scenario, registry, world,
-                               analysis.evaluators, filename).build()
+    root = BehaviorTreeBuilder(scenario, registry, world, filename).build()
     compiled = CompiledScenario(scenario, root, world, Blackboard())
     if initialize:
         compiled.initialize()

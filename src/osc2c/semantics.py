@@ -1,9 +1,10 @@
 """Two-pass semantic analysis and expression lowering.
 
-The definition pass builds each scenario's scope and registers every declared
-symbol (fields, vars, and event names harvested from emit/wait sites) so
-forward references are legal by construction.  The resolution pass then
-binds references, walks actor inheritance chains, checks dimensions, binds
+The definition pass records each scenario's fields and vars, the first of
+two that share a name, so forward references are legal by construction;
+events are open-world and need no declaration.  The resolution pass then
+binds names to those declarations, a var before a field of the same name,
+walks actor inheritance chains, checks dimensions, binds
 the arguments of actions to their signatures in an action table (a
 backend's, or else the prelude's) and those of modifiers and queries to
 theirs in the prelude, and binds the scenario to a builtin map.  It also
@@ -16,10 +17,10 @@ run reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(world)`` that returns a float, a bool or a str.  A quantity
-is its SI magnitude: its dimension is known here, in its ``QuantityType``,
-and is not checked again at run time.  ``ScenarioInfo.invocations`` keeps
-each action invocation as bound, and ``Analysis.evaluators`` maps the ``id``
-of every wait condition to its evaluator; ``world`` is the run's
+is its SI magnitude: its dimension, which is its static type here, is not
+checked again at run time.  ``ScenarioInfo.invocations`` keeps each action
+invocation as bound, and ``ScenarioInfo.conditions`` maps the ``id`` of
+every wait condition to its evaluator; ``world`` is the run's
 ``World``, and ``live_actor`` looks an actor up in it.  The vars are
 evaluated once, here, and every reference to one is its value.  Literals,
 var references, attribute reads and every operator whose operands are
@@ -50,15 +51,10 @@ class EvalError(RuntimeError):
     """Runtime expression evaluation failed."""
 
 
-# static expression types
+# static expression types; a quantity's is its Dimension
 
 class ExprType:
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class QuantityType(ExprType):
-    dim: Dimension
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,44 +80,7 @@ UNKNOWN = ExprType()
 
 AT_START = EnumWord("start")
 
-# the type of a number, of each unit's literals and of each physical type's
-# vars, made once: a frozen dataclass is slow to build
-NUMBER = QuantityType(DIMENSIONLESS)
-_UNIT_TYPES = {unit: QuantityType(dim)
-               for unit, (_, dim) in units.UNITS.items()}
-_VAR_TYPES = {name: QuantityType(dim)
-              for name, dim in prelude.PHYSICAL_TYPES.items()}
-
-
-@dataclass
-class Symbol:
-    name: str
-    kind: str  # actor-instance | variable | event
-    declared_type: str | None = None
-    span: Span | None = None
-
-
-class Scope:
-    """The symbols a scenario declares; the prelude's names are not in it."""
-
-    def __init__(self):
-        self.symbols: dict[tuple[str, str], Symbol] = {}
-
-    def define(self, symbol: Symbol) -> Symbol | None:
-        """Add a symbol; returns the existing one on a same-kind collision."""
-        key = (symbol.name, symbol.kind)
-        existing = self.symbols.get(key)
-        if existing is not None:
-            return existing
-        self.symbols[key] = symbol
-        return None
-
-    def lookup(self, name: str, kinds: tuple[str, ...]) -> Symbol | None:
-        for kind in kinds:
-            symbol = self.symbols.get((name, kind))
-            if symbol is not None:
-                return symbol
-        return None
+Type = ExprType | Dimension
 
 
 class Modifiers(dict):
@@ -145,8 +104,9 @@ class Invocation:
 @dataclass
 class ScenarioInfo:
     decl: ast.ScenarioDecl
-    scope: Scope
     map_name: str | None = None
+    # the type name of each field and the declaration of each var, the
+    # first of two that share a name
     fields: dict[str, str] = field(default_factory=dict)
     constraints: dict[str, dict[str, str]] = field(default_factory=dict)
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
@@ -154,9 +114,10 @@ class ScenarioInfo:
     var_values: dict[str, float] = field(default_factory=dict)
     # each action invocation by the id of its node
     invocations: dict[int, Invocation] = field(default_factory=dict)
+    # the evaluator of each wait condition by the id of its expression
+    conditions: dict[int, Evaluator | None] = field(default_factory=dict)
     # the invocations with an `at: start` modifier, in tree order
     plan: list[Invocation] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -164,8 +125,6 @@ class Analysis:
     diagnostics: list[Diagnostic]
     program: ast.Program | None = None
     scenarios: list[ScenarioInfo] = field(default_factory=list)
-    # the evaluator of each wait condition by the id of its expression
-    evaluators: dict[int, Evaluator | None] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -180,9 +139,9 @@ class Analysis:
         return not self.errors
 
 
-# each var's reads of other vars, the diagnostic count after its own, and
-# its initializer's evaluator (None on an error)
-_VarReads = dict[str, tuple[list[str], int, Evaluator | None]]
+# each var's own declaration, its reads of other vars, the diagnostic count
+# after its own, and its initializer's evaluator (None on an error)
+_VarReads = dict[str, tuple[ast.VarDecl, list[str], int, Evaluator | None]]
 
 
 def unsupported_action(action: str, type_name: str) -> str:
@@ -197,7 +156,6 @@ class Analyzer:
         self.filename = filename
         self.actions = prelude.ACTIONS if actions is None else actions
         self.diagnostics: list[Diagnostic] = []
-        self.evaluators: dict[int, Evaluator | None] = {}
         self._names: dict[tuple[str, str], Evaluator] = {}
         self._reads: list[str] | None = None  # vars the initializer reads
         # (what, why) while an expression is computed before any actor is
@@ -205,9 +163,9 @@ class Analyzer:
         self._fixed: tuple[str, str] | None = None
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
-        # the scenario whose body is resolved, its keep constraints known,
-        # and the paradigm of the latest start placement of each actor its
-        # start placements have placed so far (None after an error)
+        # the scenario resolved, and the paradigm of the latest start
+        # placement of each actor its start placements have placed so far
+        # (None after an error)
         self._info: ScenarioInfo | None = None
         self._placed: dict[str, str | None] = {}
         # the actors an absolute placement has taken off the road network
@@ -234,61 +192,41 @@ class Analyzer:
             self.error("E002", f"a file declares one scenario; "
                        f"'{scen.name}' is a second", scen.span)
         for scen in program.scenarios:
-            scope = Scope()
-            info = ScenarioInfo(scen, scope)
+            info = ScenarioInfo(scen)
             for member in scen.members:
                 if isinstance(member, ast.FieldDecl):
-                    self._define(scope, Symbol(member.name, "actor-instance",
-                                               member.type_name, member.span))
-                elif isinstance(member, ast.VarDecl):
-                    self._define(scope, Symbol(member.name, "variable",
-                                               member.type_name, member.span))
-            if scen.body is not None:
-                self._define_events(scen.body.root, scope)
-            info.events = sorted(name for (name, kind) in scope.symbols
-                                 if kind == "event")
+                    declared, value = info.fields, member.type_name
+                else:
+                    declared, value = info.variables, member
+                if member.name in declared:
+                    self.error("E005",
+                               f"duplicate definition of '{member.name}'",
+                               member.span)
+                else:
+                    declared[member.name] = value
             infos.append(info)
         return infos
-
-    def _define(self, scope: Scope, symbol: Symbol) -> None:
-        existing = scope.define(symbol)
-        if existing is not None:
-            self.error("E005", f"duplicate definition of '{symbol.name}'",
-                       symbol.span)
-
-    def _define_events(self, node: ast.Node, scope: Scope) -> None:
-        # events are open-world: any emit or wait site declares the name
-        if isinstance(node, ast.EmitStatement):
-            scope.define(Symbol(node.event, "event", span=node.span))
-        elif isinstance(node, ast.WaitStatement) \
-                and isinstance(node.condition, ast.EventRef):
-            scope.define(Symbol(node.condition.name, "event",
-                                span=node.condition.span))
-        elif isinstance(node, ast.Composition):
-            for child in node.children:
-                self._define_events(child, scope)
 
     # resolution pass
 
     def resolution_pass(self, infos: list[ScenarioInfo]) -> None:
         for info in infos:
+            self._info = info
             reads: _VarReads = {}
             for member in info.decl.members:
                 if isinstance(member, ast.FieldDecl):
                     self._resolve_field(member, info)
                 else:
-                    self._resolve_var(member, info, reads)
+                    self._resolve_var(member, reads)
             self._evaluate_vars(info, reads)
             if info.decl.body is not None:
                 # A var initializer cannot hold an attribute read without
                 # an error, so only the body's reads are checked.
-                self._info = info
                 self._constants = {name: partial(_constant, value)
                                    for name, value in info.var_values.items()}
                 self._placed, self._later = {}, []
                 self._off, self._on = set(), set()
-                self._resolve_behavior(info.decl.body.root, info.scope)
-                self._info = None
+                self._resolve_behavior(info.decl.body.root)
                 for actor, anchor, span in self._later:
                     if anchor not in self._on:
                         self._off_road(actor, anchor, span)
@@ -297,7 +235,6 @@ class Analyzer:
         if decl.type_name not in prelude.ACTOR_TYPES:
             self.error("E001", f"undefined type '{decl.type_name}'", decl.span)
             return
-        info.fields[decl.name] = decl.type_name
         for keep in decl.constraints:
             self._resolve_keep(keep, decl, info)
 
@@ -331,8 +268,7 @@ class Analyzer:
             else:
                 info.map_name = value.lower()
 
-    def _resolve_var(self, decl: ast.VarDecl, info: ScenarioInfo,
-                     reads: _VarReads) -> None:
+    def _resolve_var(self, decl: ast.VarDecl, reads: _VarReads) -> None:
         declared = prelude.PHYSICAL_TYPES.get(decl.type_name)
         if declared is None:
             if decl.type_name in prelude.ACTOR_TYPES:
@@ -343,11 +279,11 @@ class Analyzer:
                 self.error("E001", f"undefined type '{decl.type_name}'",
                            decl.span)
             return
-        info.variables[decl.name] = decl
         self._reads = []
         self._fixed = ("a var initializer", "vars are evaluated")
-        evaluator = self._check_initializer(decl, declared, info.scope)
-        reads[decl.name] = (self._reads, len(self.diagnostics), evaluator)
+        evaluator = self._check_initializer(decl, declared)
+        reads[decl.name] = (decl, self._reads, len(self.diagnostics),
+                            evaluator)
         self._reads = self._fixed = None
 
     def _evaluate_vars(self, info: ScenarioInfo, reads: _VarReads) -> None:
@@ -359,49 +295,50 @@ class Analyzer:
         declared = {name: i for i, name in enumerate(reads)}
         found = []
         # a var that reads none is on no cycle and may go first
-        graph = {name: names for name, (names, *_) in reads.items() if names}
+        graph = {name: names for name, (_, names, *_) in reads.items()
+                 if names}
         order = [name for name in reads if name not in graph]
         for component in _components(graph):
             order.extend(component)
             if len(component) > 1 or component[0] in graph[component[0]]:
                 first = min(component, key=declared.__getitem__)
-                found.append((reads[first][1], declared[first],
+                decl, _, at, _ = reads[first]
+                found.append((at, declared[first],
                               f"initializer of '{first}' depends on itself",
-                              info.variables[first].span))
+                              decl.span))
         values = info.var_values
         for name in order:
-            names, at, evaluator = reads[name]
+            decl, names, at, evaluator = reads[name]
             if evaluator is None or not all(read in values for read in names):
                 continue
             try:
                 values[name] = evaluator(values)
             except units.UnitsError as exc:
-                found.append((at, declared[name], str(exc),
-                              info.variables[name].init.span))
+                found.append((at, declared[name], str(exc), decl.init.span))
         found.sort(key=lambda fault: fault[:2], reverse=True)
         for at, _, message, span in found:
             self.diagnostics.insert(at, Diagnostic(ERROR, "E002", message,
                                                    span, self.filename))
 
-    def _check_initializer(self, decl: ast.VarDecl, declared: Dimension,
-                           scope: Scope) -> Evaluator | None:
+    def _check_initializer(self, decl: ast.VarDecl,
+                           declared: Dimension) -> Evaluator | None:
         """Type and lower a var initializer; returns its evaluator, None if
         the initializer has an error."""
         init = decl.init
         if isinstance(init, ast.Binary) and init.op == "*":
             # a product may only work if the right factor is read as a scalar
-            lhs = self.resolve_expr(init.lhs, scope)
-            rhs = self.resolve_expr(init.rhs, scope)
+            lhs = self.resolve_expr(init.lhs)
+            rhs = self.resolve_expr(init.rhs)
             lhs_type, rhs_type = lhs[0], rhs[0]
-            coerced = (isinstance(lhs_type, QuantityType)
-                       and isinstance(rhs_type, QuantityType)
-                       and units.coercible_product(lhs_type.dim,
-                                                   rhs_type.dim, declared))
+            coerced = (isinstance(lhs_type, Dimension)
+                       and isinstance(rhs_type, Dimension)
+                       and units.coercible_product(lhs_type, rhs_type,
+                                                   declared))
             if coerced:
                 self.report(
                     WARNING, "W001",
                     f"dimensional coercion applied in initializer of "
-                    f"'{decl.name}': {dimension_name(rhs_type.dim)} operand "
+                    f"'{decl.name}': {dimension_name(rhs_type)} operand "
                     f"reinterpreted as a dimensionless scalar",
                     init.span)
             result, evaluator = self._binary(init, lhs, rhs)
@@ -409,22 +346,22 @@ class Analyzer:
                 # the same product of magnitudes, typed as declared
                 return evaluator
         else:
-            result, evaluator = self.resolve_expr(init, scope)
+            result, evaluator = self.resolve_expr(init)
         if result is UNKNOWN:
             return None
-        if not isinstance(result, QuantityType):
+        if not isinstance(result, Dimension):
             self.error("E002", f"initializer of '{decl.name}' is not a quantity",
                        init.span)
             return None
-        if result.dim != declared:
+        if result != declared:
             self.error("E003",
                        f"initializer of '{decl.name}' has dimension "
-                       f"{dimension_name(result.dim)}, expected "
+                       f"{dimension_name(result)}, expected "
                        f"{dimension_name(declared)}", init.span)
             return None
         return evaluator
 
-    def _resolve_behavior(self, node: ast.Node, scope: Scope) -> None:
+    def _resolve_behavior(self, node: ast.Node) -> None:
         if isinstance(node, ast.Composition):
             # a branch of a parallel or one_of may run before its siblings'
             # placements, or without them
@@ -432,22 +369,21 @@ class Analyzer:
             for child in node.children:
                 if node.kind != "serial":
                     self._off = set(before)
-                self._resolve_behavior(child, scope)
+                self._resolve_behavior(child)
             if node.kind != "serial":
                 self._off = before
         elif isinstance(node, ast.ActionInvocation):
-            self._resolve_invocation(node, scope)
+            self._resolve_invocation(node)
         elif isinstance(node, ast.WaitStatement):
-            self._resolve_condition(node.condition, scope)
+            self._resolve_condition(node.condition)
 
-    def _resolve_invocation(self, node: ast.ActionInvocation, scope: Scope) -> None:
+    def _resolve_invocation(self, node: ast.ActionInvocation) -> None:
         # signature None: the actor or the action is undefined (typed only)
         signature = receiver = None
-        actor_sym = scope.lookup(node.actor, ("actor-instance",))
-        if actor_sym is None:
+        type_name = self._info.fields.get(node.actor)
+        if type_name is None:
             self.error("E001", f"undefined actor '{node.actor}'", node.span)
         else:
-            type_name = actor_sym.declared_type
             receiver = ActorRef(type_name, node.actor)
             signature = prelude.find_action(type_name, node.action,
                                             self.actions)
@@ -459,8 +395,8 @@ class Analyzer:
                 self.error("E004",
                            f"action '{node.action}' is not defined for actor "
                            f"type '{type_name}' or its ancestors", node.span)
-        args = self._arguments(node.action, signature, node.args, node.span,
-                               scope)[1]
+        args = self._arguments(node.action, signature, node.args,
+                               node.span)[1]
         # the bound arguments of the modifiers read; None on an error
         modifiers: Modifiers | None = Modifiers()
         at_start = False
@@ -470,7 +406,7 @@ class Analyzer:
                            modifier.span)
             signature = prelude.MODIFIERS.get(modifier.name)
             typed, bound = self._arguments(modifier.name, signature,
-                                           modifier.args, modifier.span, scope)
+                                           modifier.args, modifier.span)
             if signature is not None:
                 if bound is None:
                     modifiers = None
@@ -552,19 +488,19 @@ class Analyzer:
                    f"which is not on the road network", span)
 
     def _arguments(self, callee: str, signature: prelude.Signature | None,
-                   args: list[ast.Argument], span: Span, scope: Scope):
+                   args: list[ast.Argument], span: Span):
         """The typed arguments of an action or a modifier, and what ``_bind``
         returns (None with no signature); a ``LANES`` one is fixed before
         any actor is placed."""
         if signature is None:
-            return [self.resolve_expr(arg.value, scope) for arg in args], None
+            return [self.resolve_expr(arg.value) for arg in args], None
         pairs = signature.bind(args)
         typed = []
         for name, arg in pairs:
             if signature.params.get(name) == prelude.LANES:
                 self._fixed = (f"'{callee}' argument '{name}'",
                                "its value is fixed")
-            typed.append(self.resolve_expr(arg.value, scope))
+            typed.append(self.resolve_expr(arg.value))
             self._fixed = None
         return typed, self._bind(callee, signature, pairs, typed, span)
 
@@ -611,14 +547,14 @@ class Analyzer:
         dim = (kind.dim if isinstance(kind, prelude.NonNegative) else
                DIMENSIONLESS if kind == prelude.LANES else kind)
         if isinstance(dim, Dimension):
-            if not isinstance(arg_type, QuantityType):
+            if not isinstance(arg_type, Dimension):
                 self.error("E002",
                            f"{what} must be a {dimension_name(dim)} quantity",
                            span)
-            elif arg_type.dim not in (dim, DIMENSIONLESS):
+            elif arg_type not in (dim, DIMENSIONLESS):
                 self.error("E003",
                            f"{what} has dimension "
-                           f"{dimension_name(arg_type.dim)}, expected "
+                           f"{dimension_name(arg_type)}, expected "
                            f"{dimension_name(dim)}", span)
             elif kind == prelude.LANES:
                 # it reads no actor: a constant, or None after an error
@@ -655,9 +591,9 @@ class Analyzer:
                            f"'{actor.type_name}' is not in the world", span)
         return False
 
-    def _resolve_condition(self, cond: ast.Node, scope: Scope) -> None:
+    def _resolve_condition(self, cond: ast.Node) -> None:
         if isinstance(cond, (ast.RiseCondition, ast.FallCondition)):
-            result = self._resolve_root(cond.expr, scope)[0]
+            result = self._resolve_root(cond.expr)[0]
             if result not in (BOOL, UNKNOWN):
                 kind = "rise" if isinstance(cond, ast.RiseCondition) else "fall"
                 self.error("E002", f"{kind}() requires a boolean condition",
@@ -665,10 +601,9 @@ class Analyzer:
         elif isinstance(cond, ast.ElapsedCondition):
             # the tree builder reads the duration once
             self._fixed = ("elapsed()", "its duration is fixed")
-            result, evaluator = self._resolve_root(cond.duration, scope)
+            result, evaluator = self._resolve_root(cond.duration)
             self._fixed = None
-            if result is not UNKNOWN and \
-                    (not isinstance(result, QuantityType) or result.dim != DURATION):
+            if result is not UNKNOWN and result != DURATION:
                 self.error("E003", "elapsed() requires a time duration",
                            cond.span)
             elif result is not UNKNOWN:
@@ -678,55 +613,54 @@ class Analyzer:
                     self.error("E002", "elapsed() duration must not be "
                                        "negative", cond.span)
         elif isinstance(cond, ast.BoolCondition):
-            result = self._resolve_root(cond.expr, scope)[0]
+            result = self._resolve_root(cond.expr)[0]
             if result not in (BOOL, UNKNOWN):
                 self.error("E002", "wait requires a boolean condition", cond.span)
 
     # expression typing and lowering
 
-    def _resolve_root(self, expr: ast.Node,
-                      scope: Scope) -> tuple[ExprType, Evaluator | None]:
+    def _resolve_root(self, expr: ast.Node) -> tuple[Type, Evaluator | None]:
         """Type and lower a wait condition, keeping its evaluator."""
-        typed = self.resolve_expr(expr, scope)
-        self.evaluators[id(expr)] = typed[1]
+        typed = self.resolve_expr(expr)
+        self._info.conditions[id(expr)] = typed[1]
         return typed
 
-    def resolve_expr(self, expr: ast.Node,
-                     scope: Scope) -> tuple[ExprType, Evaluator | None]:
+    def resolve_expr(self, expr: ast.Node) -> tuple[Type, Evaluator | None]:
         """Type an expression and lower it to its evaluator (None on error)."""
         # the eight expression nodes the parser builds, most frequent first
         if isinstance(expr, ast.Identifier):
-            return self._resolve_name(expr, scope)
+            return self._resolve_name(expr)
         if isinstance(expr, ast.Binary):
-            return self._binary(expr, self.resolve_expr(expr.lhs, scope),
-                                self.resolve_expr(expr.rhs, scope))
+            return self._binary(expr, self.resolve_expr(expr.lhs),
+                                self.resolve_expr(expr.rhs))
         if isinstance(expr, ast.QuantityLiteral):
             value = units.from_literal(expr.value, expr.unit)
-            return _UNIT_TYPES[expr.unit], partial(_constant, value)
+            return units.UNITS[expr.unit][1], partial(_constant, value)
         if isinstance(expr, ast.NumberLiteral):
-            return NUMBER, partial(_constant, expr.value)
+            return DIMENSIONLESS, partial(_constant, expr.value)
         if isinstance(expr, ast.MethodCall):
-            return self._resolve_call(expr, scope)
+            return self._resolve_call(expr)
         if isinstance(expr, ast.MemberAccess):
-            return self._resolve_member(expr, scope)
+            return self._resolve_member(expr)
         if isinstance(expr, ast.StringLiteral):
             return STRING, partial(_constant, expr.value)
-        return self._resolve_unary(expr, scope)  # an ast.Unary
+        return self._resolve_unary(expr)  # an ast.Unary
 
-    def _resolve_name(self, expr: ast.Identifier, scope: Scope):
+    def _resolve_name(self, expr: ast.Identifier):
         name = expr.name
-        symbol = scope.lookup(name, ("variable", "actor-instance"))
-        if symbol is not None:
-            if symbol.kind == "variable":
-                result = _VAR_TYPES.get(symbol.declared_type)
-                if result is None:
-                    return UNKNOWN, None
-                if self._reads is None:
-                    # None if the var has no value, which is reported
-                    return result, self._constants.get(name)
-                self._reads.append(name)
-                return result, self._name_evaluator("variable", name)
-            return (ActorRef(symbol.declared_type, name),
+        var = self._info.variables.get(name)
+        if var is not None:
+            result = prelude.PHYSICAL_TYPES.get(var.type_name)
+            if result is None:
+                return UNKNOWN, None
+            if self._reads is None:
+                # None if the var has no value, which is reported
+                return result, self._constants.get(name)
+            self._reads.append(name)
+            return result, self._name_evaluator("variable", name)
+        type_name = self._info.fields.get(name)
+        if type_name is not None:
+            return (ActorRef(type_name, name),
                     self._name_evaluator("actor-instance", name))
         if name in prelude.ENUM_WORDS:
             return EnumWord(name), self._name_evaluator("enum-word", name)
@@ -751,7 +685,7 @@ class Analyzer:
                    f"actor is placed", span)
         return True
 
-    def _folded(self, result: ExprType, evaluator: Evaluator, span: Span):
+    def _folded(self, result: Type, evaluator: Evaluator, span: Span):
         """``(result, evaluator)`` for an evaluator of constant operands,
         folded to a constant.
 
@@ -765,10 +699,10 @@ class Analyzer:
             self.error("E002", str(exc), span)
             return UNKNOWN, None
 
-    def _resolve_unary(self, expr: ast.Unary, scope: Scope):
-        operand, fn = self.resolve_expr(expr.operand, scope)
+    def _resolve_unary(self, expr: ast.Unary):
+        operand, fn = self.resolve_expr(expr.operand)
         if expr.op == "-":
-            if not (operand is UNKNOWN or isinstance(operand, QuantityType)):
+            if not (operand is UNKNOWN or isinstance(operand, Dimension)):
                 self.error("E002", "negation requires a quantity", expr.span)
                 return UNKNOWN, None
             result, evaluator = operand, lambda env: -fn(env)
@@ -798,32 +732,31 @@ class Analyzer:
             else:
                 evaluator = lambda env: lhs_fn(env) or rhs_fn(env)
         elif op in units.ARITHMETIC:
-            if not (isinstance(lhs, QuantityType)
-                    and isinstance(rhs, QuantityType)):
+            if not (isinstance(lhs, Dimension) and isinstance(rhs, Dimension)):
                 self.error("E002", "arithmetic requires quantity operands",
                            expr.span)
                 return UNKNOWN, None
             if op in ("+", "-"):
-                if lhs.dim != rhs.dim:
+                if lhs != rhs:
                     self.error("E003",
                                f"cannot apply '{op}' to "
-                               f"{dimension_name(lhs.dim)} and "
-                               f"{dimension_name(rhs.dim)}", expr.span)
+                               f"{dimension_name(lhs)} and "
+                               f"{dimension_name(rhs)}", expr.span)
                     return UNKNOWN, None
                 result = lhs
             elif op == "*":
-                result = QuantityType(lhs.dim * rhs.dim)
+                result = lhs * rhs
             else:
-                result = QuantityType(lhs.dim / rhs.dim)
+                result = lhs / rhs
             evaluator = partial(_arithmetic, units.ARITHMETIC[op], lhs_fn,
                                 rhs_fn)
         else:  # a comparison, of quantities or of strings
-            quantities = (isinstance(lhs, QuantityType)
-                          and isinstance(rhs, QuantityType))
-            if quantities and lhs.dim != rhs.dim:
+            quantities = (isinstance(lhs, Dimension)
+                          and isinstance(rhs, Dimension))
+            if quantities and lhs != rhs:
                 self.error("E003",
-                           f"cannot compare {dimension_name(lhs.dim)} with "
-                           f"{dimension_name(rhs.dim)}", expr.span)
+                           f"cannot compare {dimension_name(lhs)} with "
+                           f"{dimension_name(rhs)}", expr.span)
                 return BOOL, None
             if not (quantities or lhs is STRING and rhs is STRING
                     and op in ("==", "!=")):
@@ -836,8 +769,8 @@ class Analyzer:
             return self._folded(result, evaluator, expr.span)
         return result, evaluator
 
-    def _resolve_member(self, expr: ast.MemberAccess, scope: Scope):
-        receiver = self.resolve_expr(expr.receiver, scope)[0]
+    def _resolve_member(self, expr: ast.MemberAccess):
+        receiver = self.resolve_expr(expr.receiver)[0]
         if receiver is UNKNOWN:
             return UNKNOWN, None
         member = expr.member
@@ -849,13 +782,12 @@ class Analyzer:
                 if self._reads_actors(f"read '{receiver.instance}.speed'",
                                       expr.span):
                     return UNKNOWN, None
-                return QuantityType(SPEED), partial(_speed,
-                                                    receiver.instance)
+                return SPEED, partial(_speed, receiver.instance)
             if member == "position":
                 # only an ahead_of receiver, which is not evaluated itself
                 return PositionType(receiver.instance), None
             if prelude.has_attribute(receiver.type_name, member):
-                if self._info is None:
+                if self._reads is not None:  # in a var initializer
                     return STRING, None
                 value = self._info.constraints.get(
                     receiver.instance, {}).get(member)
@@ -872,9 +804,9 @@ class Analyzer:
         self.error("E002", f"cannot access member '{member}' here", expr.span)
         return UNKNOWN, None
 
-    def _resolve_call(self, expr: ast.MethodCall, scope: Scope):
-        receiver, receiver_fn = self.resolve_expr(expr.receiver, scope)
-        args = [self.resolve_expr(a.value, scope) for a in expr.args]
+    def _resolve_call(self, expr: ast.MethodCall):
+        receiver, receiver_fn = self.resolve_expr(expr.receiver)
+        args = [self.resolve_expr(a.value) for a in expr.args]
         if receiver is UNKNOWN:
             return UNKNOWN, None
         if isinstance(receiver, PositionType):
@@ -890,8 +822,7 @@ class Analyzer:
                                                    expr.span):
                 return UNKNOWN, None
             subject = self._name_evaluator("actor-instance", receiver.instance)
-            return QuantityType(LENGTH), partial(_ahead_of, subject,
-                                                 bound["actor"])
+            return LENGTH, partial(_ahead_of, subject, bound["actor"])
         if isinstance(receiver, ActorRef):
             if expr.method != "object_distance":
                 self.error("E001",
@@ -906,8 +837,8 @@ class Analyzer:
                     "call 'object_distance'", expr.span):
                 return UNKNOWN, None
             word = constant_value(bound.get("direction")) or "euclidean"
-            return QuantityType(LENGTH), partial(
-                _object_distance, receiver_fn, bound["reference"], word)
+            return LENGTH, partial(_object_distance, receiver_fn,
+                                   bound["reference"], word)
         self.error("E002", f"cannot call method '{expr.method}' here", expr.span)
         return UNKNOWN, None
 
@@ -1028,8 +959,7 @@ def analyze(program: ast.Program, filename: str = "<string>",
     analyzer = Analyzer(filename, extra_actions)
     infos = analyzer.definition_pass(program)
     analyzer.resolution_pass(infos)
-    return Analysis(analyzer.diagnostics, program, infos,
-                    analyzer.evaluators)
+    return Analysis(analyzer.diagnostics, program, infos)
 
 
 @collector_paused

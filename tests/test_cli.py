@@ -1,9 +1,13 @@
 """CLI tests: exit codes, diagnostics output, trace format, dumps."""
 
+import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +26,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FLAGSHIP = str(SCENARIOS / "cut_in_and_evade.osc")
 HANDSHAKE = str(SCENARIOS / "handshake_phases.osc")
 MINIMAL = str(SCENARIOS / "minimal_wait.osc")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BROKEN_PIPE = "osc2c: cannot write the output: [Errno 32] Broken pipe"
 
 
 def write(tmp_path, name, text):
@@ -179,6 +185,70 @@ def test_non_utf8_source_is_an_io_failure(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("osc2c: 'utf-8' codec can't "
                                               "decode byte 0xff")
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", FLAGSHIP], ["run", MINIMAL],
+                                  ["dump", FLAGSHIP, "--what", "ast"],
+                                  ["dump", MINIMAL, "--what", "bt"]],
+                         ids=["run", "run-small", "dump-ast", "dump-bt"])
+def test_reader_that_stops_early_exits_2(argv):
+    """`osc2c ... | head -c 100` exits 2 with one line on stderr; it used
+    to end in a BrokenPipeError traceback with exit 1.  Here the reader is
+    gone before the start.  A small output waits in stdout's buffer until
+    the last flush, which must fail inside `main` and not at exit."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as usual
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        result = subprocess.run([sys.executable, "-m", "osc2c", *argv],
+                                stdout=writer, stderr=subprocess.PIPE,
+                                env=env)
+    finally:
+        os.close(writer)
+    err = result.stderr.decode()
+    assert result.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines()[-1] == BROKEN_PIPE
+
+
+class ClosedPipe:
+    """A stdout whose reader goes away after the first write."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["run", FLAGSHIP],
+                                  ["dump", FLAGSHIP, "--what", "ast"]],
+                         ids=["run", "dump-ast"])
+def test_stdout_write_failure_exits_2(argv, tmp_path, capsys):
+    """A failed write to stdout, in the tick loop or after it, is one
+    `osc2c:` line and exit 2, and stdout's descriptor is pointed at the
+    null device so that the interpreter's last flush cannot fail."""
+    with open(tmp_path / "stdout", "wb") as target:
+        with contextlib.redirect_stdout(ClosedPipe(target.fileno())):
+            assert main(argv) == 2
+        os.write(target.fileno(), b"lost")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err.splitlines()[-1] == BROKEN_PIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_trace_on_a_full_device_exits_2(capsys):
+    assert main(["run", MINIMAL, "--trace", "/dev/full"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "osc2c: cannot write the output: [Errno 28] No space left on device"]
 
 
 class TestRun:

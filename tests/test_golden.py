@@ -414,6 +414,65 @@ def test_check_time_fault(members, body, expected, tmp_path):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("scenario s:\n  hero: vehicle\n  hero: person\n  do serial:\n"
+     "    hero.walk()\n",
+     ["3:3: error[E005]: duplicate definition of 'hero'",
+      "5:5: error[E004]: action 'walk' is not defined for actor type "
+      "'vehicle' or its ancestors"]),
+    ("scenario s:\n  hero: vehicle\n  ghost: spaceship\n  ghost: vehicle\n"
+     "  do serial:\n    ghost.drive()\n    wait ghost.speed > 1kph\n"
+     "    wait hero.object_distance(reference: ghost) > 1m\n",
+     ["4:3: error[E005]: duplicate definition of 'ghost'",
+      "3:3: error[E001]: undefined type 'spaceship'",
+      "6:5: error[E004]: action 'drive' is not defined for actor type "
+      "'spaceship' or its ancestors"]),
+    ("scenario s:\n  hero: vehicle\n  var hero: speed = 1kph\n  do serial:\n"
+     "    hero.drive()\n    wait hero.speed > 1kph\n    wait hero > 1kph\n",
+     ["6:10: error[E002]: cannot access member 'speed' here"]),
+    ("scenario s:\n  hero: vehicle\n  var a: speed = 1kph\n"
+     "  var a: speed = a + 1kph\n  do serial:\n    wait hero.speed > a\n",
+     ["4:3: error[E005]: duplicate definition of 'a'",
+      "4:3: error[E002]: initializer of 'a' depends on itself"]),
+    ("scenario s:\n  hero: vehicle\n  var v: furlong = 1m\n"
+     "  var v: length = 2m\n  var w: length = v + 1m\n  do serial:\n"
+     "    wait hero.speed > v\n",
+     ["4:3: error[E005]: duplicate definition of 'v'",
+      "3:3: error[E001]: undefined type 'furlong'"]),
+    ("scenario s:\n  hero: vehicle\n  var v: vehicle = 1m\n"
+     "  var v: length = 2m\n  do serial:\n    wait v > 1m\n",
+     ["4:3: error[E005]: duplicate definition of 'v'",
+      "3:3: error[E002]: 'vehicle' is not a physical type"]),
+    ("scenario s:\n  hero: vehicle with:\n    keep(it.name == \"h\")\n"
+     "  var n: speed = hero.name\n  do serial:\n    wait elapsed(1s)\n",
+     ["4:18: error[E002]: initializer of 'n' is not a quantity"]),
+    ("scenario s:\n  hero: vehicle\n  smooth: vehicle\n"
+     "  var left: length = 1m\n  do serial:\n"
+     "    hero.change_speed(target: 10kph, rate_profile: smooth)\n"
+     "    hero.change_lane(num_of_lanes: 1, side: left)\n",
+     ["6:38: error[E002]: 'change_speed' argument 'rate_profile' must be "
+      "one of asap, smooth",
+      "7:39: error[E002]: 'change_lane' argument 'side' must be one of "
+      "left, right"]),
+    ("scenario a:\n  hero: vehicle\n  var x: speed = 1kph\n  do serial:\n"
+     "    hero.drive()\nscenario b:\n  npc: vehicle\n  npc: person\n"
+     "  var x: speed = x + 1kph\n  do serial:\n    hero.drive()\n"
+     "    wait npc.speed > x\n",
+     ["6:1: error[E002]: a file declares one scenario; 'b' is a second",
+      "8:3: error[E005]: duplicate definition of 'npc'",
+      "9:3: error[E002]: initializer of 'x' depends on itself",
+      "11:5: error[E001]: undefined actor 'hero'"]),
+], ids=["field-twice", "undefined-type-field-twice", "var-shadows-field",
+        "var-twice-reads-itself", "var-twice-undefined-type-first",
+        "var-twice-actor-type-first", "var-reads-attribute",
+        "names-shadow-enum-words", "second-scenario-is-its-own"])
+def test_name_resolution(source, expected):
+    """Which declaration a name resolves to, when two share it, and where
+    each resulting diagnostic is reported."""
+    assert [d.render() for d in check(source, "n.osc").diagnostics] == [
+        f"n.osc:{line}" for line in expected]
+
+
 def _frontend_record(source: str, filename: str) -> str:
     """The syntax tree, or the frontend error, and every check diagnostic
     of one source, each diagnostic rendered with its full span."""
