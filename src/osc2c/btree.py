@@ -152,16 +152,23 @@ class BtNode:
             child.halt()
 
 
-class Sequence(BtNode):
-    """Children in order; advances to the next child within the same tick."""
+class Composite(BtNode):
+    """A node over a fixed tuple of children."""
 
     def __init__(self, children, **kw):
         super().__init__(**kw)
         self._children = tuple(children)
-        self.cursor = 0
 
     def children(self):
         return self._children
+
+
+class Sequence(Composite):
+    """Children in order; advances to the next child within the same tick."""
+
+    def __init__(self, children, **kw):
+        super().__init__(children, **kw)
+        self.cursor = 0  # the child that ticks next
 
     def _tick(self, ctx) -> Status:
         children = self._children
@@ -176,15 +183,8 @@ class Sequence(BtNode):
         return SUCCESS
 
 
-class Parallel(BtNode):
+class Parallel(Composite):
     """All children must succeed; any failure fails the composite."""
-
-    def __init__(self, children, **kw):
-        super().__init__(**kw)
-        self._children = tuple(children)
-
-    def children(self):
-        return self._children
 
     def _tick(self, ctx) -> Status:
         now = ctx.now
@@ -213,15 +213,8 @@ class Parallel(BtNode):
         return SUCCESS if done else RUNNING
 
 
-class OneOf(BtNode):
+class OneOf(Composite):
     """First child to succeed wins; the running siblings are halted."""
-
-    def __init__(self, children, **kw):
-        super().__init__(**kw)
-        self._children = tuple(children)
-
-    def children(self):
-        return self._children
 
     def _tick(self, ctx) -> Status:
         now = ctx.now
@@ -230,17 +223,14 @@ class OneOf(BtNode):
             if child.due <= now:
                 status = child.tick(ctx)
                 if status is not RUNNING:
-                    self._halt_others(child)
+                    for other in self._children:
+                        if other is not child:
+                            other.halt()
                     return status
             if child.due < due:
                 due = child.due
         self.due = due
         return RUNNING
-
-    def _halt_others(self, winner: BtNode) -> None:
-        for child in self._children:
-            if child is not winner:
-                child.halt()
 
 
 class Condition(BtNode):

@@ -12,14 +12,13 @@ import functools
 import json
 import math
 import os
-import struct
 import sys
 
 from . import ast
 from .btree import dump_tree, required_ticks
 from .diagnostics import CompileError, Diagnostic
 from .parser import parse
-from .runtime import CompiledScenario, builtin_registry, compile_source
+from .runtime import CompiledScenario, builtin_registry, compile_scenario
 from .semantics import check
 
 EXIT_OK = 0
@@ -93,11 +92,6 @@ def _number(value) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# The bit patterns of an actor's x, y, heading and speed.  Comparing them
-# tells 0.0 from -0.0, which compare equal but print differently.
-_POSE = struct.Struct("4d")
-
-
 class _TickEncoder:
     """Writes each tick record as one JSON line.
 
@@ -105,40 +99,22 @@ class _TickEncoder:
     {"record": "tick", "tick", "t", "actors": [{"name", "x", "y",
     "heading", "lane", "speed", "lights"}, ...], "events": [{"name",
     "first"}, ...], "collisions": [[a, b], ...]}, with every number rounded
-    by `_round6`.  An actor whose pose, lane and lights are unchanged since
-    the previous tick reuses its previous text; one that changed re-rounds
-    only the numbers that changed, and only then are the actors' texts
-    joined anew.  Lines wait until `chunk` of them do, or `flush`.
+    by `_round6`.  An actor whose numbers, lane and lights are unchanged
+    since the previous tick reuses its previous text; one that changed
+    re-rounds only the numbers that changed, and only then are the actors'
+    texts joined anew.  Each line goes straight to the stream, whose own
+    buffer is the only one.
     """
-
-    chunk = 256
 
     def __init__(self, cs: CompiledScenario, stream):
         self._cs = cs
-        self._stream = stream
-        self._lines: list[str] = []
+        self._write = stream.write
         self._string = functools.cache(json.dumps)  # names, lights, events
         # one slot per actor, in the world's order, which is fixed once
-        # compiled: [actor, key, numbers, their texts, its JSON object]
-        self._slots = [[actor, None, (None,) * 4, (None,) * 4, None]
+        # compiled: [actor, numbers, their texts, lane, lights, JSON object]
+        self._slots = [[actor, (None,) * 4, (None,) * 4, None, None, None]
                        for actor in cs.world.actors.values()]
         self._actors = None  # the actors' JSON objects, joined; None if stale
-
-    def _refresh(self, slot: list, key) -> None:
-        actor, _, (x0, y0, h0, s0), (xt, yt, ht, st), _ = slot
-        numbers = x, y, h, s = actor.x, actor.y, actor.heading, actor.speed
-        # The same object, or an equal non-zero number, keeps its text; an
-        # equal zero may have changed sign, and NaN equals nothing.
-        xt = xt if x is x0 or x == x0 and x else _number(x)
-        yt = yt if y is y0 or y == y0 and y else _number(y)
-        ht = ht if h is h0 or h == h0 and h else _number(h)
-        st = st if s is s0 or s == s0 and s else _number(s)
-        lane = "null" if actor.lane is None else repr(actor.lane)
-        slot[1:] = key, numbers, (xt, yt, ht, st), (
-            f'{{"name":{self._string(actor.name)},"x":{xt},"y":{yt},'
-            f'"heading":{ht},"lane":{lane},"speed":{st},'
-            f'"lights":{self._string(actor.lights)}}}')
-        self._actors = None
 
     def _tail(self, events: str = "", pairs: str = "") -> str:
         """A tick line from its "actors" field on."""
@@ -147,13 +123,29 @@ class _TickEncoder:
 
     def write_tick(self, now: int) -> None:
         for slot in self._slots:
-            actor = slot[0]
-            key = (_POSE.pack(actor.x, actor.y, actor.heading, actor.speed),
-                   actor.lane, actor.lights)
-            if key != slot[1]:
-                self._refresh(slot, key)
+            actor, (x0, y0, h0, s0), (xt, yt, ht, st), lane, lights, _ = slot
+            numbers = x, y, h, s = actor.x, actor.y, actor.heading, actor.speed
+            same = actor.lane == lane and actor.lights == lights
+            # The same object, or an equal non-zero number, keeps its text; an
+            # equal zero may have changed sign, and NaN equals nothing.
+            if not (x is x0 or x == x0 and x):
+                xt, same = _number(x), False
+            if not (y is y0 or y == y0 and y):
+                yt, same = _number(y), False
+            if not (h is h0 or h == h0 and h):
+                ht, same = _number(h), False
+            if not (s is s0 or s == s0 and s):
+                st, same = _number(s), False
+            if same:
+                continue
+            lane, lights = actor.lane, actor.lights
+            slot[1:] = numbers, (xt, yt, ht, st), lane, lights, (
+                f'{{"name":{self._string(actor.name)},"x":{xt},"y":{yt},'
+                f'"heading":{ht},"lane":{"null" if lane is None else lane},'
+                f'"speed":{st},"lights":{self._string(lights)}}}')
+            self._actors = None
         if self._actors is None:
-            self._actors = ",".join([slot[4] for slot in self._slots])
+            self._actors = ",".join([slot[5] for slot in self._slots])
             self._quiet = self._tail()  # on a tick with no event or collision
         cs = self._cs
         t = now * cs.dt  # as `_number` writes it, its fixed notation inline
@@ -169,40 +161,37 @@ class _TickEncoder:
                 f'"first":{"true" if first else "false"}}}'
                 for name, first in emissions), ",".join(
                 f"[{string(a)},{string(b)}]" for a, b in collisions))
-        self._lines.append(f'{{"record":"tick","tick":{now},"t":{t},{tail}')
-        if len(self._lines) == self.chunk:
-            self.flush()
+        self._write(f'{{"record":"tick","tick":{now},"t":{t},{tail}')
 
-    def flush(self) -> None:
-        """Write the lines that wait."""
-        self._stream.write("".join(self._lines))
-        self._lines.clear()
+
+def _check(path: str, registry):
+    """Read a scenario file and check it against the registry's action
+    table, printing its diagnostics; returns the analysis if it is clean,
+    else an exit code."""
+    try:
+        source = _read_source(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail_io(str(exc))
+    analysis = check(source, path, extra_actions=registry.action_table())
+    _print_diagnostics(analysis.diagnostics)
+    return analysis if analysis.ok else EXIT_DIAGNOSTICS
 
 
 def cmd_check(args) -> int:
-    try:
-        source = _read_source(args.file)
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail_io(str(exc))
-    analysis = check(source, args.file,
-                     extra_actions=builtin_registry().action_table())
-    _print_diagnostics(analysis.diagnostics)
-    return EXIT_OK if analysis.ok else EXIT_DIAGNOSTICS
+    analysis = _check(args.file, builtin_registry())
+    return analysis if isinstance(analysis, int) else EXIT_OK
 
 
 def _compile(path: str, road: str | None = None, dt: float = 0.05):
     """Read, check and lower a scenario file, printing its diagnostics;
     returns an exit code, or the compiled scenario with no actor placed."""
+    registry = builtin_registry()
+    analysis = _check(path, registry)
+    if isinstance(analysis, int):
+        return analysis
     try:
-        source = _read_source(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail_io(str(exc))
-    try:
-        return compile_source(source, path, registry=builtin_registry(),
-                              road=road, dt=dt, initialize=False,
-                              report=_print_diagnostics)
-    except CompileError:  # reported
-        return EXIT_DIAGNOSTICS
+        return compile_scenario(analysis, registry=registry, road=road, dt=dt,
+                                filename=path, initialize=False)
     except (OSError, ValueError) as exc:  # the road map
         return _fail_io(str(exc))
 
@@ -229,12 +218,8 @@ def cmd_run(args) -> int:
             "map": cs.world.road.name,
             "dt": _round6(args.dt),
         })
-        encoder = _TickEncoder(cs, stream)
-        try:
-            outcome, ticks, fault = cs.run(
-                required_ticks(args.max_time, cs.dt), encoder.write_tick)
-        finally:  # every completed tick, also when the run is interrupted
-            encoder.flush()
+        outcome, ticks, fault = cs.run(required_ticks(args.max_time, cs.dt),
+                                       _TickEncoder(cs, stream).write_tick)
         if fault is not None:
             _write_record(stream, {
                 "record": "fault", "tick": ticks,

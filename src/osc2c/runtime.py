@@ -670,21 +670,14 @@ def compile_scenario(analysis: Analysis, *,
 def compile_source(source: str, filename: str = "<string>", *,
                    registry: MethodRegistry | None = None,
                    road: RoadMap | str | None = None,
-                   dt: float = 0.05,
-                   initialize: bool = True,
-                   report=None) -> CompiledScenario:
+                   dt: float = 0.05) -> CompiledScenario:
     """Check source text against the registry's action table and compile
     it as ``compile_scenario`` does; raises CompileError on the first error.
-
-    ``report(diagnostics)`` is called with all of the check's diagnostics,
-    if given, before anything else can fail.
     """
     if registry is None:
         registry = builtin_registry()
     analysis = check(source, filename, extra_actions=registry.action_table())
-    if report is not None:
-        report(analysis.diagnostics)
     if not analysis.ok:
         raise CompileError(analysis.errors[0])
     return compile_scenario(analysis, registry=registry, road=road, dt=dt,
-                            filename=filename, initialize=initialize)
+                            filename=filename)

@@ -19,7 +19,8 @@ from osc2c.btree import FAILURE, ActionLeaf, required_ticks
 from osc2c.cli import _TickEncoder, _number, main
 from osc2c.parser import MAX_DEPTH
 from osc2c.prelude import Signature
-from osc2c.runtime import builtin_registry, compile_source
+from osc2c.runtime import builtin_registry, compile_scenario, compile_source
+from osc2c.semantics import check
 from osc2c.world import LIGHT_MODES, Actor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -237,11 +238,14 @@ def test_stdout_write_failure_exits_2(argv, tmp_path, capsys):
     `osc2c:` line and exit 2, and stdout's descriptor is pointed at the
     null device so that the interpreter's last flush cannot fail."""
     with open(tmp_path / "stdout", "wb") as target:
-        with contextlib.redirect_stdout(ClosedPipe(target.fileno())):
+        pipe = ClosedPipe(target.fileno())
+        with contextlib.redirect_stdout(pipe):
             assert main(argv) == 2
         os.write(target.fileno(), b"lost")
     assert (tmp_path / "stdout").read_bytes() == b""
     assert capsys.readouterr().err.splitlines()[-1] == BROKEN_PIPE
+    if argv[0] == "run":  # the header, then one failed tick line
+        assert pipe.writes == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -584,7 +588,7 @@ def test_library_and_cli_runs_agree(name, tmp_path):
     code = main(["run", path, "--trace", str(trace)])
     records = read_trace(trace)
     faults = [r["error"] for r in records if r["record"] == "fault"]
-    cs = compile_source(source, path, initialize=False)
+    cs = compile_scenario(check(source, path), initialize=False)
     outcome, ticks, fault = cs.run(required_ticks(300.0, cs.dt))
     assert (outcome, None if fault is None else type(fault).__name__) == (
         expected_outcome, expected_fault)
@@ -638,8 +642,8 @@ def test_custom_failing_leaf_fails_the_run(tmp_path, monkeypatch):
 
 
 def test_trace_longer_than_a_chunk_ends_in_a_fault(tmp_path):
-    """Tick lines, written a chunk at a time, come in order, each one valid
-    JSON, and the fault record follows the last of them."""
+    """Tick lines of a long run come in order, each one valid JSON, and the
+    fault record follows the last of them."""
     path = write(tmp_path, "off_map.osc",
                  "scenario p:\n  a: vehicle\n  do serial:\n"
                  "    a.drive() with:\n      speed(120kph)\n")
@@ -647,7 +651,6 @@ def test_trace_longer_than_a_chunk_ends_in_a_fault(tmp_path):
     assert main(["run", path, "--trace", str(trace)]) == 4
     records = read_trace(trace)
     ticks = len(records) - 3
-    assert ticks > _TickEncoder.chunk and ticks % _TickEncoder.chunk
     assert [r["record"] for r in records] == (
         ["header"] + ["tick"] * ticks + ["fault", "summary"])
     assert [r["tick"] for r in records[1:-2]] == list(range(ticks))
@@ -666,7 +669,7 @@ class InterruptLeaf(ActionLeaf):
 
 def test_interrupted_run_keeps_every_completed_tick(tmp_path, monkeypatch):
     """The trace of a run interrupted in tick k holds the header and the
-    lines of ticks 0 to k - 1, the held ones included."""
+    lines of ticks 0 to k - 1."""
     def registry():
         registry = builtin_registry()
         registry.register("vehicle", "interrupt",
@@ -682,7 +685,6 @@ def test_interrupted_run_keeps_every_completed_tick(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt) as interrupt:
         main(["run", path, "--trace", str(trace)])
     k = interrupt.value.args[0]
-    assert k > _TickEncoder.chunk
     records = read_trace(trace)
     assert [r["record"] for r in records] == ["header"] + ["tick"] * k
     assert [r["tick"] for r in records[1:]] == list(range(k))
@@ -781,7 +783,6 @@ def test_tick_lines_match_json_dumps(inputs, dt, start):
         world.collisions = collisions
         before = stream.tell()
         encoder.write_tick(start + offset)
-        encoder.flush()
         line = stream.getvalue()[before:]
         assert line == json.dumps(reference_tick_record(cs, start + offset),
                                   separators=(",", ":")) + "\n"

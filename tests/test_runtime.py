@@ -255,6 +255,24 @@ class TestLeaves:
         cs.step_tick()
         assert b.target_speed == c.target_speed == 5.0
 
+    def test_change_speed_follows_a_live_target(self):
+        cs = compile_body(
+            "    parallel:\n"
+            "      npc.drive() with:\n"
+            "        speed(36kph)\n"
+            "      hero.change_speed(target: npc.speed + 1kph)\n",
+            members="  hero: vehicle\n  npc: vehicle\n")
+        hero, npc = cs.world.actors["hero"], cs.world.actors["npc"]
+        assert cs.root.children()[0].children()[1].target is None
+        targets = []
+        for _ in range(5):
+            speed = npc.speed
+            assert cs.step_tick() is RUNNING
+            assert hero.target_speed == pytest.approx(speed + 1 / 3.6,
+                                                      rel=1e-12)
+            targets.append(hero.target_speed)
+        assert targets == sorted(set(targets))  # a new target every tick
+
     def test_constant_arguments_are_read_once(self):
         cs = compile_body(
             "    parallel:\n"
@@ -581,7 +599,7 @@ MAP_FAULTS = {
 @pytest.mark.parametrize("body, ticks, error, message", MAP_FAULTS.values(),
                          ids=MAP_FAULTS.keys())
 def test_map_fault(body, ticks, error, message):
-    cs = compile_body(body, initialize=False)
+    cs = compile_scenario(check(wrap(body), "t.osc"), initialize=False)
     outcome, completed, fault = cs.run(max_ticks=50)
     assert (outcome, completed, type(fault), str(fault)) == \
         ("fault", ticks, error, message)

@@ -487,6 +487,21 @@ class TestCollisions:
         world.step()
         assert world.collisions == [("a", "b")]
 
+    def test_wide_prop_rebands_the_listed_actors(self):
+        # The prop is wider than a band, so adding it re-bands the vehicle
+        # placed before it.
+        world = make_world()
+        a = world.add_vehicle("a")
+        b = world.add_vehicle("b")
+        world.place_on_lane(a, 1, 100.0)
+        world.place_on_lane(b, 2, 130.0)
+        wide = world._add(Actor("wide", "static-prop", half_length=0.5,
+                                half_width=5.0))
+        world.place_absolute(wide, 101.0, a.y + 4.0, 0.0)
+        world.step()
+        assert world.collisions == all_pairs_collisions(world) == [
+            ("a", "wide")]
+
     def test_collision_does_not_halt(self):
         world = make_world()
         a = world.add_vehicle("a")
