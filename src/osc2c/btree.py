@@ -109,9 +109,11 @@ class TickContext:
     dt: float = 0.05
 
 
-def required_ticks(duration: float, dt: float) -> int:
-    """Whole ticks needed for `duration` of simulated time at step dt."""
-    return max(0, math.ceil(duration / dt - 1e-9))
+def required_ticks(duration: float, dt: float) -> float:
+    """Whole ticks needed for `duration` of simulated time at step dt;
+    ``NEVER`` for a duration no run can reach."""
+    ticks = duration / dt - 1e-9
+    return NEVER if ticks == NEVER else max(0, math.ceil(ticks))
 
 
 class BtNode:

@@ -1,8 +1,9 @@
 """Command line entry point: check a scenario, run it, or dump its stages.
 
-Exit codes: 0 success, 1 error diagnostics, 2 I/O or configuration failure
-(a trace or a dump that cannot be written included), 3 simulated-time budget
-exhausted, 4 root Failure or a runtime fault.
+Exit codes: 0 success, 1 error diagnostics (a start placement that fails
+included), 2 I/O or configuration failure (a trace or a dump that cannot be
+written included), 3 simulated-time budget exhausted, 4 root Failure or a
+fault raised while ticking.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import os
 import sys
 
 from . import ast
-from .btree import dump_tree, required_ticks
+from .btree import NEVER, dump_tree, required_ticks
 from .diagnostics import CompileError, Diagnostic
 from .parser import parse
-from .runtime import CompiledScenario, builtin_registry, compile_scenario
+from .runtime import (CompiledScenario, ScenarioInitializer, builtin_registry,
+                      compile_scenario)
 from .semantics import check
 
 EXIT_OK = 0
@@ -164,36 +166,34 @@ class _TickEncoder:
         self._write(f'{{"record":"tick","tick":{now},"t":{t},{tail}')
 
 
-def _check(path: str, registry):
-    """Read a scenario file and check it against the registry's action
-    table, printing its diagnostics; returns the analysis if it is clean,
-    else an exit code."""
+def _compile(path: str, stage):
+    """Read a scenario file, check it against the builtin registry's action
+    table and pass the clean analysis to ``stage(analysis,
+    registry=registry)``, which places the actors, printing every
+    diagnostic; returns what the stage returns, or an exit code."""
+    registry = builtin_registry()
     try:
         source = _read_source(path)
     except (OSError, UnicodeDecodeError) as exc:
         return _fail_io(str(exc))
     analysis = check(source, path, extra_actions=registry.action_table())
     _print_diagnostics(analysis.diagnostics)
-    return analysis if analysis.ok else EXIT_DIAGNOSTICS
+    if not analysis.ok:
+        return EXIT_DIAGNOSTICS
+    try:
+        return stage(analysis, registry=registry)
+    except CompileError as exc:  # a start placement
+        _print_diagnostics([exc.diagnostic])
+        return EXIT_DIAGNOSTICS
+    except (OSError, ValueError) as exc:  # the road map
+        return _fail_io(str(exc))
 
 
 def cmd_check(args) -> int:
-    analysis = _check(args.file, builtin_registry())
-    return analysis if isinstance(analysis, int) else EXIT_OK
-
-
-def _compile(path: str, road: str | None = None, dt: float = 0.05):
-    """Read, check and lower a scenario file, printing its diagnostics;
-    returns an exit code, or the compiled scenario with no actor placed."""
-    registry = builtin_registry()
-    analysis = _check(path, registry)
-    if isinstance(analysis, int):
-        return analysis
-    try:
-        return compile_scenario(analysis, registry=registry, road=road, dt=dt,
-                                filename=path, initialize=False)
-    except (OSError, ValueError) as exc:  # the road map
-        return _fail_io(str(exc))
+    # the actors are placed on the scenario's own map; no tree is built
+    world = _compile(args.file, lambda analysis, registry: ScenarioInitializer(
+        analysis.scenarios[0], args.file).run())
+    return world if isinstance(world, int) else EXIT_OK
 
 
 def cmd_run(args) -> int:
@@ -202,7 +202,12 @@ def cmd_run(args) -> int:
     if not 0 <= args.max_time < math.inf:
         return _fail_io(
             f"--max-time must be finite and not negative, got {args.max_time}")
-    cs = _compile(args.file, args.map, args.dt)
+    budget = required_ticks(args.max_time, args.dt)
+    if budget == NEVER:
+        return _fail_io(f"--max-time / --dt must be a finite number of "
+                        f"ticks, got {args.max_time} / {args.dt}")
+    cs = _compile(args.file, functools.partial(
+        compile_scenario, road=args.map, dt=args.dt, filename=args.file))
     if isinstance(cs, int):
         return cs
 
@@ -218,7 +223,7 @@ def cmd_run(args) -> int:
             "map": cs.world.road.name,
             "dt": _round6(args.dt),
         })
-        outcome, ticks, fault = cs.run(required_ticks(args.max_time, cs.dt),
+        outcome, ticks, fault = cs.run(budget,
                                        _TickEncoder(cs, stream).write_tick)
         if fault is not None:
             _write_record(stream, {
@@ -238,7 +243,8 @@ def cmd_run(args) -> int:
 
 def cmd_dump(args) -> int:
     if args.what == "bt":
-        cs = _compile(args.file)
+        cs = _compile(args.file, functools.partial(compile_scenario,
+                                                   filename=args.file))
         if isinstance(cs, int):
             return cs
         print(dump_tree(cs.root))

@@ -3,10 +3,11 @@
 This module turns a resolved scenario into something that runs: a
 MethodRegistry maps (actor type, action) pairs to behavior factories and
 signatures (the builtin one maps each prelude action to its leaf class) and
-gives the checker its action table, a BehaviorTreeBuilder lowers the
-composition tree, a ScenarioInitializer places actors from their
-`at: start` constraints, and CompiledScenario.run is the one tick loop.
-The checker's evaluators take the run's World, which factories, leaves and
+gives the checker its action table, a ScenarioInitializer places the actors
+for tick 0 from their `at: start` constraints and the map's spawns, with a
+start fault an E002 CompileError, a BehaviorTreeBuilder lowers the
+composition tree, and CompiledScenario.run is the one tick loop.  The
+checker's evaluators take the run's World, which factories, leaves and
 placements hold.
 """
 
@@ -35,11 +36,12 @@ from .btree import (
     TickContext,
     Timer,
 )
-from .diagnostics import CompileError, Diagnostic, ERROR, collector_paused
+from .diagnostics import (CompileError, Diagnostic, ERROR, Span,
+                          collector_paused)
 from .prelude import ACTOR_TYPES, ActionTable, Signature, inheritance_chain
-from .semantics import (Analysis, EvalError, Evaluator, Invocation, Modifiers,
-                        ScenarioInfo, check, constant_value, live_actor,
-                        unsupported_action)
+from .semantics import (Analysis, EvalError, Evaluator, Modifiers,
+                        ScenarioInfo, anchor_fault, check, constant_value,
+                        live_actor, unsupported_action)
 from .units import UnitsError
 from .world import Actor, RoadMap, SimFault, SweepList, World, load_map
 
@@ -54,11 +56,7 @@ class BuildError(RuntimeError):
 
 
 class InitConflict(RuntimeError):
-    """An actor's start constraints are contradictory or unresolvable."""
-
-
-class SpawnCollision(RuntimeError):
-    """Two actors' bounding boxes overlap at their initial placements."""
+    """A placement asks for a spawn or an anchor the road network lacks."""
 
 
 class UnsupportedAction(CompileError):
@@ -391,19 +389,62 @@ def place_actor(world: World, actor: Actor, modifiers: Modifiers) -> bool:
 
 
 class ScenarioInitializer:
-    """Places every actor before the first tick from `at: start` constraints."""
+    """Places a scenario's actors for tick 0: the start placements in tree
+    order, then free default spawns.  A placement that fails, or two actors
+    that overlap, raise an E002 CompileError at the placement that put the
+    actor there last, or at the field of an actor left without a spawn."""
 
-    def __init__(self, world: World):
-        self.world = world
-        self.placed: set[str] = set()
+    def __init__(self, scenario: ScenarioInfo, filename: str = "<string>"):
+        self.scenario = scenario
+        self.filename = filename
+        # the span of each actor's latest start placement, the latest last
+        self.placed: dict[str, Span] = {}
 
-    def run(self, plan: list[Invocation]) -> None:
-        for invocation in plan:
-            actor = live_actor(invocation.node.actor, self.world)
-            if place_actor(self.world, actor, invocation.modifiers):
-                self.placed.add(actor.name)
+    def _fail(self, message: str, span: Span):
+        raise CompileError(Diagnostic(ERROR, "E002", message, span,
+                                      self.filename))
+
+    def run(self, road: RoadMap | str | None = None,
+            dt: float = 0.05) -> World:
+        """A world on ``road`` holding the scenario's actors, placed;
+        ``road`` is a road map, a map spec for ``load_map`` (``builtin:<name>``
+        or a JSON file), or None for the map the scenario binds, else town06.
+        """
+        scenario, placed = self.scenario, self.placed
+        if road is None:
+            road = f"builtin:{scenario.map_name or 'town06'}"
+        if isinstance(road, str):
+            road = load_map(road)
+        world = self.world = World(road, dt)
+        for name, type_name in scenario.fields.items():
+            kind = ACTOR_TYPES[type_name].world
+            if kind == "vehicle":
+                world.add_vehicle(name)
+            elif kind == "prop":
+                world.add_prop(name)
+        for invocation in scenario.plan:
+            node, anchor = invocation.node, invocation.modifiers.anchor
+            # an actor that is not placed yet has no lane either
+            if anchor is not None and world.actors[anchor].lane is None:
+                self._fail(anchor_fault(node.actor, anchor, "not on the road "
+                                        "network" if anchor in placed else
+                                        "not placed yet"), node.span)
+            try:
+                if place_actor(world, world.actors[node.actor],
+                               invocation.modifiers):
+                    placed.pop(node.actor, None)
+                    placed[node.actor] = node.span
+            except (InitConflict, SimFault, UnitsError) as fault:
+                self._fail(str(fault), node.span)
         self._place_remaining()
-        self._check_overlap()
+        pairs = world.overlapping_pairs()
+        if pairs:
+            # only start placements can overlap: a spawn is taken if free
+            a, b = pairs[0]
+            last = max(a.name, b.name, key=list(placed).index)
+            self._fail(f"actors '{a.name}' and '{b.name}' overlap at start",
+                       placed[last])
+        return world
 
     def _place_remaining(self) -> None:
         """Put actors without start constraints on free default spawns.
@@ -416,9 +457,8 @@ class ScenarioInitializer:
         world = self.world
         spawns = world.road.spawns
         obstacles = SweepList()
-        for name, actor in world.actors.items():
-            if name in self.placed:
-                obstacles.add(actor)
+        for name in self.placed:
+            obstacles.add(world.actors[name])
         resume: dict[tuple[float, float], int] = {}
         for name, actor in world.actors.items():
             if name in self.placed:
@@ -429,18 +469,13 @@ class ScenarioInitializer:
                 if not obstacles.hits(actor):
                     break
             else:
-                raise InitConflict(
-                    f"no free default spawn point for actor '{name}'")
+                self._fail(f"no free default spawn point for actor '{name}'",
+                           next(member.span for member in
+                                self.scenario.decl.members
+                                if isinstance(member, ast.FieldDecl)
+                                and member.name == name))
             resume[size] = k
             obstacles.add(actor)
-            self.placed.add(name)
-
-    def _check_overlap(self) -> None:
-        pairs = self.world.overlapping_pairs()
-        if pairs:
-            a, b = pairs[0]
-            raise SpawnCollision(
-                f"actors '{a.name}' and '{b.name}' overlap at start")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +586,7 @@ class BehaviorTreeBuilder:
 
 
 # what ends a run as a fault: the world, arbitration, evaluation, placement
-FAULTS = (SimFault, ArbitrationFault, EvalError, InitConflict, SpawnCollision)
+FAULTS = (SimFault, ArbitrationFault, EvalError, InitConflict)
 
 _OUTCOMES = {SUCCESS: "success", FAILURE: "failure"}
 
@@ -564,7 +599,6 @@ class CompiledScenario:
     root: BtNode
     world: World
     blackboard: Blackboard
-    initialized: bool = False
     tick_ctx: TickContext = field(init=False)
     next_tick: int = 0
 
@@ -578,11 +612,6 @@ class CompiledScenario:
     @property
     def status(self) -> Status | None:
         return self.root.status
-
-    def initialize(self) -> None:
-        """Place every actor: the start placements, then default spawns."""
-        ScenarioInitializer(self.world).run(self.scenario.plan)
-        self.initialized = True
 
     def step_tick(self) -> Status:
         """One full tick: behaviors first, then world physics; it may raise
@@ -600,9 +629,9 @@ class CompiledScenario:
 
     def run(self, max_ticks: int, after_tick=None
             ) -> tuple[str, int, Exception | None]:
-        """Place the actors unless that is done, then tick until the tree
-        settles, one of ``FAULTS`` ends the run, or ``max_ticks`` ticks are
-        done, calling ``after_tick(tick)`` after each tick that completes.
+        """Tick until the tree settles, one of ``FAULTS`` ends the run, or
+        ``max_ticks`` ticks are done, calling ``after_tick(tick)`` after
+        each tick that completes.
 
         Returns the outcome ("success", "failure", "fault" or "timeout"),
         the ticks completed and the fault or None.  A ``UnitsError`` from an
@@ -610,8 +639,6 @@ class CompiledScenario:
         """
         ticks = 0
         try:
-            if not self.initialized:
-                self.initialize()
             while ticks < max_ticks:
                 now = self.next_tick
                 status = self.step_tick()
@@ -632,39 +659,17 @@ def compile_scenario(analysis: Analysis, *,
                      registry: MethodRegistry | None = None,
                      road: RoadMap | str | None = None,
                      dt: float = 0.05,
-                     filename: str = "<string>",
-                     initialize: bool = True) -> CompiledScenario:
-    """Lower a clean analysis into an initialized, runnable scenario.
-
-    ``road`` is a road map, a map spec for ``load_map`` (``builtin:<name>``
-    or a JSON file), or None for the map the scenario binds, else town06.
-    With `initialize=False` the tree is built but no actor is placed,
-    which is enough for structural inspection; `run` places them.
-    """
+                     filename: str = "<string>") -> CompiledScenario:
+    """Lower a clean analysis into a runnable scenario whose actors
+    ``ScenarioInitializer.run(road, dt)`` placed, or raise CompileError."""
     if not analysis.ok:
         raise ValueError("cannot compile a program with semantic errors")
     scenario = analysis.scenarios[0]
-
     if registry is None:
         registry = builtin_registry()
-    if road is None:
-        road = f"builtin:{scenario.map_name or 'town06'}"
-    if isinstance(road, str):
-        road = load_map(road)
-
-    world = World(road, dt)
-    for name, type_name in scenario.fields.items():
-        kind = ACTOR_TYPES[type_name].world
-        if kind == "vehicle":
-            world.add_vehicle(name)
-        elif kind == "prop":
-            world.add_prop(name)
-
+    world = ScenarioInitializer(scenario, filename).run(road, dt)
     root = BehaviorTreeBuilder(scenario, registry, world, filename).build()
-    compiled = CompiledScenario(scenario, root, world, Blackboard())
-    if initialize:
-        compiled.initialize()
-    return compiled
+    return CompiledScenario(scenario, root, world, Blackboard())
 
 
 def compile_source(source: str, filename: str = "<string>", *,

@@ -10,8 +10,9 @@ backend's, or else the prelude's) and those of modifiers and queries to
 theirs in the prelude, and binds the scenario to a builtin map.  It also
 rejects cyclic ``var`` initializers, reads of actor state where no actor is
 placed yet (``var`` initializers, ``elapsed`` durations and lane
-numbers), start placements that contradict each other, and reads of
-attributes that no ``keep`` sets.
+numbers), placements that mix paradigms or anchors, placements after
+tick 0 relative to an anchor surely off the road network, and reads of
+attributes that no ``keep`` sets; compiling places the actors for tick 0.
 Diagnostics accumulate in source order; errors never abort the pass, so one
 run reports everything.
 
@@ -150,6 +151,12 @@ def unsupported_action(action: str, type_name: str) -> str:
             f"for type '{type_name}'")
 
 
+def anchor_fault(actor: str, anchor: str, why: str) -> str:
+    """The E002 message of a relative placement whose anchor is ``why``:
+    not placed yet, or not on the road network."""
+    return f"actor '{actor}' is anchored to '{anchor}', which is {why}"
+
+
 class Analyzer:
     def __init__(self, filename: str,
                  actions: prelude.ActionTable | None = None):
@@ -163,11 +170,7 @@ class Analyzer:
         self._fixed: tuple[str, str] | None = None
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
-        # the scenario resolved, and the paradigm of the latest start
-        # placement of each actor its start placements have placed so far
-        # (None after an error)
-        self._info: ScenarioInfo | None = None
-        self._placed: dict[str, str | None] = {}
+        self._info: ScenarioInfo | None = None  # the scenario resolved
         # the actors an absolute placement has taken off the road network
         # before the statement resolved, in run order; the actors with a
         # lane or relative placement, or one with an error, anywhere in the
@@ -224,12 +227,12 @@ class Analyzer:
                 # an error, so only the body's reads are checked.
                 self._constants = {name: partial(_constant, value)
                                    for name, value in info.var_values.items()}
-                self._placed, self._later = {}, []
-                self._off, self._on = set(), set()
+                self._later, self._off, self._on = [], set(), set()
                 self._resolve_behavior(info.decl.body.root)
                 for actor, anchor, span in self._later:
                     if anchor not in self._on:
-                        self._off_road(actor, anchor, span)
+                        self.error("E002", anchor_fault(
+                            actor, anchor, "not on the road network"), span)
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
         if decl.type_name not in prelude.ACTOR_TYPES:
@@ -432,12 +435,11 @@ class Analyzer:
     def _check_placement(self, node: ast.ActionInvocation,
                          modifiers: Modifiers | None, at_start: bool) -> None:
         """Check that an assign_position places its actor in at most one
-        way, relative to exactly one anchor, and, before tick 0, only
-        relative to an actor that an earlier start placement puts on the
-        road network.  After tick 0, the anchor must not be one that an
-        absolute placement run before has taken off the road network and
-        that no placement in the body puts back on it; `resolution_pass`
-        checks that once the body is resolved.
+        way, relative to exactly one anchor.  After tick 0, the anchor must
+        not be one that an absolute placement run before has taken off the
+        road network and that no placement in the body puts back on it;
+        `resolution_pass` checks that once the body is resolved.  Where a
+        start placement's anchor stands is the initializer's to check.
 
         ``modifiers`` holds the bound arguments of its modifiers, or None
         if one has an error; the actor then counts as placed.  The way and
@@ -446,8 +448,6 @@ class Analyzer:
         actor = node.actor
         if modifiers is None:
             self._on.add(actor)
-            if at_start:
-                self._placed[actor] = None
             return
         lane = modifiers.get("lane", {})
         position = modifiers.get("position", {})
@@ -467,25 +467,12 @@ class Analyzer:
             self.error("E002", f"actor '{actor}' names two different anchors"
                        if anchors else f"actor '{actor}' has a relative "
                        f"placement without an anchor", node.span)
-        elif at_start and relative:
-            anchor = min(anchors)
-            if anchor not in self._placed:
-                self.error("E002", f"actor '{actor}' is anchored to "
-                           f"'{anchor}', which is not placed yet", node.span)
-            elif self._placed[anchor] == "absolute":
-                self._off_road(actor, anchor, node.span)
-        elif relative and min(anchors) in self._off:
+        elif relative and not at_start and min(anchors) in self._off:
             self._later.append((actor, min(anchors), node.span))
         if places:
             (self._off if places[0] == "absolute" else self._on).add(actor)
             modifiers.paradigm = places[0]
             modifiers.anchor = min(anchors, default=None)
-        if at_start and places:
-            self._placed[actor] = places[0]
-
-    def _off_road(self, actor: str, anchor: str, span: Span) -> None:
-        self.error("E002", f"actor '{actor}' is anchored to '{anchor}', "
-                   f"which is not on the road network", span)
 
     def _arguments(self, callee: str, signature: prelude.Signature | None,
                    args: list[ast.Argument], span: Span):

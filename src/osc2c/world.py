@@ -118,6 +118,8 @@ def load_map(spec: str) -> RoadMap:
             raise ValueError("lane_count must be at least 1")
         if not (0 < road.lane_width < math.inf and 0 < road.length < math.inf):
             raise ValueError("lane_width and length must be finite and positive")
+        if road.lane_width * (road.lane_count - 1) == math.inf:
+            raise ValueError("the outermost lane centre must be finite")
         for lane, s in road.spawns:
             if not (0 <= lane < road.lane_count and 0 <= s <= road.length):
                 raise ValueError(f"spawn [{lane}, {s}] is not on the road")

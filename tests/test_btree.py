@@ -427,7 +427,7 @@ def tick_tree(spec, reference, ticks=40):
     for lane, name in enumerate("ab", start=1):
         world.place_on_lane(world.add_vehicle(name), lane, 50.0)
     root = build_tree(spec, world)
-    cs = CompiledScenario(None, root, world, Blackboard(), initialized=True)
+    cs = CompiledScenario(None, root, world, Blackboard())
     history = []
     for now in range(ticks):
         if reference:

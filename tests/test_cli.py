@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from osc2c import cli
 from osc2c.btree import FAILURE, ActionLeaf, required_ticks
 from osc2c.cli import _TickEncoder, _number, main
+from osc2c.diagnostics import CompileError
 from osc2c.parser import MAX_DEPTH
 from osc2c.prelude import Signature
 from osc2c.runtime import builtin_registry, compile_scenario, compile_source
@@ -333,18 +334,19 @@ class TestRun:
         assert (fault["tick"], fault["error"]) == (0, "InitConflict")
         assert fault["message"] == "no default spawn point on lane 7 for actor 'a'"
 
-    def test_spawn_collision_fault(self, tmp_path):
+    def test_spawn_collision_fault(self, tmp_path, capsys):
+        # the actors are placed while compiling, so no run starts
         path = write(
             tmp_path, "pileup.osc",
             "scenario pileup:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
             "    a.assign_position() with:\n      lane(1, at: start)\n"
             "    b.assign_position() with:\n      lane(1, at: start)\n"
             "    wait elapsed(1s)\n")
-        trace = str(tmp_path / "trace.ndjson")
-        assert main(["run", path, "--trace", trace]) == 4
-        records = read_trace(trace)
-        assert records[1]["record"] == "fault"
-        assert records[1]["error"] == "SpawnCollision"
+        trace = tmp_path / "trace.ndjson"
+        assert main(["run", path, "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:7:5: error[E002]: actors 'a' and 'b' overlap at start\n")
+        assert not trace.exists()
 
     def test_unsupported_action_exit_one(self, tmp_path, capsys):
         # `check` knows the action has no backend, so `run` never starts
@@ -395,6 +397,31 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"osc2c: {flag} must be")
         assert not trace.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "1e-320"], ["--max-time", "1e308", "--dt", "1e-10"]],
+        ids=["tiny-dt", "huge-max-time"])
+    def test_budget_of_too_many_ticks(self, flags, tmp_path, capsys):
+        # --max-time / --dt overflows to an infinite tick count
+        trace = tmp_path / "t.ndjson"
+        assert main(["run", MINIMAL, *flags, "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("osc2c: --max-time / --dt must be a finite "
+                              "number of ticks, got ")
+        assert err.count("\n") == 1
+        assert not trace.exists()
+
+    def test_wait_longer_than_any_run(self, tmp_path):
+        # a duration whose tick count overflows is never reached
+        path = write(tmp_path, "forever.osc",
+                     "scenario forever:\n  do serial:\n"
+                     f"    wait elapsed(1{'0' * 308}s)\n")
+        assert main(["check", path]) == 0
+        trace = str(tmp_path / "trace.ndjson")
+        assert main(["run", path, "--max-time", "1", "--trace", trace]) == 3
+        assert read_trace(trace)[-1] == {
+            "record": "summary", "outcome": "timeout", "ticks": 20,
+            "events": [{"name": "go_signal", "tick": 0}]}
+
     def test_invalid_map_file(self, tmp_path, capsys):
         road = write(tmp_path, "strip.json", json.dumps({
             "name": "strip", "lane_count": 2, "lane_width": 4.0,
@@ -441,9 +468,14 @@ class TestRun:
         ('{"name": "strip", "lane_count": 2, "lane_width": 4.0,'
          ' "length": 100.0, "spawns": [[1, null]]}',
          "a spawn station must be a number, got None"),
+        # the centre of lane 99 would lie at -inf
+        ('{"name": "wide", "lane_count": 100, "lane_width": 1e307,'
+         ' "length": 600, "spawns": [[50, 50.0]]}',
+         "the outermost lane centre must be finite"),
     ], ids=["fractional-lane-count", "fractional-spawn-lane",
             "malformed", "deeply-nested", "list-name", "string-lane-count",
-            "string-lane-width", "boolean-spawn-lane", "null-spawn-station"])
+            "string-lane-width", "boolean-spawn-lane", "null-spawn-station",
+            "lanes-beyond-float-range"])
     def test_bad_map_file(self, tmp_path, capsys, text, problem):
         road = write(tmp_path, "strip.json", text)
         trace = tmp_path / "t.ndjson"
@@ -531,7 +563,8 @@ class TestDump:
 
 # One program per way a run ends, with its outcome and fault type: the
 # shipped scenarios succeed, and each probe faults in its own way or runs
-# out of time.
+# out of time.  A start placement that fails ends compiling ("error", with
+# its diagnostic's message), so no run starts.
 RUN_PROBES = {
     **{path.stem: (path.read_text(), "success", None)
        for path in sorted(SCENARIOS.glob("*.osc"))},
@@ -549,7 +582,8 @@ RUN_PROBES = {
     "placement-at-start": ("scenario p:\n  a: vehicle\n  do serial:\n"
                            "    a.assign_position() with:\n"
                            "      lane(7, at: start)\n",
-                           "fault", "InitConflict"),
+                           "error", "no default spawn point on lane 7 for "
+                                    "actor 'a'"),
     "placement-while-running": ("scenario p:\n  a: vehicle\n  do serial:\n"
                                 "    wait elapsed(0.1s)\n"
                                 "    a.assign_position() with:\n"
@@ -560,7 +594,7 @@ RUN_PROBES = {
                         "      lane(1, at: start)\n"
                         "    b.assign_position() with:\n"
                         "      lane(1, at: start)\n",
-                        "fault", "SpawnCollision"),
+                        "error", "actors 'a' and 'b' overlap at start"),
     # a's later lane placement leaves it to the run to find a off the
     # road network; with no such placement it is a check-time E002
     "anchor-off-network-while-running": (
@@ -579,16 +613,26 @@ RUN_PROBES = {
 
 
 @pytest.mark.parametrize("name", RUN_PROBES)
-def test_library_and_cli_runs_agree(name, tmp_path):
+def test_library_and_cli_runs_agree(name, tmp_path, capsys):
     """`CompiledScenario.run` and `osc2c run` end each run alike: the same
-    outcome, tick count and fault type, and the exit code of the outcome."""
+    outcome, tick count and fault type, and the exit code of the outcome.
+    A start placement that fails is the same E002 to `compile_scenario`
+    and to `osc2c run`, which exits 1 with no trace."""
     source, expected_outcome, expected_fault = RUN_PROBES[name]
     path = write(tmp_path, f"{name}.osc", source)
     trace = tmp_path / "trace.ndjson"
     code = main(["run", path, "--trace", str(trace)])
+    if expected_outcome == "error":
+        with pytest.raises(CompileError) as error:
+            compile_scenario(check(source, path), filename=path)
+        found = error.value.diagnostic
+        assert (found.code, found.message) == ("E002", expected_fault)
+        assert (code, capsys.readouterr().err, trace.exists()) == (
+            1, found.render() + "\n", False)
+        return
     records = read_trace(trace)
     faults = [r["error"] for r in records if r["record"] == "fault"]
-    cs = compile_scenario(check(source, path), initialize=False)
+    cs = compile_scenario(check(source, path))
     outcome, ticks, fault = cs.run(required_ticks(300.0, cs.dt))
     assert (outcome, None if fault is None else type(fault).__name__) == (
         expected_outcome, expected_fault)

@@ -13,10 +13,9 @@ import pytest
 
 from osc2c import runtime, semantics
 from osc2c.btree import RUNNING, ArbitrationFault
-from osc2c.diagnostics import collector_paused
+from osc2c.diagnostics import CompileError, collector_paused
 from osc2c.prelude import Signature
-from osc2c.runtime import (BuildError, InitConflict, builtin_registry,
-                           compile_scenario)
+from osc2c.runtime import BuildError, builtin_registry, compile_scenario
 from osc2c.semantics import check
 from osc2c.world import RoadMap
 
@@ -132,7 +131,8 @@ def check_parse_error():
 
 
 def compile_init_conflict():
-    with pytest.raises(InitConflict):
+    with pytest.raises(CompileError, match="no default spawn point on "
+                                           "lane 7 for actor 'hero'"):
         compile_scenario(check(PLACEMENT_CONFLICT))
 
 

@@ -22,7 +22,7 @@ from osc2c import ast
 from osc2c.cli import main
 from osc2c.diagnostics import CompileError
 from osc2c.parser import parse
-from osc2c.runtime import compile_scenario
+from osc2c.runtime import compile_scenario, compile_source
 from osc2c.semantics import check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -184,15 +184,21 @@ def test_trace_number_text(tmp_path):
          "    wait rise(hero.position.ahead_of(npc) > 1m)\n",
      '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
      '"message":"ahead_of requires both actors on the lane network"}'),
-    # town06 has four spawn points, so a fifth actor finds them all taken
+    # town06 has four spawn points, so a fifth actor finds them all taken;
+    # the actors are placed while compiling, so check and run report it
     ("  a: vehicle\n  b: vehicle\n  c: vehicle\n", "    wait elapsed(1s)\n",
-     '{"record":"fault","tick":0,"error":"InitConflict",'
-     '"message":"no free default spawn point for actor \'c\'"}'),
+     "6:3: error[E002]: no free default spawn point for actor 'c'"),
 ], ids=["query-div-zero", "off-network-ahead-of", "no-free-spawn-point"])
-def test_runtime_fault_record(members, body, record, tmp_path):
+def test_runtime_fault_record(members, body, record, tmp_path, capsys):
     source = tmp_path / "probe.osc"
     source.write_text(MEMBERS + members + "  do serial:\n" + body)
     trace = tmp_path / "trace.ndjson"
+    if "error[" in record:  # a diagnostic, not a fault record
+        assert main(["check", str(source)]) == 1
+        assert main(["run", str(source), "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == f"{source}:{record}\n" * 2
+        assert not trace.exists()
+        return
     assert main(["check", str(source)]) == 0
     assert main(["run", str(source), "--trace", str(trace)]) == 4
     faults = [line for line in trace.read_text().splitlines()
@@ -404,14 +410,98 @@ WORLDLESS = "  env: environment\n  my_map: map\n"
         "var-of-actor-type", "argument-twice", "wait-not-boolean"])
 def test_check_time_fault(members, body, expected, tmp_path):
     """Faults that once ended a run at tick 0, or were skipped without a
-    word, are now diagnostics."""
+    word, are now diagnostics: the checker's, or else the one compiling
+    reports for a start placement."""
     text = MEMBERS + members + "  do serial:\n" + body
-    assert [(d.code, d.message) for d in check(text).diagnostics] == expected
+    analysis = check(text)
+    found = analysis.diagnostics
+    if analysis.ok:
+        with pytest.raises(CompileError) as error:
+            compile_scenario(analysis)
+        found = [error.value.diagnostic]
+    assert [(d.code, d.message) for d in found] == expected
     source = tmp_path / "probe.osc"
     source.write_text(text)
     trace = tmp_path / "trace.ndjson"
     assert main(["run", str(source), "--trace", str(trace)]) == 1
     assert not trace.exists()
+
+
+PLACE = "    {}.assign_position() with:\n      {}\n"
+
+# Start placements that fail on town06.  The actors are placed while
+# compiling, so `check` reports what `run` would, at the placement that put
+# the actor there last, or at the field of an actor left without a spawn.
+START_FAULTS = {
+    "p1": (PLACE.format("hero", "lane(7, at: start)"),
+           "5:5: error[E002]: no default spawn point on lane 7 for actor "
+           "'hero'"),
+    "p2": (PLACE.format("hero", "lane(0, at: start)"),
+           "5:5: error[E002]: no default spawn point on lane 0 for actor "
+           "'hero'"),
+    "p3": (PLACE.format("hero", "lane(1, at: start)")
+           + PLACE.format("npc", "position(distance: 1m, behind: hero, "
+                                 "at: start)"),
+           "7:5: error[E002]: actors 'hero' and 'npc' overlap at start"),
+    # a later start placement replaces an earlier one
+    "p4": (PLACE.format("hero", "lane(1, at: start)")
+           + PLACE.format("npc", "lane(side: right, side_of: hero, "
+                                 "at: start)")
+           + PLACE.format("npc", "position(distance: 0m, behind: hero, "
+                                 "at: start)"),
+           "9:5: error[E002]: actors 'hero' and 'npc' overlap at start"),
+    "p5": ("scenario probe:\n" + "".join(f"  {name}: vehicle\n"
+                                         for name in "abcde")
+           + "  do serial:\n    wait elapsed(1s)\n",
+           "6:3: error[E002]: no free default spawn point for actor 'e'"),
+    "p6": (PLACE.format("hero", "lane(4, at: start)")
+           + PLACE.format("npc", "lane(side: right, side_of: hero, "
+                                 "at: start)"),
+           "7:5: error[E002]: lane 5 outside [0, 5)"),
+    # a distance that cannot be computed where the actors stand at start
+    "distance-div-zero": (
+        PLACE.format("hero", "lane(1, at: start)")
+        + PLACE.format("npc", "position(distance: 1m / (hero.speed / 1mps), "
+                              "behind: hero, at: start)"),
+        "7:5: error[E002]: division by a zero-valued quantity"),
+}
+
+
+@pytest.mark.parametrize("name", START_FAULTS)
+def test_start_fault(name, tmp_path, capsys):
+    """`check`, `run` and `compile_source` report a failed start placement
+    as the same diagnostic, and no trace is written."""
+    body, line = START_FAULTS[name]
+    text = body if body.startswith("scenario") else (
+        MEMBERS + "  do serial:\n" + body)
+    source = tmp_path / f"{name}.osc"
+    source.write_text(text)
+    trace = tmp_path / "trace.ndjson"
+    assert main(["check", str(source)]) == 1
+    assert main(["run", str(source), "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"{source}:{line}\n" * 2
+    assert not trace.exists()
+    with pytest.raises(CompileError) as error:
+        compile_source(text, str(source))
+    assert error.value.diagnostic.render() == f"{source}:{line}"
+
+
+def test_start_fault_depends_on_the_map(tmp_path, capsys):
+    """p1 runs on a map with a spawn on lane 7; `check` still places the
+    actors on the scenario's own map, town06, which has none."""
+    source = tmp_path / "p1.osc"
+    source.write_text(MEMBERS + "  do serial:\n" + START_FAULTS["p1"][0])
+    road = tmp_path / "eight.json"
+    road.write_text(json.dumps({
+        "name": "eight", "lane_count": 8, "lane_width": 3.5, "length": 600.0,
+        "spawns": [[7, 50.0], [1, 50.0]]}))
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", str(source), "--map", str(road),
+                 "--trace", str(trace)]) == 0
+    assert json.loads(trace.read_text().splitlines()[-1])["outcome"] == \
+        "success"
+    assert main(["check", str(source)]) == 1
+    assert capsys.readouterr().err == f"{source}:{START_FAULTS['p1'][1]}\n"
 
 
 @pytest.mark.parametrize("source, expected", [

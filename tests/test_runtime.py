@@ -35,7 +35,6 @@ from osc2c.runtime import (
     InitConflict,
     MethodRegistry,
     SetLightsLeaf,
-    SpawnCollision,
     UnsupportedAction,
     builtin_registry,
     compile_scenario,
@@ -570,19 +569,20 @@ class TestQuiescence:
         assert a.target_speed == 10.0
 
 
-# Faults that only the map shows, as `run` reports them: the placement or
-# lane change asks for a lane the road lacks, or a lane change starts off
-# the lane network.  Town06 has lanes 0 to 4 and spawns on lanes 1 to 4.
+# Faults that only the map shows: the placement or lane change asks for a
+# lane the road lacks, or a lane change starts off the lane network.  Town06
+# has lanes 0 to 4 and spawns on lanes 1 to 4.  A start placement's fault
+# is a CompileError, with no tick run (None); the others end a run.
 MAP_FAULTS = {
     "relative-lane-off-the-road": (
         "    a.assign_position() with:\n      lane(4, at: start)\n"
         "    b.assign_position() with:\n"
         "      lane(side: right, side_of: a, at: start)\n"
         "      position(distance: 8m, behind: a, at: start)\n",
-        0, LaneOutOfBounds, "lane 5 outside [0, 5)"),
+        None, CompileError, "lane 5 outside [0, 5)"),
     "no-spawn-on-lane": (
         "    a.assign_position() with:\n      lane(0, at: start)\n",
-        0, InitConflict, "no default spawn point on lane 0 for actor 'a'"),
+        None, CompileError, "no default spawn point on lane 0 for actor 'a'"),
     "lane-change-off-the-road": (
         "    a.assign_position() with:\n      lane(4, at: start)\n"
         "    wait elapsed(0.1s)\n"
@@ -599,7 +599,12 @@ MAP_FAULTS = {
 @pytest.mark.parametrize("body, ticks, error, message", MAP_FAULTS.values(),
                          ids=MAP_FAULTS.keys())
 def test_map_fault(body, ticks, error, message):
-    cs = compile_scenario(check(wrap(body), "t.osc"), initialize=False)
+    if ticks is None:
+        with pytest.raises(error) as fault:
+            compile_scenario(check(wrap(body), "t.osc"))
+        assert fault.value.diagnostic.message == message
+        return
+    cs = compile_scenario(check(wrap(body), "t.osc"))
     outcome, completed, fault = cs.run(max_ticks=50)
     assert (outcome, completed, type(fault), str(fault)) == \
         ("fault", ticks, error, message)
@@ -676,13 +681,14 @@ class TestInitializer:
                 "      lane(1, at: start)\n"
                 "    b.assign_position() with:\n"
                 "      lane(1, at: start)\n")
-        with pytest.raises(SpawnCollision):
+        with pytest.raises(CompileError,
+                           match="actors 'a' and 'b' overlap at start"):
             compile_body(body)
 
     def test_spawn_collision_names_first_pair_in_declaration_order(self):
         body = "".join(f"    {name}.assign_position() with:\n"
                        f"      lane(1, at: start)\n" for name in "cba")
-        with pytest.raises(SpawnCollision,
+        with pytest.raises(CompileError,
                            match="actors 'a' and 'b' overlap at start"):
             compile_body(body, members="  a: vehicle\n  b: vehicle\n"
                                        "  c: vehicle\n")
@@ -845,6 +851,6 @@ def test_check_clean_arguments_never_fail_to_build_or_tick(source):
         cs = compile_scenario(analysis)
         for _ in range(3):
             cs.step_tick()
-    except (InitConflict, SpawnCollision, ArbitrationFault, SimFault) as fault:
+    except (CompileError, InitConflict, ArbitrationFault, SimFault) as fault:
         # faults of placement and of the world, not of arguments
         assert not isinstance(fault, UnknownLightMode)
