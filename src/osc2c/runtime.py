@@ -5,10 +5,10 @@ MethodRegistry maps (actor type, action) pairs to behavior factories and
 signatures (the builtin one maps each prelude action to its leaf class) and
 gives the checker its action table, a ScenarioInitializer places the actors
 for tick 0 from their `at: start` constraints and the map's spawns, with a
-start fault an E002 CompileError, a BehaviorTreeBuilder lowers the
-composition tree, and CompiledScenario.run is the one tick loop.  The
-checker's evaluators take the run's World, which factories, leaves and
-placements hold.
+start fault or a lane placement without a spawn an E002 CompileError, a
+BehaviorTreeBuilder lowers the composition tree, and CompiledScenario.run
+is the one tick loop.  The checker's evaluators take the run's World,
+which factories, leaves and placements hold.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from .btree import (
 from .diagnostics import (CompileError, Diagnostic, ERROR, Span,
                           collector_paused)
 from .prelude import ACTOR_TYPES, ActionTable, Signature, inheritance_chain
-from .semantics import (Analysis, EvalError, Evaluator, Modifiers,
-                        ScenarioInfo, anchor_fault, check, constant_value,
-                        live_actor, unsupported_action)
+from .semantics import (Analysis, EvalError, Evaluator, Invocation,
+                        Modifiers, ScenarioInfo, anchor_fault, check,
+                        constant_value, live_actor, unsupported_action)
 from .units import UnitsError
-from .world import Actor, RoadMap, SimFault, SweepList, World, load_map
+from .world import (Actor, RoadMap, SimFault, SweepList,
+                    TopologicalUnreachable, World, load_map)
 
 GO_SIGNAL = "go_signal"
 
@@ -53,10 +54,6 @@ SPEED_TOLERANCE = 0.01
 
 class BuildError(RuntimeError):
     """A behavior factory cannot lower the invocation it was given."""
-
-
-class InitConflict(RuntimeError):
-    """A placement asks for a spawn or an anchor the road network lacks."""
 
 
 class UnsupportedAction(CompileError):
@@ -349,25 +346,21 @@ def builtin_registry() -> MethodRegistry:
 def place_actor(world: World, actor: Actor, modifiers: Modifiers) -> bool:
     """Apply placement modifiers to one actor; True if a pose was set.
 
-    The checker chose the paradigm: a default spawn on a numbered lane, a
-    pose relative to one already placed anchor, an absolute Cartesian pose
-    that takes the actor off the road network, or none.
+    The checker chose the paradigm: a lane's spawn, which the initializer
+    found, a pose relative to one already placed anchor, an absolute
+    Cartesian pose that takes the actor off the road network, or none.
     """
     lane_args = modifiers.get("lane", {})
     position_args = modifiers.get("position", {})
     if modifiers.paradigm == "lane":
         lane_index = int(constant_value(lane_args["lane"]))
-        s = world.road.spawn_on_lane(lane_index)
-        if s is None:
-            raise InitConflict(
-                f"no default spawn point on lane {lane_index} "
-                f"for actor '{actor.name}'")
-        world.place_on_lane(actor, lane_index, s)
+        world.place_on_lane(actor, lane_index,
+                            world.road.spawn_on_lane(lane_index))
     elif modifiers.paradigm == "relative":
         anchor = live_actor(modifiers.anchor, world)
         if anchor.lane is None:
-            raise InitConflict(
-                f"anchor '{anchor.name}' is not on the road network")
+            raise TopologicalUnreachable(anchor_fault(
+                actor.name, anchor.name, "not on the road network"))
         side = constant_value(lane_args.get("side"))
         lane_index = anchor.lane + {"right": 1, "left": -1}.get(side, 0)
         sign = 1.0 if "ahead_of" in position_args else -1.0
@@ -392,7 +385,8 @@ class ScenarioInitializer:
     """Places a scenario's actors for tick 0: the start placements in tree
     order, then free default spawns.  A placement that fails, or two actors
     that overlap, raise an E002 CompileError at the placement that put the
-    actor there last, or at the field of an actor left without a spawn."""
+    actor there last, or at the field of an actor left without a spawn.
+    So does a lane placement after tick 0 whose lane has no spawn."""
 
     def __init__(self, scenario: ScenarioInfo, filename: str = "<string>"):
         self.scenario = scenario
@@ -422,32 +416,37 @@ class ScenarioInitializer:
                 world.add_vehicle(name)
             elif kind == "prop":
                 world.add_prop(name)
-        for invocation in scenario.plan:
-            node, anchor = invocation.node, invocation.modifiers.anchor
-            # an actor that is not placed yet has no lane either
-            if anchor is not None and world.actors[anchor].lane is None:
-                self._fail(anchor_fault(node.actor, anchor, "not on the road "
-                                        "network" if anchor in placed else
-                                        "not placed yet"), node.span)
+        for invocation in scenario.invocations.values():
+            node, modifiers = invocation.node, invocation.modifiers
+            if modifiers.paradigm == "lane":
+                lane = int(constant_value(modifiers["lane"]["lane"]))
+                if road.spawn_on_lane(lane) is None:
+                    self._fail(f"no default spawn point on lane {lane} "
+                               f"for actor '{node.actor}'", node.span)
+            if not invocation.at_start:
+                continue
+            anchor = modifiers.anchor
+            if anchor is not None and anchor not in placed:
+                self._fail(anchor_fault(node.actor, anchor, "not placed yet"),
+                           node.span)
             try:
-                if place_actor(world, world.actors[node.actor],
-                               invocation.modifiers):
+                if place_actor(world, world.actors[node.actor], modifiers):
                     placed.pop(node.actor, None)
                     placed[node.actor] = node.span
-            except (InitConflict, SimFault, UnitsError) as fault:
+            except (SimFault, UnitsError) as fault:
                 self._fail(str(fault), node.span)
-        self._place_remaining()
-        pairs = world.overlapping_pairs()
+        pairs = self._place_remaining().pairs()
         if pairs:
             # only start placements can overlap: a spawn is taken if free
-            a, b = pairs[0]
-            last = max(a.name, b.name, key=list(placed).index)
-            self._fail(f"actors '{a.name}' and '{b.name}' overlap at start",
-                       placed[last])
+            names = list(world.actors)  # indexed by rank
+            a, b = (names[rank] for rank in min(pairs))
+            self._fail(f"actors '{a}' and '{b}' overlap at start",
+                       placed[max(a, b, key=list(placed).index)])
         return world
 
-    def _place_remaining(self) -> None:
-        """Put actors without start constraints on free default spawns.
+    def _place_remaining(self) -> SweepList:
+        """Put actors without start constraints on free default spawns, and
+        return the broad phase that holds every actor.
 
         Each takes the first spawn in map order whose box overlaps no placed
         actor.  Placed actors never move here, so a spawn that is blocked
@@ -476,6 +475,7 @@ class ScenarioInitializer:
                                 and member.name == name))
             resume[size] = k
             obstacles.add(actor)
+        return obstacles
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +486,11 @@ class BehaviorTreeBuilder:
     """Lowers a resolved scenario body to a behavior tree.
 
     A wait reads the evaluator of its condition in the scenario's
-    ``conditions``.  The invocations of the scenario's placement plan, those
-    carrying an `at: start` modifier, are left to the initializer.  A drive
-    settles unless a leaf that holds no motion claim may write its actor's
-    target speed: a tick-time `assign_position` with `speed`, or any leaf of
-    a factory other than the builtin ones, which may write any actor.
+    ``conditions``.  The invocations that carry an `at: start` modifier
+    are left to the initializer.  A drive settles unless a leaf that holds
+    no motion claim may write its actor's target speed: a tick-time
+    `assign_position` with `speed`, or any leaf of a factory other than the
+    builtin ones, which may write any actor.
     """
 
     def __init__(self, scenario: ScenarioInfo, registry: MethodRegistry,
@@ -499,7 +499,6 @@ class BehaviorTreeBuilder:
         self.registry = registry
         self.world = world
         self.filename = filename
-        self._planned = {id(invocation.node) for invocation in scenario.plan}
         self._drives: list[DriveLeaf] = []
         # the actors whose target speed a leaf that holds no motion claim
         # may write; a custom leaf may write any actor's
@@ -535,9 +534,8 @@ class BehaviorTreeBuilder:
             return EventEmit(node.event, label=f"emit {node.event}",
                              span=node.span)
         # an action invocation: the parser puts nothing else in a composition
-        if id(node) in self._planned:
-            return None
-        return self._invocation(node)
+        bound = self.scenario.invocations[id(node)]
+        return None if bound.at_start else self._invocation(bound)
 
     def _wait(self, node: ast.WaitStatement) -> BtNode:
         cond = node.condition
@@ -558,7 +556,8 @@ class BehaviorTreeBuilder:
         return EdgeCondition(kind, predicate, label=f"wait {kind}",
                              span=node.span)
 
-    def _invocation(self, node: ast.ActionInvocation) -> BtNode:
+    def _invocation(self, bound: Invocation) -> BtNode:
+        node = bound.node
         type_name = self.scenario.fields[node.actor]
         factory = self.registry.lookup(type_name, node.action)
         if factory is None:
@@ -566,7 +565,6 @@ class BehaviorTreeBuilder:
             raise UnsupportedAction(Diagnostic(
                 ERROR, "E007", unsupported_action(node.action, type_name),
                 node.span, self.filename))
-        bound = self.scenario.invocations[id(node)]
         leaf = factory(node.actor, bound.args, bound.modifiers, self.world)
         if factory not in _LEAVES.values():
             self._custom = True
@@ -585,8 +583,9 @@ class BehaviorTreeBuilder:
 # compiled scenario
 
 
-# what ends a run as a fault: the world, arbitration, evaluation, placement
-FAULTS = (SimFault, ArbitrationFault, EvalError, InitConflict)
+# what ends a run as a fault: the world, placement included, arbitration
+# and evaluation
+FAULTS = (SimFault, ArbitrationFault, EvalError)
 
 _OUTCOMES = {SUCCESS: "success", FAILURE: "failure"}
 

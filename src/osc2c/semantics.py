@@ -20,7 +20,8 @@ While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(world)`` that returns a float, a bool or a str.  A quantity
 is its SI magnitude: its dimension, which is its static type here, is not
 checked again at run time.  ``ScenarioInfo.invocations`` keeps each action
-invocation as bound, and ``ScenarioInfo.conditions`` maps the ``id`` of
+invocation as bound, in tree order, with ``at_start`` set on those the
+initializer runs, and ``ScenarioInfo.conditions`` maps the ``id`` of
 every wait condition to its evaluator; ``world`` is the run's
 ``World``, and ``live_actor`` looks an actor up in it.  The vars are
 evaluated once, here, and every reference to one is its value.  Literals,
@@ -100,6 +101,7 @@ class Invocation:
     node: ast.ActionInvocation
     args: dict[str, Evaluator]
     modifiers: Modifiers
+    at_start: bool = False  # `at: start`: the initializer runs it, no leaf
 
 
 @dataclass
@@ -113,12 +115,10 @@ class ScenarioInfo:
     variables: dict[str, ast.VarDecl] = field(default_factory=dict)
     # the value of each var whose initializer could be computed
     var_values: dict[str, float] = field(default_factory=dict)
-    # each action invocation by the id of its node
+    # each action invocation by the id of its node, in tree order
     invocations: dict[int, Invocation] = field(default_factory=dict)
     # the evaluator of each wait condition by the id of its expression
     conditions: dict[int, Evaluator | None] = field(default_factory=dict)
-    # the invocations with an `at: start` modifier, in tree order
-    plan: list[Invocation] = field(default_factory=list)
 
 
 @dataclass
@@ -171,14 +171,14 @@ class Analyzer:
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
         self._info: ScenarioInfo | None = None  # the scenario resolved
-        # the actors an absolute placement has taken off the road network
-        # before the statement resolved, in run order; the actors with a
-        # lane or relative placement, or one with an error, anywhere in the
-        # body; and the relative placements made after tick 0 to an actor
-        # of the first set, as (actor, anchor, span)
+        # after tick 0: the actors an absolute placement has taken off the
+        # road network before the statement resolved, in run order; the
+        # actors with a lane or relative placement anywhere in the body, or
+        # with a placement that has an error; and each relative placement,
+        # as (actor, anchor, span, whether the anchor was in the first set)
         self._off: set[str] = set()
         self._on: set[str] = set()
-        self._later: list[tuple[str, str, Span]] = []
+        self._later: list[tuple[str, str, Span, bool]] = []
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -229,8 +229,13 @@ class Analyzer:
                                    for name, value in info.var_values.items()}
                 self._later, self._off, self._on = [], set(), set()
                 self._resolve_behavior(info.decl.body.root)
-                for actor, anchor, span in self._later:
-                    if anchor not in self._on:
+                # an actor's latest start placement says where it starts
+                start = {inv.node.actor: inv.modifiers.paradigm
+                         for inv in info.invocations.values()
+                         if inv.at_start and inv.modifiers.paradigm}
+                for actor, anchor, span, off in self._later:
+                    if anchor not in self._on and (
+                            off or start.get(anchor) == "absolute"):
                         self.error("E002", anchor_fault(
                             actor, anchor, "not on the road network"), span)
 
@@ -427,17 +432,15 @@ class Analyzer:
                                        f"'{node.action}'", arg.span)
         if node.action == "assign_position" and receiver is not None:
             self._check_placement(node, modifiers, at_start)
-        invocation = self._info.invocations[id(node)] = Invocation(
-            node, args or {}, modifiers or Modifiers())
-        if at_start:
-            self._info.plan.append(invocation)
+        self._info.invocations[id(node)] = Invocation(
+            node, args or {}, modifiers or Modifiers(), at_start)
 
     def _check_placement(self, node: ast.ActionInvocation,
                          modifiers: Modifiers | None, at_start: bool) -> None:
         """Check that an assign_position places its actor in at most one
         way, relative to exactly one anchor.  After tick 0, the anchor must
-        not be one that an absolute placement run before has taken off the
-        road network and that no placement in the body puts back on it;
+        not start off the road network or be taken off it by an absolute
+        placement run before, while no placement after tick 0 puts it back;
         `resolution_pass` checks that once the body is resolved.  Where a
         start placement's anchor stands is the initializer's to check.
 
@@ -467,10 +470,12 @@ class Analyzer:
             self.error("E002", f"actor '{actor}' names two different anchors"
                        if anchors else f"actor '{actor}' has a relative "
                        f"placement without an anchor", node.span)
-        elif relative and not at_start and min(anchors) in self._off:
-            self._later.append((actor, min(anchors), node.span))
+        elif relative and not at_start:
+            anchor = min(anchors)
+            self._later.append((actor, anchor, node.span, anchor in self._off))
         if places:
-            (self._off if places[0] == "absolute" else self._on).add(actor)
+            if not at_start:
+                (self._off if places[0] == "absolute" else self._on).add(actor)
             modifiers.paradigm = places[0]
             modifiers.anchor = min(anchors, default=None)
 

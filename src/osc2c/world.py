@@ -18,8 +18,9 @@ not swept against each other at all when their nearest actors are too far
 apart in y to touch.  An actor changes band only when its y changes, at a
 placement or during a lane change.  A hit is the pair of declaration ranks
 (`Actor.rank`) of its two actors, and sorting these int pairs gives the
-order of an all-pairs loop.  The initializer's spawn search and
-start-overlap check use the same broad phase.
+order of an all-pairs loop.  The initializer's spawn search builds its own
+`SweepList`, and the start-overlap check reads its pairs.  A lane placement,
+like a step, keeps the actor on the stations 0 <= s <= length, or faults.
 
 Everything is scalar float arithmetic at fixed dt; stepping the same
 initial state twice produces bit-identical trajectories.
@@ -474,6 +475,9 @@ class World:
         if not 0 <= lane < self.road.lane_count:
             raise LaneOutOfBounds(
                 f"lane {lane} outside [0, {self.road.lane_count})")
+        if not 0.0 <= s <= self.road.length:
+            raise OffMapFault(
+                f"actor '{actor.name}' is placed off the road at s={s:.2f}")
         actor.lane = lane
         actor.s = s
         actor.off_network = False
@@ -587,15 +591,6 @@ class World:
         if self.environment.elevation < LOW_SUN_ELEVATION:
             return "low_beam"
         return "off"
-
-    def overlapping_pairs(self) -> list[tuple[Actor, Actor]]:
-        """Every overlapping pair (a, b), a declared before b.
-
-        The pairs come in declaration order, as a loop over all pairs
-        (i, j) with i < j would visit them.
-        """
-        ranked = list(self.actors.values())  # indexed by rank
-        return [(ranked[i], ranked[j]) for i, j in sorted(self._sweep.pairs())]
 
     def _detect_collisions(self) -> None:
         hits = self._sweep.pairs()

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -323,16 +324,18 @@ class TestRun:
         assert faults[0]["error"] == "OffMapFault"
         assert records[-1]["outcome"] == "fault"
 
-    def test_placement_fault_during_run(self, tmp_path):
-        # assign_position without `at: start` places the actor when ticked
+    def test_placement_fault_during_run(self, tmp_path, capsys):
+        # assign_position without `at: start` places the actor when ticked,
+        # but whether the map has a spawn on the lane is known while compiling
         path = write(tmp_path, "lane7.osc",
                      "scenario lane7:\n  a: vehicle\n  do serial:\n"
                      "    a.assign_position() with:\n      lane(7)\n")
-        trace = str(tmp_path / "trace.ndjson")
-        assert main(["run", path, "--trace", trace]) == 4
-        fault = read_trace(trace)[1]
-        assert (fault["tick"], fault["error"]) == (0, "InitConflict")
-        assert fault["message"] == "no default spawn point on lane 7 for actor 'a'"
+        trace = tmp_path / "trace.ndjson"
+        assert main(["run", path, "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:4:5: error[E002]: no default spawn point on lane 7 for "
+            f"actor 'a'\n")
+        assert not trace.exists()
 
     def test_spawn_collision_fault(self, tmp_path, capsys):
         # the actors are placed while compiling, so no run starts
@@ -588,7 +591,8 @@ RUN_PROBES = {
                                 "    wait elapsed(0.1s)\n"
                                 "    a.assign_position() with:\n"
                                 "      lane(7)\n",
-                                "fault", "InitConflict"),
+                                "error", "no default spawn point on lane 7 "
+                                         "for actor 'a'"),
     "spawn-collision": ("scenario p:\n  a: vehicle\n  b: vehicle\n"
                         "  do serial:\n    a.assign_position() with:\n"
                         "      lane(1, at: start)\n"
@@ -603,7 +607,7 @@ RUN_PROBES = {
         "    b.assign_position() with:\n"
         "      position(distance: 5m, behind: a)\n"
         "    a.assign_position() with:\n      lane(1)\n",
-        "fault", "InitConflict"),
+        "fault", "TopologicalUnreachable"),
     "or-wait": ("scenario p:\n  a: vehicle\n  do serial:\n"
                 "    wait a.speed > 1kph or 1m < 2m\n",
                 "success", None),
@@ -639,6 +643,65 @@ def test_library_and_cli_runs_agree(name, tmp_path, capsys):
     assert (records[-1]["outcome"], records[-1]["ticks"], faults) == (
         outcome, ticks, [] if fault is None else [expected_fault])
     assert code == {"success": 0, "fault": 4, "timeout": 3}[outcome]
+
+
+def start_placement(names):
+    """A start placement of any paradigm, or a start speed alone, anchored
+    to an actor among ``names`` if relative."""
+    anchor = st.sampled_from(names)
+    return st.one_of(
+        st.integers(0, 5).map("lane({}, at: start)".format),
+        st.tuples(st.sampled_from(("left", "right")), anchor).map(
+            lambda t: "lane(side: {}, side_of: {}, at: start)".format(*t)),
+        st.tuples(st.integers(0, 600), st.sampled_from(("behind", "ahead_of")),
+                  anchor).map(
+            lambda t: "position(distance: {}m, {}: {}, at: start)".format(*t)),
+        st.tuples(st.integers(-10, 610), st.integers(-20, 5)).map(
+            lambda t: "position(x: {}m, y: {}m, at: start)".format(*t)),
+        st.just("speed(0kph, at: start)"))
+
+
+@st.composite
+def start_programs(draw):
+    """2 or 3 vehicles with start placements, some with a start speed, an
+    optional lane placement after tick 0, then a short wait."""
+    names = "abc"[:draw(st.integers(2, 3))]
+    lines = [f"  {name}: vehicle" for name in names] + ["  do serial:"]
+    placed = []  # a relative placement is anchored to one of these, if any
+    for _ in range(draw(st.integers(0, 4))):
+        actor = draw(st.sampled_from(names))
+        lines.append(f"    {actor}.assign_position() with:")
+        lines.append(f"      {draw(start_placement(placed or names))}")
+        placed.append(actor)
+        if draw(st.booleans()):
+            lines.append("      speed(0kph, at: start)")
+    if draw(st.booleans()):
+        lines += [f"    {draw(st.sampled_from(names))}.assign_position() "
+                  f"with:", f"      lane({draw(st.integers(0, 5))})"]
+    return "\n".join(["scenario p:", *lines, "    wait elapsed(0.2s)", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=start_programs())
+def test_check_clean_placements_run_to_success(source):
+    """`check` rejects a file exactly when compiling it fails, and a file
+    it accepts places its actors without a fault: start placements, start
+    speeds and lane placements after tick 0 hold nothing that only the run
+    can find."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), "p.osc", source)
+        try:
+            compile_source(source, path)
+            compiled = True
+        except CompileError:
+            compiled = False
+        assert main(["check", path]) == (0 if compiled else 1)
+        if compiled:
+            trace = Path(tmp) / "p.ndjson"
+            assert main(["run", path, "--trace", str(trace)]) == 0
+            records = read_trace(trace)
+            assert records[-1]["outcome"] == "success"
+            assert [r for r in records if r["record"] == "fault"] == []
 
 
 class GiveUpLeaf(ActionLeaf):

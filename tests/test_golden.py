@@ -188,7 +188,24 @@ def test_trace_number_text(tmp_path):
     # the actors are placed while compiling, so check and run report it
     ("  a: vehicle\n  b: vehicle\n  c: vehicle\n", "    wait elapsed(1s)\n",
      "6:3: error[E002]: no free default spawn point for actor 'c'"),
-], ids=["query-div-zero", "off-network-ahead-of", "no-free-spawn-point"])
+    # hero's later lane placement leaves it to the run to find hero off
+    # the road network when npc is placed
+    ("", "    hero.assign_position() with:\n      position(x: 10m, y: 0m)\n"
+         "    npc.assign_position() with:\n"
+         "      position(distance: 5m, behind: hero)\n"
+         "    hero.assign_position() with:\n      lane(1)\n",
+     '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
+     '"message":"actor \'npc\' is anchored to \'hero\', which is not on '
+     'the road network"}'),
+    # a placement off the road's stations faults at once, although the
+    # next step would carry npc back on
+    ("", "    hero.assign_position() with:\n      lane(1, at: start)\n"
+         "    npc.assign_position() with:\n"
+         "      position(distance: 50.1m, behind: hero)\n      speed(10kph)\n",
+     '{"record":"fault","tick":0,"error":"OffMapFault",'
+     '"message":"actor \'npc\' is placed off the road at s=-0.10"}'),
+], ids=["query-div-zero", "off-network-ahead-of", "no-free-spawn-point",
+        "anchor-off-network-while-running", "placed-just-off-the-road"])
 def test_runtime_fault_record(members, body, record, tmp_path, capsys):
     source = tmp_path / "probe.osc"
     source.write_text(MEMBERS + members + "  do serial:\n" + body)
@@ -432,6 +449,8 @@ PLACE = "    {}.assign_position() with:\n      {}\n"
 # Start placements that fail on town06.  The actors are placed while
 # compiling, so `check` reports what `run` would, at the placement that put
 # the actor there last, or at the field of an actor left without a spawn.
+# So is a placement after tick 0 on a lane without a spawn, or anchored to
+# an actor that starts off the road network or surely leaves it.
 START_FAULTS = {
     "p1": (PLACE.format("hero", "lane(7, at: start)"),
            "5:5: error[E002]: no default spawn point on lane 7 for actor "
@@ -464,6 +483,26 @@ START_FAULTS = {
         + PLACE.format("npc", "position(distance: 1m / (hero.speed / 1mps), "
                               "behind: hero, at: start)"),
         "7:5: error[E002]: division by a zero-valued quantity"),
+    "lane-7-while-running": (PLACE.format("hero", "lane(7)"),
+                             "5:5: error[E002]: no default spawn point on "
+                             "lane 7 for actor 'hero'"),
+    "behind-the-road-start": (
+        PLACE.format("hero", "lane(1, at: start)")
+        + PLACE.format("npc", "position(distance: 100m, behind: hero, "
+                              "at: start)"),
+        "7:5: error[E002]: actor 'npc' is placed off the road at s=-50.00"),
+    # start placements run before tick 0, whatever their place in the tree
+    "anchor-starts-off-network": (
+        PLACE.format("npc", "position(distance: 5m, behind: hero)")
+        + PLACE.format("hero", "position(x: 10m, y: 0m, at: start)"),
+        "5:5: error[E002]: actor 'npc' is anchored to 'hero', which is not "
+        "on the road network"),
+    "anchor-leaves-network-after-start": (
+        PLACE.format("hero", "lane(1, at: start)")
+        + PLACE.format("hero", "position(x: 10m, y: 0m)")
+        + PLACE.format("npc", "position(distance: 5m, behind: hero)"),
+        "9:5: error[E002]: actor 'npc' is anchored to 'hero', which is not "
+        "on the road network"),
 }
 
 

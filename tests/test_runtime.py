@@ -32,7 +32,6 @@ from osc2c.runtime import (
     DriveLeaf,
     EvalError,
     FollowPathLeaf,
-    InitConflict,
     MethodRegistry,
     SetLightsLeaf,
     UnsupportedAction,
@@ -103,9 +102,10 @@ class TestTreeShapes:
             stack.extend(node.children())
             if isinstance(node, ActionLeaf):
                 leaves.append(node)
-        assert len(cs.scenario.plan) == 3
-        assert all(inv.node.action == "assign_position"
-                   for inv in cs.scenario.plan)
+        started = [inv for inv in cs.scenario.invocations.values()
+                   if inv.at_start]
+        assert len(started) == 3
+        assert all(inv.node.action == "assign_position" for inv in started)
         labels = {leaf.label for leaf in leaves}
         assert not any("assign_position" in label for label in labels)
 
@@ -851,6 +851,6 @@ def test_check_clean_arguments_never_fail_to_build_or_tick(source):
         cs = compile_scenario(analysis)
         for _ in range(3):
             cs.step_tick()
-    except (CompileError, InitConflict, ArbitrationFault, SimFault) as fault:
+    except (CompileError, ArbitrationFault, SimFault) as fault:
         # faults of placement and of the world, not of arguments
         assert not isinstance(fault, UnknownLightMode)
