@@ -17,7 +17,8 @@ as their own.  The nodes that are ticked are visited in the same order as
 when every node is ticked on every tick, and a skipped node would have
 done nothing, so skipping changes no result.  A node is due on every tick
 unless it says otherwise: a Timer is due at its deadline, and a leaf with
-nothing left to do may set ``NEVER``.
+nothing left to do may set ``NEVER``.  While the root is not due and the
+world is at rest, the run loop does not step the world either.
 
 Timers convert durations to whole ticks with ``required_ticks`` so
 threshold comparisons never depend on float round-off at the boundary.

@@ -94,6 +94,10 @@ def _number(value) -> str:
     return _NON_FINITE.get(text, text)
 
 
+# the most lines of a stretch that one write of the trace holds
+STRETCH_LINES = 256
+
+
 class _TickEncoder:
     """Writes each tick record as one JSON line.
 
@@ -104,8 +108,10 @@ class _TickEncoder:
     by `_round6`.  An actor whose numbers, lane and lights are unchanged
     since the previous tick reuses its previous text; one that changed
     re-rounds only the numbers that changed, and only then are the actors'
-    texts joined anew.  Each line goes straight to the stream, whose own
-    buffer is the only one.
+    texts joined anew.  The lines of a stretch of ticks differ only in
+    "tick" and "t": the first goes straight to the stream, whose own buffer
+    is the only one, and the rest follow in writes of at most
+    `STRETCH_LINES` lines each.
     """
 
     def __init__(self, cs: CompiledScenario, stream):
@@ -123,7 +129,9 @@ class _TickEncoder:
         return (f'"actors":[{self._actors}],"events":[{events}],'
                 f'"collisions":[{pairs}]}}\n')
 
-    def write_tick(self, now: int) -> None:
+    def write_tick(self, first: int, stop: int) -> None:
+        """Write the lines of ticks `first` to `stop - 1`, which share the
+        world's state, emissions and collisions."""
         for slot in self._slots:
             actor, (x0, y0, h0, s0), (xt, yt, ht, st), lane, lights, _ = slot
             numbers = x, y, h, s = actor.x, actor.y, actor.heading, actor.speed
@@ -150,7 +158,7 @@ class _TickEncoder:
             self._actors = ",".join([slot[5] for slot in self._slots])
             self._quiet = self._tail()  # on a tick with no event or collision
         cs = self._cs
-        t = now * cs.dt  # as `_number` writes it, its fixed notation inline
+        t = first * cs.dt  # as `_number` writes it, its fixed notation inline
         t = ("%.6f" % t).rstrip("0") if 1e-4 <= t < 1e9 else _number(t)
         if t[-1] == ".":
             t += "0"
@@ -160,10 +168,18 @@ class _TickEncoder:
             string = self._string
             tail = self._tail(",".join(
                 f'{{"name":{string(name)},'
-                f'"first":{"true" if first else "false"}}}'
-                for name, first in emissions), ",".join(
+                f'"first":{"true" if new else "false"}}}'
+                for name, new in emissions), ",".join(
                 f"[{string(a)},{string(b)}]" for a, b in collisions))
-        self._write(f'{{"record":"tick","tick":{now},"t":{t},{tail}')
+        write = self._write
+        write(f'{{"record":"tick","tick":{first},"t":{t},{tail}')
+        if stop - first > 1:
+            dt = cs.dt
+            for start in range(first + 1, stop, STRETCH_LINES):
+                write("".join([
+                    f'{{"record":"tick","tick":{k},"t":{_number(k * dt)},'
+                    f'{tail}'
+                    for k in range(start, min(start + STRETCH_LINES, stop))]))
 
 
 def _compile(path: str, stage):

@@ -7,12 +7,16 @@ gives the checker its action table, a ScenarioInitializer places the actors
 for tick 0 from their `at: start` constraints and the map's spawns, with a
 start fault or a lane placement without a spawn an E002 CompileError, a
 BehaviorTreeBuilder lowers the composition tree, and CompiledScenario.run
-is the one tick loop.  The checker's evaluators take the run's World,
-which factories, leaves and placements hold.
+is the one tick loop.  The loop jumps over a stretch of ticks in which no
+node is due and the world is at rest, as each of them would repeat the last
+tick, and reports the stretch to its caller in one call.  The checker's
+evaluators take the run's World, which factories, leaves and placements
+hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import ast
@@ -629,21 +633,37 @@ class CompiledScenario:
     def run(self, max_ticks: int, after_tick=None
             ) -> tuple[str, int, Exception | None]:
         """Tick until the tree settles, one of ``FAULTS`` ends the run, or
-        ``max_ticks`` ticks are done, calling ``after_tick(tick)`` after
-        each tick that completes.
+        ``max_ticks`` ticks are done, calling ``after_tick(first, stop)``
+        once ticks ``first`` to ``stop - 1`` have completed.
+
+        A tick comes on its own, as ``(now, now + 1)``, except in a stretch.
+        When the world has just stepped, no node is due and the world is at
+        rest, each tick up to the next one a node is due in, or to the end
+        of the budget, is a copy of the last with no emissions.  The loop
+        then neither ticks the tree nor steps the world for those ticks, and
+        reports them in one call.
 
         Returns the outcome ("success", "failure", "fault" or "timeout"),
         the ticks completed and the fault or None.  A ``UnitsError`` from an
         evaluator ends the run as an ``EvalError`` fault.
         """
+        root, world = self.root, self.world
         ticks = 0
         try:
             while ticks < max_ticks:
-                now = self.next_tick
-                status = self.step_tick()
+                first = self.next_tick
+                if ticks and root.due > first and world.at_rest():
+                    stop = first + max_ticks - ticks
+                    if root.due < stop:
+                        stop = math.ceil(root.due)
+                    self.blackboard.begin_tick(first)
+                    self.next_tick = stop
+                    status = RUNNING
+                else:
+                    status = self.step_tick()
                 if after_tick is not None:
-                    after_tick(now)
-                ticks += 1
+                    after_tick(first, self.next_tick)
+                ticks += self.next_tick - first
                 if status is not RUNNING:
                     return _OUTCOMES[status], ticks, None
         except FAULTS as fault:

@@ -525,6 +525,24 @@ class World:
 
     # stepping
 
+    def at_rest(self) -> bool:
+        """Whether every vehicle on the lane network is stopped, with a
+        target speed of zero and no lane change.
+
+        Right after a step, that is when the next step can change nothing.
+        A step leaves a stopped vehicle's speed and station at +0.0, which
+        the next one keeps, and it never moves a prop or an off-network
+        actor.  Auto lights follow only the sun, which a step does not move.
+        With no actor moved, the pairs that overlap stay those the last step
+        found.
+        """
+        for actor in self.actors.values():
+            if (actor.kind == "vehicle" and not actor.off_network
+                    and (actor.speed != 0.0 or actor.target_speed != 0.0
+                         or actor.lane_change is not None)):
+                return False
+        return True
+
     def step(self) -> None:
         """Advance every actor by dt, then record the overlapping pairs.
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osc2c import cli
-from osc2c.btree import FAILURE, ActionLeaf, required_ticks
-from osc2c.cli import _TickEncoder, _number, main
+from osc2c.btree import FAILURE, RUNNING, SUCCESS, ActionLeaf, required_ticks
+from osc2c.cli import STRETCH_LINES, _TickEncoder, _number, main
 from osc2c.diagnostics import CompileError
 from osc2c.parser import MAX_DEPTH
 from osc2c.prelude import Signature
@@ -862,16 +862,25 @@ def tick_inputs(draw):
     return names, ticks
 
 
+def tick_lines(cs, first, stop):
+    """The reference lines of ticks ``first`` to ``stop - 1``."""
+    return "".join(json.dumps(reference_tick_record(cs, now),
+                              separators=(",", ":")) + "\n"
+                   for now in range(first, stop))
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=tick_inputs(), dt=st.sampled_from((0.05, 0.1, 1e-7, 0.3)),
-       start=st.integers(0, 10 ** 6))
+       start=st.integers(0, 10 ** 6),
+       lengths=st.lists(st.integers(1, 3), min_size=5, max_size=5))
 @example(inputs=(["hero", "npc"], [([FLIP, FLOP], [], []),
                                    ([FLOP, FLIP], [], []),
                                    ([FLIP, FLOP], [], []),
                                    ([FLOP, FLIP], [], [])]),
-         dt=0.05, start=0)
-def test_tick_lines_match_json_dumps(inputs, dt, start):
-    """Each tick line is `json.dumps` of the record, tick after tick."""
+         dt=0.05, start=0, lengths=[1, 3, 1, 2, 1])
+def test_tick_lines_match_json_dumps(inputs, dt, start, lengths):
+    """Each tick line is `json.dumps` of the record, tick after tick, and so
+    is each line of a stretch of one to three ticks that share a state."""
     names, ticks = inputs
     actors = {name: Actor(name, "vehicle") for name in names}
     world = SimpleNamespace(actors=actors, collisions=[])
@@ -879,7 +888,8 @@ def test_tick_lines_match_json_dumps(inputs, dt, start):
     cs = SimpleNamespace(world=world, blackboard=blackboard, dt=dt)
     stream = io.StringIO()
     encoder = _TickEncoder(cs, stream)
-    for offset, (states, emissions, collisions) in enumerate(ticks):
+    first = start
+    for (states, emissions, collisions), length in zip(ticks, lengths):
         for actor, state in zip(actors.values(), states):
             for field, value in state.items():
                 if value is OFF_NETWORK:
@@ -889,10 +899,133 @@ def test_tick_lines_match_json_dumps(inputs, dt, start):
         blackboard.emissions = emissions
         world.collisions = collisions
         before = stream.tell()
-        encoder.write_tick(start + offset)
-        line = stream.getvalue()[before:]
-        assert line == json.dumps(reference_tick_record(cs, start + offset),
-                                  separators=(",", ":")) + "\n"
+        encoder.write_tick(first, first + length)
+        assert stream.getvalue()[before:] == tick_lines(cs, first,
+                                                        first + length)
+        first += length
+
+
+def test_a_long_stretch_comes_in_bounded_writes():
+    """No write of a stretch holds more than `STRETCH_LINES` lines, and the
+    writes add up to the stretch's lines."""
+    hero = Actor("hero", "vehicle", x=12.5, lane=1, speed=0.0)
+    cs = SimpleNamespace(
+        world=SimpleNamespace(actors={"hero": hero}, collisions=[]),
+        blackboard=SimpleNamespace(emissions=[]), dt=0.05)
+    writes = []
+    stop = 7 + 2 * STRETCH_LINES + 2
+    _TickEncoder(cs, SimpleNamespace(write=writes.append)).write_tick(7, stop)
+    assert [text.count("\n") for text in writes] == [
+        1, STRETCH_LINES, STRETCH_LINES, 1]
+    assert "".join(writes) == tick_lines(cs, 7, stop)
+
+
+def reference_trace(source, path, max_time):
+    """The trace of ``osc2c run --max-time max_time`` as `json.dumps` writes
+    it, built tick by tick with `step_tick`, for a run with no fault."""
+    cs = compile_source(source, path)
+    lines = [{"record": "header", "scenario": cs.scenario.decl.name,
+              "map": cs.world.road.name, "dt": cs.dt}]
+    outcome = "timeout"
+    for now in range(required_ticks(max_time, cs.dt)):
+        status = cs.step_tick()
+        lines.append(reference_tick_record(cs, now))
+        if status is not RUNNING:
+            outcome = "success" if status is SUCCESS else "failure"
+            break
+    events = sorted(cs.blackboard.events.items(),
+                    key=lambda item: (item[1], item[0]))
+    lines.append({"record": "summary", "outcome": outcome,
+                  "ticks": cs.next_tick,
+                  "events": [{"name": name, "tick": tick}
+                             for name, tick in events]})
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n"
+                   for line in lines)
+
+
+# Runs with stretches of ticks in which no node is due and the world is at
+# rest: the source, the --max-time and the stretches, as (first, stop).
+STRETCH_PROBES = {
+    # b is placed overlapping a while running; the pair collides on every
+    # line of the stretch
+    "parked-overlapping": (
+        "scenario p:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
+        "    a.assign_position() with:\n      lane(1, at: start)\n"
+        "    b.assign_position() with:\n"
+        "      position(distance: 1m, behind: a)\n"
+        "    wait elapsed(1s)\n", 300.0, [(1, 20)]),
+    # the low sun turns the auto lights on, and the emit comes in the tick
+    # before the second stretch, whose lines hold no event
+    "auto-lights-then-emit": (
+        "scenario p:\n  env: environment\n  a: vehicle\n  do serial:\n"
+        "    env.assign_celestial_position(azimuth: 270deg, "
+        "elevation: 12deg)\n"
+        "    a.set_lights(mode: \"auto\")\n    wait elapsed(0.5s)\n"
+        "    emit PARKED\n    wait elapsed(1s)\n",
+        300.0, [(1, 10), (11, 30)]),
+    # placed absolutely, so off the network, where its speed moves nothing
+    "off-network-with-speed": (
+        "scenario p:\n  a: vehicle\n  do serial:\n"
+        "    a.assign_position() with:\n      position(x: 10m, y: 0m)\n"
+        "      speed(10kph)\n    wait elapsed(1s)\n", 300.0, [(1, 20)]),
+    # the budget of 10 ticks ends inside the stretch: exit 3
+    "budget-ends-in-a-stretch": (Path(MINIMAL).read_text(), 0.5, [(1, 10)]),
+    "minimal-wait": (Path(MINIMAL).read_text(), 300.0, [(1, 20)]),
+    # 399 lines, more than one write holds (`STRETCH_LINES`)
+    "longer-than-a-write": ("scenario p:\n  do serial:\n"
+                            "    wait elapsed(20s)\n", 300.0, [(1, 400)]),
+}
+
+
+@pytest.mark.parametrize("name", STRETCH_PROBES)
+def test_skipped_stretches_keep_the_trace(name, tmp_path):
+    """`osc2c run` reports each stretch in one call and writes the bytes and
+    exit code of a run that ticks the tree and steps the world every
+    tick."""
+    source, max_time, stretches = STRETCH_PROBES[name]
+    path = write(tmp_path, "p.osc", source)
+    trace = tmp_path / "trace.ndjson"
+    code = main(["run", path, "--max-time", str(max_time),
+                 "--trace", str(trace)])
+    expected = reference_trace(source, path, max_time)
+    assert trace.read_text() == expected
+    outcome = json.loads(expected.splitlines()[-1])["outcome"]
+    assert code == {"success": 0, "timeout": 3}[outcome]
+    cs = compile_source(source, path)
+    calls = []
+    cs.run(required_ticks(max_time, cs.dt),
+           lambda first, stop: calls.append((first, stop)))
+    assert [(first, stop) for first, stop in calls
+            if stop - first > 1] == stretches
+
+
+def world_state(world):
+    """Every actor's fields, the collisions and the broad phase's bands, as
+    text, which tells a signed zero from the other."""
+    return repr((
+        [[getattr(actor, name) for name in Actor.__slots__]
+         for actor in world.actors.values()],
+        world.collisions,
+        {band: [actor.name for actor in members]
+         for band, members in world._sweep.bands.items()}))
+
+
+@pytest.mark.parametrize("name", STRETCH_PROBES)
+def test_a_step_at_rest_changes_nothing(name):
+    """Wherever the world is at rest after a tick, one more step changes no
+    actor, collision or band."""
+    source, max_time, _ = STRETCH_PROBES[name]
+    cs = compile_source(source)
+    rested = 0
+    for _ in range(required_ticks(max_time, cs.dt)):
+        if cs.step_tick() is not RUNNING:
+            break
+        if cs.world.at_rest():
+            rested += 1
+            before = world_state(cs.world)
+            cs.world.step()
+            assert world_state(cs.world) == before
+    assert rested
 
 
 def _neighbours(value, count=3):

@@ -185,6 +185,30 @@ class TestStepping:
         assert prop.speed == 0.0
         assert prop.s == 100.0
 
+    @pytest.mark.parametrize("speed, target, lanes", [
+        (5.0, 5.0, 0),  # moving
+        (0.0, 2.0, 0),  # stopped, about to move
+        (0.0, 0.0, 1),  # stopped in a lane change
+        (math.nan, 0.0, 0),
+    ])
+    def test_not_at_rest(self, speed, target, lanes):
+        """A vehicle that a step can move keeps the world from rest; a
+        parked one, a prop and an off-network vehicle do not."""
+        world = make_world()
+        parked = world.add_vehicle("parked")
+        world.place_on_lane(parked, 2, 10.0)
+        world.place_on_lane(world.add_prop("cone"), 3, 10.0)
+        loose = world.add_vehicle("loose")
+        world.place_absolute(loose, 50.0, 0.0, 0.0)
+        loose.speed = loose.target_speed = 9.0
+        world.step()
+        assert world.at_rest()
+        hero = world.add_vehicle("hero")
+        world.place_on_lane(hero, 1, 100.0)
+        hero.speed, hero.target_speed = speed, target
+        world.begin_lane_change(hero, lanes, "right")
+        assert not world.at_rest()
+
     def test_speed_never_negative(self):
         world = make_world()
         hero = world.add_vehicle("hero")
