@@ -208,7 +208,7 @@ def _compile(path: str, stage):
 def cmd_check(args) -> int:
     # the actors are placed on the scenario's own map; no tree is built
     world = _compile(args.file, lambda analysis, registry: ScenarioInitializer(
-        analysis.scenarios[0], args.file).run())
+        analysis.scenarios[0], args.file, registry).run())
     return world if isinstance(world, int) else EXIT_OK
 
 

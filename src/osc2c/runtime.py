@@ -4,14 +4,13 @@ This module turns a resolved scenario into something that runs: a
 MethodRegistry maps (actor type, action) pairs to behavior factories and
 signatures (the builtin one maps each prelude action to its leaf class) and
 gives the checker its action table, a ScenarioInitializer places the actors
-for tick 0 from their `at: start` constraints and the map's spawns, with a
-start fault or a lane placement without a spawn an E002 CompileError, a
-BehaviorTreeBuilder lowers the composition tree, and CompiledScenario.run
-is the one tick loop.  The loop jumps over a stretch of ticks in which no
-node is due and the world is at rest, as each of them would repeat the last
-tick, and reports the stretch to its caller in one call.  The checker's
-evaluators take the run's World, which factories, leaves and placements
-hold.
+for tick 0 and is the one judge of where an actor can be after it, with
+each fault it can know an E002 CompileError, a BehaviorTreeBuilder lowers
+the composition tree, and CompiledScenario.run is the one tick loop.  The
+loop jumps over a stretch of ticks in which no node is due and the world is
+at rest, as each of them would repeat the last tick, and reports the
+stretch to its caller in one call.  The checker's evaluators take the run's
+World, which factories, leaves and placements hold.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .diagnostics import (CompileError, Diagnostic, ERROR, Span,
                           collector_paused)
 from .prelude import ACTOR_TYPES, ActionTable, Signature, inheritance_chain
 from .semantics import (Analysis, EvalError, Evaluator, Invocation,
-                        Modifiers, ScenarioInfo, anchor_fault, check,
-                        constant_value, live_actor, unsupported_action)
+                        Modifiers, ScenarioInfo, check, constant_value,
+                        live_actor, unsupported_action)
 from .units import UnitsError
 from .world import (Actor, RoadMap, SimFault, SweepList,
                     TopologicalUnreachable, World, load_map)
@@ -346,6 +345,19 @@ def builtin_registry() -> MethodRegistry:
 # ---------------------------------------------------------------------------
 # placement
 
+_SIDES = {"right": 1, "left": -1}  # lanes to the right
+
+# Where an actor may be after tick 0, to the initializer: a set of lane
+# numbers, OFF for off the road network and LANES for every lane.
+OFF, LANES = "off", "lanes"
+ANYWHERE, NOWHERE = frozenset((OFF, LANES)), frozenset()
+
+
+def anchor_fault(actor: str, anchor: str, why: str) -> str:
+    """The message of a relative placement whose anchor is ``why``: not
+    placed yet, or not on the road network."""
+    return f"actor '{actor}' is anchored to '{anchor}', which is {why}"
+
 
 def place_actor(world: World, actor: Actor, modifiers: Modifiers) -> bool:
     """Apply placement modifiers to one actor; True if a pose was set.
@@ -366,7 +378,7 @@ def place_actor(world: World, actor: Actor, modifiers: Modifiers) -> bool:
             raise TopologicalUnreachable(anchor_fault(
                 actor.name, anchor.name, "not on the road network"))
         side = constant_value(lane_args.get("side"))
-        lane_index = anchor.lane + {"right": 1, "left": -1}.get(side, 0)
+        lane_index = anchor.lane + _SIDES.get(side, 0)
         sign = 1.0 if "ahead_of" in position_args else -1.0
         distance = position_args.get("distance")
         distance = 0.0 if distance is None else distance(world)
@@ -390,17 +402,34 @@ class ScenarioInitializer:
     order, then free default spawns.  A placement that fails, or two actors
     that overlap, raise an E002 CompileError at the placement that put the
     actor there last, or at the field of an actor left without a spawn.
-    So does a lane placement after tick 0 whose lane has no spawn."""
 
-    def __init__(self, scenario: ScenarioInfo, filename: str = "<string>"):
+    Then a walk of the tree keeps the places each actor may be in after
+    tick 0.  A serial passes them on; a branch of a parallel or one_of
+    starts from those before it, widened by what its sibling branches may
+    give an actor, and the branches' places are joined after it.  A lane
+    placement on a lane without a spawn, or a move that faults from every
+    place it may start from, is an E002 at its span too."""
+
+    def __init__(self, scenario: ScenarioInfo, filename: str = "<string>",
+                 registry: MethodRegistry | None = None):
         self.scenario = scenario
         self.filename = filename
+        self.registry = registry  # None: every action runs its builtin leaf
         # the span of each actor's latest start placement, the latest last
         self.placed: dict[str, Span] = {}
+        # whether each (actor type, action) runs its builtin leaf
+        self._builtin: dict[tuple[str, str], bool] = {}
 
     def _fail(self, message: str, span: Span):
         raise CompileError(Diagnostic(ERROR, "E002", message, span,
                                       self.filename))
+
+    def _spawn_lane(self, invocation: Invocation) -> None:
+        """Check that the lane of a lane placement has a spawn."""
+        lane = int(constant_value(invocation.modifiers["lane"]["lane"]))
+        if self.world.road.spawn_on_lane(lane) is None:
+            self._fail(f"no default spawn point on lane {lane} for actor "
+                       f"'{invocation.node.actor}'", invocation.node.span)
 
     def run(self, road: RoadMap | str | None = None,
             dt: float = 0.05) -> World:
@@ -420,15 +449,16 @@ class ScenarioInitializer:
                 world.add_vehicle(name)
             elif kind == "prop":
                 world.add_prop(name)
+        self._anywhere = dict.fromkeys(world.actors, ANYWHERE)
+        movers = []  # (invocation, the places it may give) after tick 0
         for invocation in scenario.invocations.values():
             node, modifiers = invocation.node, invocation.modifiers
-            if modifiers.paradigm == "lane":
-                lane = int(constant_value(modifiers["lane"]["lane"]))
-                if road.spawn_on_lane(lane) is None:
-                    self._fail(f"no default spawn point on lane {lane} "
-                               f"for actor '{node.actor}'", node.span)
             if not invocation.at_start:
+                if (gives := self._gives(invocation)) is not None:
+                    movers.append((invocation, gives))
                 continue
+            if modifiers.paradigm == "lane":
+                self._spawn_lane(invocation)
             anchor = modifiers.anchor
             if anchor is not None and anchor not in placed:
                 self._fail(anchor_fault(node.actor, anchor, "not placed yet"),
@@ -446,7 +476,97 @@ class ScenarioInitializer:
             a, b = (names[rank] for rank in min(pairs))
             self._fail(f"actors '{a}' and '{b}' overlap at start",
                        placed[max(a, b, key=list(placed).index)])
+        if movers:
+            self._walk(scenario.decl.body.root, movers, {}, {
+                name: {OFF if actor.lane is None else actor.lane}
+                for name, actor in world.actors.items()})
         return world
+
+    def _gives(self, invocation: Invocation) -> dict | None:
+        """The places an invocation after tick 0 may give each actor it
+        moves, or None if it moves none.  A leaf other than the builtin one
+        may put any actor anywhere."""
+        node, paradigm = invocation.node, invocation.modifiers.paradigm
+        key = (self.scenario.fields[node.actor], node.action)
+        if key not in self._builtin:
+            self._builtin[key] = self.registry is None or \
+                self.registry.lookup(*key) is _LEAVES.get(node.action)
+        if not self._builtin[key]:
+            return self._anywhere
+        if paradigm == "lane":
+            lane = int(constant_value(invocation.modifiers["lane"]["lane"]))
+            return {node.actor: {lane}}
+        if paradigm is not None or node.action == "change_lane" and \
+                constant_value(invocation.args["num_of_lanes"]):
+            return {node.actor: {OFF} if paradigm == "absolute" else {LANES}}
+        return None
+
+    def _walk(self, node: ast.Node, movers: list, beside: dict,
+              places: dict) -> None:
+        """Update ``places``, where each actor may be, by ``movers``, the
+        (invocation, what it may give) inside ``node`` in tree order;
+        ``beside`` holds what branches beside ``node`` may give."""
+        if isinstance(node, ast.ActionInvocation):
+            for name, landed in self._move(*movers[0], places).items():
+                places[name] = landed | beside.get(name, NOWHERE)
+            return
+        branches, i = [], 0  # each child that holds movers, with those
+        for child in node.children:
+            end, j = (child.span.end_line, child.span.end_col), i
+            while j < len(movers) and (movers[j][0].node.span.line,
+                                       movers[j][0].node.span.col) < end:
+                j += 1
+            if j > i:
+                branches.append((child, movers[i:j]))
+                i = j
+        if node.kind == "serial":
+            for child, inside in branches:
+                self._walk(child, inside, beside, places)
+            return
+        given = [_union(*(gives for _, gives in inside))
+                 for _, inside in branches]
+        joined = dict.fromkeys(_union(*given), NOWHERE)
+        if len(branches) < len(node.children):  # one that moves no actor
+            joined = _union(*given, {name: places[name] for name in joined})
+        for k, (child, inside) in enumerate(branches):
+            widened = _union(beside, *given[:k], *given[k + 1:])
+            state = _union(places, widened)
+            self._walk(child, inside, widened, state)
+            joined = _union(joined, {name: state[name] for name in joined})
+        places.update(joined)
+
+    def _move(self, invocation: Invocation, gives: dict,
+              places: dict) -> dict:
+        """The places an invocation that may move an actor puts it in, and
+        an E002 if it faults from every place it may start from: the fault
+        of the first, off the road network before lanes in order."""
+        node, modifiers, args = (invocation.node, invocation.modifiers,
+                                 invocation.args)
+        actor, anchor = node.actor, modifiers.anchor
+        paradigm = modifiers.paradigm
+        if paradigm == "lane":
+            self._spawn_lane(invocation)
+        if gives is self._anywhere or paradigm in ("lane", "absolute"):
+            return gives
+        if paradigm == "relative":
+            start, lanes = places[anchor], 1
+            side = constant_value(modifiers.get("lane", {}).get("side"))
+            off = anchor_fault(actor, anchor, "not on the road network")
+            lane_fault = "lane {} outside [0, {})"
+        else:  # a lane change
+            start, side = places[actor], constant_value(args["side"])
+            lanes = int(constant_value(args["num_of_lanes"]))
+            off = f"actor '{actor}' is off the lane network"
+            lane_fault = "lane change to {} outside [0, {})"
+        delta, count = _SIDES.get(side, 0) * lanes, self.world.road.lane_count
+        landed = {LANES} if LANES in start and abs(delta) < count else set()
+        landed.update(place + delta for place in start if place not in
+                      ANYWHERE and 0 <= place + delta < count)
+        if not landed:
+            self._fail(off if OFF in start else lane_fault.format(
+                (0 if LANES in start else min(start)) + delta, count),
+                node.span)
+        return {actor: landed}
 
     def _place_remaining(self) -> SweepList:
         """Put actors without start constraints on free default spawns, and
@@ -480,6 +600,15 @@ class ScenarioInitializer:
             resume[size] = k
             obstacles.add(actor)
         return obstacles
+
+
+def _union(*maps: dict) -> dict:
+    """Each actor's places in any of ``maps``."""
+    union: dict = {}
+    for places in maps:
+        for name, more in places.items():
+            union[name] = union.get(name, NOWHERE) | more
+    return union
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +815,7 @@ def compile_scenario(analysis: Analysis, *,
     scenario = analysis.scenarios[0]
     if registry is None:
         registry = builtin_registry()
-    world = ScenarioInitializer(scenario, filename).run(road, dt)
+    world = ScenarioInitializer(scenario, filename, registry).run(road, dt)
     root = BehaviorTreeBuilder(scenario, registry, world, filename).build()
     return CompiledScenario(scenario, root, world, Blackboard())
 

@@ -10,11 +10,11 @@ backend's, or else the prelude's) and those of modifiers and queries to
 theirs in the prelude, and binds the scenario to a builtin map.  It also
 rejects cyclic ``var`` initializers, reads of actor state where no actor is
 placed yet (``var`` initializers, ``elapsed`` durations and lane
-numbers), placements that mix paradigms or anchors, placements after
-tick 0 relative to an anchor surely off the road network, and reads of
-attributes that no ``keep`` sets; compiling places the actors for tick 0.
-Diagnostics accumulate in source order; errors never abort the pass, so one
-run reports everything.
+numbers), placements that mix paradigms or anchors, and reads of
+attributes that no ``keep`` sets.  Where an actor can be is compiling's to
+judge (``runtime.ScenarioInitializer``), on the map in use.  Diagnostics
+accumulate in source order; errors never abort the pass, so one run
+reports everything.
 
 While it types an expression, the resolution pass also lowers it to an
 evaluator ``fn(world)`` that returns a float, a bool or a str.  A quantity
@@ -151,12 +151,6 @@ def unsupported_action(action: str, type_name: str) -> str:
             f"for type '{type_name}'")
 
 
-def anchor_fault(actor: str, anchor: str, why: str) -> str:
-    """The E002 message of a relative placement whose anchor is ``why``:
-    not placed yet, or not on the road network."""
-    return f"actor '{actor}' is anchored to '{anchor}', which is {why}"
-
-
 class Analyzer:
     def __init__(self, filename: str,
                  actions: prelude.ActionTable | None = None):
@@ -171,14 +165,6 @@ class Analyzer:
         # each var reference's constant evaluator, once the vars have values
         self._constants: dict[str, Evaluator] = {}
         self._info: ScenarioInfo | None = None  # the scenario resolved
-        # after tick 0: the actors an absolute placement has taken off the
-        # road network before the statement resolved, in run order; the
-        # actors with a lane or relative placement anywhere in the body, or
-        # with a placement that has an error; and each relative placement,
-        # as (actor, anchor, span, whether the anchor was in the first set)
-        self._off: set[str] = set()
-        self._on: set[str] = set()
-        self._later: list[tuple[str, str, Span, bool]] = []
 
     def report(self, severity: str, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(
@@ -227,17 +213,7 @@ class Analyzer:
                 # an error, so only the body's reads are checked.
                 self._constants = {name: partial(_constant, value)
                                    for name, value in info.var_values.items()}
-                self._later, self._off, self._on = [], set(), set()
                 self._resolve_behavior(info.decl.body.root)
-                # an actor's latest start placement says where it starts
-                start = {inv.node.actor: inv.modifiers.paradigm
-                         for inv in info.invocations.values()
-                         if inv.at_start and inv.modifiers.paradigm}
-                for actor, anchor, span, off in self._later:
-                    if anchor not in self._on and (
-                            off or start.get(anchor) == "absolute"):
-                        self.error("E002", anchor_fault(
-                            actor, anchor, "not on the road network"), span)
 
     def _resolve_field(self, decl: ast.FieldDecl, info: ScenarioInfo) -> None:
         if decl.type_name not in prelude.ACTOR_TYPES:
@@ -371,15 +347,8 @@ class Analyzer:
 
     def _resolve_behavior(self, node: ast.Node) -> None:
         if isinstance(node, ast.Composition):
-            # a branch of a parallel or one_of may run before its siblings'
-            # placements, or without them
-            before = self._off
             for child in node.children:
-                if node.kind != "serial":
-                    self._off = set(before)
                 self._resolve_behavior(child)
-            if node.kind != "serial":
-                self._off = before
         elif isinstance(node, ast.ActionInvocation):
             self._resolve_invocation(node)
         elif isinstance(node, ast.WaitStatement):
@@ -431,26 +400,21 @@ class Analyzer:
                                        "only in assign_position, not in "
                                        f"'{node.action}'", arg.span)
         if node.action == "assign_position" and receiver is not None:
-            self._check_placement(node, modifiers, at_start)
+            self._check_placement(node, modifiers)
         self._info.invocations[id(node)] = Invocation(
             node, args or {}, modifiers or Modifiers(), at_start)
 
     def _check_placement(self, node: ast.ActionInvocation,
-                         modifiers: Modifiers | None, at_start: bool) -> None:
+                         modifiers: Modifiers | None) -> None:
         """Check that an assign_position places its actor in at most one
-        way, relative to exactly one anchor.  After tick 0, the anchor must
-        not start off the road network or be taken off it by an absolute
-        placement run before, while no placement after tick 0 puts it back;
-        `resolution_pass` checks that once the body is resolved.  Where a
-        start placement's anchor stands is the initializer's to check.
+        way, relative to exactly one anchor; where the anchor stands is the
+        initializer's to check.
 
         ``modifiers`` holds the bound arguments of its modifiers, or None
-        if one has an error; the actor then counts as placed.  The way and
-        the anchor are recorded in it.
+        if one has an error.  The way and the anchor are recorded in it.
         """
         actor = node.actor
         if modifiers is None:
-            self._on.add(actor)
             return
         lane = modifiers.get("lane", {})
         position = modifiers.get("position", {})
@@ -470,12 +434,7 @@ class Analyzer:
             self.error("E002", f"actor '{actor}' names two different anchors"
                        if anchors else f"actor '{actor}' has a relative "
                        f"placement without an anchor", node.span)
-        elif relative and not at_start:
-            anchor = min(anchors)
-            self._later.append((actor, anchor, node.span, anchor in self._off))
         if places:
-            if not at_start:
-                (self._off if places[0] == "absolute" else self._on).add(actor)
             modifiers.paradigm = places[0]
             modifiers.anchor = min(anchors, default=None)
 

@@ -3,9 +3,10 @@
 A straight multi-lane road along +x.  Lane i is centered at
 y = -lane_width * i, so "right" of lane i is lane i+1.  Vehicles advance
 under one of two longitudinal profiles each step and may run one lateral
-lane-change maneuver at a time (smoothstep over 3 s of simulated time).
-Static props never move; off-network actors (absolute placements) keep
-their pose verbatim and are excluded from topological queries.
+lane-change maneuver at a time (smoothstep over 3 s of simulated time),
+which a placement ends.  Static props never move; off-network actors
+(absolute placements, with no lane) keep their pose verbatim and are
+excluded from topological queries.
 
 Collisions come from a banded sort-and-sweep broad phase (`SweepList`;
 Cohen et al., "I-COLLIDE", 1995).  Actors are kept in bands of y two box
@@ -169,7 +170,6 @@ class Actor:
     lights: str = "off"
     half_length: float = VEHICLE_HALF_LENGTH
     half_width: float = VEHICLE_HALF_WIDTH
-    off_network: bool = False
     lane_change: LaneChangeState | None = None
     rank: int = 0  # declaration order; `World` sets it when it adds the actor
 
@@ -480,7 +480,7 @@ class World:
                 f"actor '{actor.name}' is placed off the road at s={s:.2f}")
         actor.lane = lane
         actor.s = s
-        actor.off_network = False
+        actor.lane_change = None
         actor.lateral_offset = 0.0
         actor.heading = 0.0
         actor.x = s
@@ -489,8 +489,7 @@ class World:
 
     def place_absolute(self, actor: Actor, x: float, y: float,
                        heading: float) -> None:
-        actor.off_network = True
-        actor.lane = None
+        actor.lane = actor.lane_change = None
         actor.x = x
         actor.y = y
         actor.heading = heading
@@ -537,7 +536,7 @@ class World:
         found.
         """
         for actor in self.actors.values():
-            if (actor.kind == "vehicle" and not actor.off_network
+            if (actor.kind == "vehicle" and actor.lane is not None
                     and (actor.speed != 0.0 or actor.target_speed != 0.0
                          or actor.lane_change is not None)):
                 return False
@@ -556,7 +555,7 @@ class World:
             if actor.kind == "static-prop":
                 actor.speed = 0.0  # zero-velocity kinematic lock
                 continue
-            if not actor.off_network:
+            if actor.lane is not None:
                 speed = actor.speed
                 target = actor.target_speed
                 if speed != target:  # else either profile holds it
@@ -622,7 +621,7 @@ class World:
     # spatial queries
 
     def ahead_of(self, a: Actor, b: Actor) -> float:
-        if a.off_network or b.off_network:
+        if a.lane is None or b.lane is None:
             raise TopologicalUnreachable(
                 "ahead_of requires both actors on the lane network")
         return a.s - b.s
@@ -632,9 +631,9 @@ class World:
         if direction == "euclidean":
             return math.hypot(a.x - reference.x, a.y - reference.y)
         if direction == "topological":
-            if a.off_network or reference.off_network:
+            if a.lane is None or reference.lane is None:
                 raise TopologicalUnreachable(
-                    f"'{reference.name if reference.off_network else a.name}' "
+                    f"'{reference.name if reference.lane is None else a.name}' "
                     f"is off the routable network")
             return abs(a.s - reference.s)
         raise ValueError(f"unknown direction {direction!r}")

@@ -566,8 +566,8 @@ class TestDump:
 
 # One program per way a run ends, with its outcome and fault type: the
 # shipped scenarios succeed, and each probe faults in its own way or runs
-# out of time.  A start placement that fails ends compiling ("error", with
-# its diagnostic's message), so no run starts.
+# out of time.  A placement that compiling knows to fail ends it ("error",
+# with its diagnostic's message), so no run starts.
 RUN_PROBES = {
     **{path.stem: (path.read_text(), "success", None)
        for path in sorted(SCENARIOS.glob("*.osc"))},
@@ -599,15 +599,15 @@ RUN_PROBES = {
                         "    b.assign_position() with:\n"
                         "      lane(1, at: start)\n",
                         "error", "actors 'a' and 'b' overlap at start"),
-    # a's later lane placement leaves it to the run to find a off the
-    # road network; with no such placement it is a check-time E002
+    # a is off the road network when b is placed, whatever comes after
     "anchor-off-network-while-running": (
         "scenario p:\n  a: vehicle\n  b: vehicle\n  do serial:\n"
         "    a.assign_position() with:\n      position(x: 10m, y: 0m)\n"
         "    b.assign_position() with:\n"
         "      position(distance: 5m, behind: a)\n"
         "    a.assign_position() with:\n      lane(1)\n",
-        "fault", "TopologicalUnreachable"),
+        "error", "actor 'b' is anchored to 'a', which is not on the road "
+                 "network"),
     "or-wait": ("scenario p:\n  a: vehicle\n  do serial:\n"
                 "    wait a.speed > 1kph or 1m < 2m\n",
                 "success", None),
@@ -661,10 +661,59 @@ def start_placement(names):
         st.just("speed(0kph, at: start)"))
 
 
+SIDES = st.sampled_from(("left", "right"))
+
+
+def tick_action(names):
+    """A placement of any paradigm or a lane change after tick 0, or a
+    wait, as lines.  A placement beside an anchor takes its station, so
+    that no station leaves the road: the initializer does not model
+    stations.
+    """
+    actor, anchor = st.sampled_from(names), st.sampled_from(names)
+
+    def place(name, modifier):
+        return [f"{name}.assign_position() with:", f"  {modifier}"]
+    return st.one_of(
+        st.builds(lambda a, k: place(a, f"lane({k})"),
+                  actor, st.integers(0, 5)),
+        st.builds(lambda a, side, b: place(
+            a, f"lane(side: {side}, side_of: {b})"), actor, SIDES, anchor),
+        st.builds(lambda a, where, b: place(
+            a, f"position(distance: 0m, {where}: {b})"),
+            actor, st.sampled_from(("behind", "ahead_of")), anchor),
+        st.builds(lambda a, x, y: place(a, f"position(x: {x}m, y: {y}m)"),
+                  actor, st.integers(-10, 610), st.integers(-20, 5)),
+        st.builds(lambda a, n, side: [
+            f"{a}.change_lane(num_of_lanes: {n}, side: {side})"],
+            actor, st.integers(0, 2), SIDES),
+        st.just(["wait elapsed(0.1s)"]))
+
+
+@st.composite
+def tick_statements(draw, names, depth=2):
+    """1 to 3 statements after tick 0, as lines: actions and, above depth
+    0, serials, parallels and one_ofs of them; and whether every
+    composition among them is a serial."""
+    lines, serial = [], True
+    kinds = ("action", "serial", "parallel", "one_of") if depth else (
+        "action",)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "action":
+            lines += draw(tick_action(names))
+            continue
+        body, inner = draw(tick_statements(names, depth - 1))
+        lines += [f"{kind}:", *("  " + line for line in body)]
+        serial = serial and inner and kind == "serial"
+    return lines, serial
+
+
 @st.composite
 def start_programs(draw):
-    """2 or 3 vehicles with start placements, some with a start speed, an
-    optional lane placement after tick 0, then a short wait."""
+    """2 or 3 vehicles with start placements, some with a start speed, and
+    optional statements after tick 0, then a short wait; and whether every
+    composition is a serial."""
     names = "abc"[:draw(st.integers(2, 3))]
     lines = [f"  {name}: vehicle" for name in names] + ["  do serial:"]
     placed = []  # a relative placement is anchored to one of these, if any
@@ -675,19 +724,22 @@ def start_programs(draw):
         placed.append(actor)
         if draw(st.booleans()):
             lines.append("      speed(0kph, at: start)")
+    serial = True
     if draw(st.booleans()):
-        lines += [f"    {draw(st.sampled_from(names))}.assign_position() "
-                  f"with:", f"      lane({draw(st.integers(0, 5))})"]
-    return "\n".join(["scenario p:", *lines, "    wait elapsed(0.2s)", ""])
+        body, serial = draw(tick_statements(names))
+        lines += ["    " + line for line in body]
+    source = "\n".join(["scenario p:", *lines, "    wait elapsed(0.2s)", ""])
+    return source, serial
 
 
 @settings(max_examples=200, deadline=None)
-@given(source=start_programs())
-def test_check_clean_placements_run_to_success(source):
-    """`check` rejects a file exactly when compiling it fails, and a file
-    it accepts places its actors without a fault: start placements, start
-    speeds and lane placements after tick 0 hold nothing that only the run
-    can find."""
+@given(program=start_programs())
+def test_check_clean_placements_run_to_success(program):
+    """`check` rejects a file exactly when compiling it fails.  A file it
+    accepts places its actors without a fault and ends in a documented
+    exit code; built only of serials, it holds nothing that only the run
+    can find, so it runs to success."""
+    source, serial = program
     with tempfile.TemporaryDirectory() as tmp:
         path = write(Path(tmp), "p.osc", source)
         try:
@@ -698,10 +750,14 @@ def test_check_clean_placements_run_to_success(source):
         assert main(["check", path]) == (0 if compiled else 1)
         if compiled:
             trace = Path(tmp) / "p.ndjson"
-            assert main(["run", path, "--trace", str(trace)]) == 0
+            code = main(["run", path, "--trace", str(trace)])
             records = read_trace(trace)
-            assert records[-1]["outcome"] == "success"
-            assert [r for r in records if r["record"] == "fault"] == []
+            faults = [r for r in records if r["record"] == "fault"]
+            assert (code, len(faults)) in ((0, 0), (4, 1))
+            assert records[-1]["outcome"] == ("success" if code == 0
+                                              else "fault")
+            if serial:
+                assert faults == []
 
 
 class GiveUpLeaf(ActionLeaf):

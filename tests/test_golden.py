@@ -188,12 +188,19 @@ def test_trace_number_text(tmp_path):
     # the actors are placed while compiling, so check and run report it
     ("  a: vehicle\n  b: vehicle\n  c: vehicle\n", "    wait elapsed(1s)\n",
      "6:3: error[E002]: no free default spawn point for actor 'c'"),
-    # hero's later lane placement leaves it to the run to find hero off
-    # the road network when npc is placed
+    # in a serial, hero is off the road network when npc is placed, and
+    # its later lane placement does not change that
     ("", "    hero.assign_position() with:\n      position(x: 10m, y: 0m)\n"
          "    npc.assign_position() with:\n"
          "      position(distance: 5m, behind: hero)\n"
          "    hero.assign_position() with:\n      lane(1)\n",
+     "7:5: error[E002]: actor 'npc' is anchored to 'hero', which is not on "
+     "the road network"),
+    # in a parallel, npc's branch may run first, while hero is on its spawn
+    ("", "    parallel:\n"
+         "      hero.assign_position() with:\n        position(x: 10m, y: 0m)\n"
+         "      npc.assign_position() with:\n"
+         "        position(distance: 5m, behind: hero)\n",
      '{"record":"fault","tick":0,"error":"TopologicalUnreachable",'
      '"message":"actor \'npc\' is anchored to \'hero\', which is not on '
      'the road network"}'),
@@ -205,7 +212,8 @@ def test_trace_number_text(tmp_path):
      '{"record":"fault","tick":0,"error":"OffMapFault",'
      '"message":"actor \'npc\' is placed off the road at s=-0.10"}'),
 ], ids=["query-div-zero", "off-network-ahead-of", "no-free-spawn-point",
-        "anchor-off-network-while-running", "placed-just-off-the-road"])
+        "anchor-off-network-while-running",
+        "anchor-may-be-off-network-in-a-parallel", "placed-just-off-the-road"])
 def test_runtime_fault_record(members, body, record, tmp_path, capsys):
     source = tmp_path / "probe.osc"
     source.write_text(MEMBERS + members + "  do serial:\n" + body)
@@ -449,8 +457,8 @@ PLACE = "    {}.assign_position() with:\n      {}\n"
 # Start placements that fail on town06.  The actors are placed while
 # compiling, so `check` reports what `run` would, at the placement that put
 # the actor there last, or at the field of an actor left without a spawn.
-# So is a placement after tick 0 on a lane without a spawn, or anchored to
-# an actor that starts off the road network or surely leaves it.
+# So is a placement after tick 0 on a lane without a spawn, or one that
+# faults wherever its anchor may be then.
 START_FAULTS = {
     "p1": (PLACE.format("hero", "lane(7, at: start)"),
            "5:5: error[E002]: no default spawn point on lane 7 for actor "
@@ -477,6 +485,10 @@ START_FAULTS = {
            + PLACE.format("npc", "lane(side: right, side_of: hero, "
                                  "at: start)"),
            "7:5: error[E002]: lane 5 outside [0, 5)"),
+    # hero's lane is known after tick 0 too, so is the lane beside it
+    "p6-running": (PLACE.format("hero", "lane(4, at: start)")
+                   + PLACE.format("npc", "lane(side: right, side_of: hero)"),
+                   "7:5: error[E002]: lane 5 outside [0, 5)"),
     # a distance that cannot be computed where the actors stand at start
     "distance-div-zero": (
         PLACE.format("hero", "lane(1, at: start)")
@@ -541,6 +553,28 @@ def test_start_fault_depends_on_the_map(tmp_path, capsys):
         "success"
     assert main(["check", str(source)]) == 1
     assert capsys.readouterr().err == f"{source}:{START_FAULTS['p1'][1]}\n"
+
+
+def test_fault_after_tick_0_depends_on_the_map(tmp_path, capsys):
+    """p6-running places npc right of lane 4 after tick 0: on a map with
+    eight lanes, where the initializer judges it when run with --map, the
+    placement succeeds."""
+    source = tmp_path / "p6.osc"
+    source.write_text(MEMBERS + "  do serial:\n"
+                      + START_FAULTS["p6-running"][0])
+    road = tmp_path / "eight.json"
+    road.write_text(json.dumps({
+        "name": "eight", "lane_count": 8, "lane_width": 3.5, "length": 600.0,
+        "spawns": [[4, 50.0], [1, 50.0]]}))
+    trace = tmp_path / "trace.ndjson"
+    assert main(["run", str(source), "--map", str(road),
+                 "--trace", str(trace)]) == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert records[-1]["outcome"] == "success"
+    assert [actor["lane"] for actor in records[-2]["actors"]] == [4, 5]
+    assert main(["check", str(source)]) == 1
+    assert capsys.readouterr().err == (
+        f"{source}:{START_FAULTS['p6-running'][1]}\n")
 
 
 @pytest.mark.parametrize("source, expected", [

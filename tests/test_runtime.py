@@ -328,6 +328,23 @@ class TestLeaves:
         assert a.lane == start_lane + 1
         assert a.lane_change is None
 
+    def test_placement_ends_a_lane_change(self):
+        # the one_of halts the lane change half a second in; the placement
+        # then holds a on lane 3, with no drift toward lane 2 and no snap
+        cs = compile_body(
+            "    a.assign_position() with:\n      lane(1, at: start)\n"
+            "    one_of:\n      wait elapsed(0.5s)\n"
+            "      a.change_lane(num_of_lanes: 1, side: right)\n"
+            "    a.assign_position() with:\n      lane(3)\n"
+            "    wait elapsed(4s)\n")
+        a = cs.world.actors["a"]
+        poses = []
+        while cs.step_tick() is RUNNING:
+            poses.append((a.lane, a.y, a.heading))
+        placed = poses.index((3, -10.5, 0.0))
+        assert placed == 10 and len(poses) == 90
+        assert poses[placed:] == [(3, -10.5, 0.0)] * (len(poses) - placed)
+
     def test_set_lights_instant(self):
         cs = compile_body('    a.set_lights(mode: "high_beam")\n')
         assert cs.step_tick() is SUCCESS
@@ -571,8 +588,9 @@ class TestQuiescence:
 
 # Faults that only the map shows: the placement or lane change asks for a
 # lane the road lacks, or a lane change starts off the lane network.  Town06
-# has lanes 0 to 4 and spawns on lanes 1 to 4.  A start placement's fault
-# is a CompileError, with no tick run (None); the others end a run.
+# has lanes 0 to 4 and spawns on lanes 1 to 4.  A start placement, or a
+# lane change that faults wherever its actor may be, is a CompileError,
+# with no tick run (None); one that only may fault ends a run.
 MAP_FAULTS = {
     "relative-lane-off-the-road": (
         "    a.assign_position() with:\n      lane(4, at: start)\n"
@@ -587,12 +605,28 @@ MAP_FAULTS = {
         "    a.assign_position() with:\n      lane(4, at: start)\n"
         "    wait elapsed(0.1s)\n"
         "    a.change_lane(num_of_lanes: 1, side: right)\n",
-        2, LaneOutOfBounds, "lane change to 5 outside [0, 5)"),
+        None, CompileError, "lane change to 5 outside [0, 5)"),
     "lane-change-off-network": (
         "    a.assign_position() with:\n"
         "      position(x: 10m, y: 3m, at: start)\n"
         "    a.change_lane(num_of_lanes: 1, side: left)\n",
-        0, LaneOutOfBounds, "actor 'a' is off the lane network"),
+        None, CompileError, "actor 'a' is off the lane network"),
+    # a branch beside the lane change may move a first, so only the run
+    # knows where a stands then
+    "lane-change-that-may-fault": (
+        "    a.assign_position() with:\n      lane(4, at: start)\n"
+        "    parallel:\n"
+        "      serial:\n        wait elapsed(0.1s)\n"
+        "        a.change_lane(num_of_lanes: 1, side: right)\n"
+        "      serial:\n        wait elapsed(0.2s)\n"
+        "        a.assign_position() with:\n          lane(1)\n",
+        2, LaneOutOfBounds, "lane change to 5 outside [0, 5)"),
+    "lane-change-that-may-start-off-network": (
+        "    parallel:\n"
+        "      serial:\n        wait elapsed(0.1s)\n"
+        "        a.change_lane(num_of_lanes: 1, side: left)\n"
+        "      a.assign_position() with:\n        position(x: 10m, y: 3m)\n",
+        2, LaneOutOfBounds, "actor 'a' is off the lane network"),
 }
 
 
@@ -608,6 +642,23 @@ def test_map_fault(body, ticks, error, message):
     outcome, completed, fault = cs.run(max_ticks=50)
     assert (outcome, completed, type(fault), str(fault)) == \
         ("fault", ticks, error, message)
+
+
+def test_a_sibling_may_move_the_anchor_after_the_branch_places_it():
+    """The branch puts a on lane 4, and lane 5 right of it faults; but the
+    branch beside it puts a on lane 1 before b is placed, so compiling
+    leaves it to the run, which succeeds."""
+    cs = compile_scenario(check(wrap(
+        "    parallel:\n"
+        "      serial:\n"
+        "        a.assign_position() with:\n          lane(4)\n"
+        "        wait elapsed(1s)\n"
+        "        b.assign_position() with:\n"
+        "          lane(side: right, side_of: a)\n"
+        "      serial:\n        wait elapsed(0.5s)\n"
+        "        a.assign_position() with:\n          lane(1)\n"), "t.osc"))
+    assert cs.run(max_ticks=50)[0] == "success"
+    assert [actor.lane for actor in cs.world.actors.values()] == [1, 2]
 
 
 class TestEvaluation:
@@ -665,7 +716,7 @@ class TestInitializer:
         assert (hero.lane, hero.s) == (1, 50.0)
         assert (npc.lane, npc.s) == (2, 45.0)
         assert npc.speed == 0.0 and npc.target_speed == 0.0
-        assert obstacle.off_network
+        assert obstacle.lane is None
         assert (obstacle.x, obstacle.y) == (478.93, -14.07)
         assert obstacle.heading == -1.57
 
@@ -758,7 +809,7 @@ class TestInitializer:
                   for name in expected}
         assert placed == expected
         assert expected["cone"] == spawns[0]
-        assert cs.world.actors["wreck"].off_network
+        assert cs.world.actors["wreck"].lane is None
 
     def test_go_signal_present_at_tick_zero(self):
         cs = compile_body("    wait @go_signal\n", members="  a: vehicle\n")
